@@ -228,7 +228,7 @@ func (c *checker) eval(e ast.Expr, st state) state {
 // brace while definitely still held: nothing can release them after.
 func (c *checker) blockEnd(b *ast.BlockStmt, out state) state {
 	for obj, t := range c.vars {
-		if t.escaped || t.deferred || out[obj] != stHeld {
+		if s, seen := out[obj]; t.escaped || t.deferred || !seen || s != stHeld {
 			continue
 		}
 		scope := obj.Parent()
@@ -539,10 +539,9 @@ func (c *checker) checkUses(expr ast.Expr, st state) {
 // leaves the function at pos.
 func (c *checker) checkExit(pos token.Pos, st state) {
 	for obj, t := range c.vars {
-		if t.escaped || t.deferred {
-			continue
-		}
-		if st[obj] != stHeld {
+		// A variable absent from the state has not been acquired on this
+		// path (stHeld is the zero value, so test presence explicitly).
+		if s, seen := st[obj]; t.escaped || t.deferred || !seen || s != stHeld {
 			continue
 		}
 		if c.reported[pos+token.Pos(obj.Pos())] || c.ann.At(pos, "pool-ok") || c.ann.At(t.getPos, "pool-ok") {

@@ -69,6 +69,21 @@ func BranchesOK(n int) {
 	bufpool.Default.Put(buf)
 }
 
+// EarlyReturnBeforeGetOK leaves before the buffer exists: only the exit
+// after the acquisition can leak it.
+func EarlyReturnBeforeGetOK(n int) error {
+	if n > 4096 {
+		return errors.New("too big")
+	}
+	buf := bufpool.Default.Get(n)
+	if n > 8 {
+		return errors.New("odd") // want `buf leaks a pool buffer on this path`
+	}
+	buf[0] = 1
+	bufpool.Default.Put(buf)
+	return nil
+}
+
 // TransferOK hands ownership to the caller: no leak report.
 func TransferOK(n int) []byte {
 	buf := bufpool.Default.Get(n)

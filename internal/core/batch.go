@@ -1,29 +1,36 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
+	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/store"
 )
 
-// Batched writes
-// --------------
+// The op pipeline
+// ---------------
 //
-// The network server coalesces writes from many connections into one batch
-// before entering the engine, so unrelated clients share a shard lock
-// acquisition instead of paying one lock round-trip per request. WriteBatch
-// is that entry point: it validates every op, groups the shard-local ones
-// by owning shard, and runs each shard's group under a single exclusive
-// lock hold — per-op device work, spans, stats, and commit triggers are
-// exactly the serial write path (writeSerial), so a batch on a one-shard
-// engine is bit-identical to issuing the ops sequentially.
+// Every read and write takes the same route: entry → classify → per-shard
+// executor → completion envelope. The entries are WriteBatch/ReadBatch
+// (the network server coalesces requests from many connections into one
+// batch, so unrelated clients share one shard-lock hold or one seqlock
+// sample instead of paying one each) and WriteChunks/ReadChunks, which
+// are batches of one on the caller's stack. classify is the one range
+// check and the one shard router. The executors are writeOp (write.go;
+// writeGroup is its lock-amortizing form) and readGroup (read.go); each
+// op leaves through finishWrite or finishRead, so spans, latency
+// observations, and trace events cannot tell a batched op from a single
+// one.
 //
-// Ordering: ops within a batch land on each shard in batch order, but
-// there is no cross-op ordering guarantee between shards (shard groups run
-// in parallel), and two ops in one batch touching the same LBA have
-// unspecified relative order — the same contract the wire protocol gives
-// pipelined requests. Callers needing order must await completion before
-// issuing a dependent op.
+// Ordering: ops local to one shard land on it in batch order (reads in
+// ascending LBA order, under one snapshot), but shard groups run in
+// parallel, so there is no ordering across shards and two ops of one batch
+// on the same LBA have unspecified relative order — the contract the wire
+// protocol gives pipelined requests. Callers needing order await
+// completion before issuing a dependent op.
 
 // BatchOp is one write in a batch. Start is the op's virtual start time;
 // End and Err carry the per-op result back (End is the virtual completion
@@ -38,92 +45,189 @@ type BatchOp struct {
 	Err error
 }
 
+// ReadOp is one read in a batch. Buf is the caller-owned destination (a
+// positive chunk multiple); Start is the op's virtual start time; End and
+// Err carry the per-op result back, matching ReadChunks.
+type ReadOp struct {
+	LBA   int64
+	Buf   []byte
+	Start float64
+
+	End float64
+	Err error
+}
+
+// shardSet is the set of shards owning a run of consecutive stripes: n
+// consecutive shard indices starting at first, wrapping modulo the shard
+// count. It is never empty; n == 1 means the op is local to one shard.
+type shardSet struct{ first, n int }
+
+// has reports whether shard i of ns is in the set.
+func (s shardSet) has(i, ns int) bool { return (i-s.first+ns)%ns < s.n }
+
+// classify is the pipeline's one range check and one router: it validates
+// an op's payload length and chunk range and returns its chunk count and
+// the shards owning its stripes.
+func (e *EPLog) classify(lba int64, payload int) (int64, shardSet, error) {
+	n := int64(payload / e.csize)
+	if n == 0 || int(n)*e.csize != payload {
+		return 0, shardSet{}, fmt.Errorf("core: payload length %d not a positive chunk multiple", payload)
+	}
+	if lba < 0 || lba > e.geo.Chunks()-n {
+		return 0, shardSet{}, fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, lba, lba+n, e.geo.Chunks())
+	}
+	lo, _ := e.geo.Stripe(lba)
+	hi, _ := e.geo.Stripe(lba + n - 1)
+	ns := int64(e.nShards)
+	return n, shardSet{first: int(lo % ns), n: int(min(hi-lo+1, ns))}, nil
+}
+
+// batchPlan is classify's output for one batch: per shard, the indices of
+// the ops local to it, plus the ops spanning several shards. Pooled — the
+// batch entries may run concurrently (the server's read executors) — so a
+// warmed-up engine plans a batch without allocating.
+type batchPlan struct {
+	groups   [][]int
+	spanning []spanningOp
+	spans    []device.Span // ReadBatch: per-op device spans
+	wg       sync.WaitGroup
+}
+
+type spanningOp struct {
+	i   int
+	set shardSet
+}
+
+var planPool = sync.Pool{New: func() any { return new(batchPlan) }}
+
+// getPlan returns an empty plan for this engine.
+func (e *EPLog) getPlan() *batchPlan {
+	p := planPool.Get().(*batchPlan)
+	if cap(p.groups) < e.nShards {
+		p.groups = make([][]int, e.nShards)
+	}
+	p.groups = p.groups[:e.nShards]
+	for i := range p.groups {
+		p.groups[i] = p.groups[i][:0]
+	}
+	p.spanning = p.spanning[:0]
+	return p
+}
+
+// add routes op i to its shard's group, or to the spanning list.
+func (p *batchPlan) add(set shardSet, i int) {
+	if set.n == 1 {
+		p.groups[set.first] = append(p.groups[set.first], i)
+	} else {
+		p.spanning = append(p.spanning, spanningOp{i, set})
+	}
+}
+
+// groupRunner executes one shard's group of a batch.
+type groupRunner interface {
+	runGroup(sh *shard, idxs []int)
+}
+
+// runGroups executes every populated group of the plan and waits for them:
+// the last on the caller's goroutine, the others on goroutines of their
+// own — so a batch confined to one shard spawns and allocates nothing.
+// The runner is a type parameter rather than an interface value or a
+// closure so that handing it over does not allocate either.
+func runGroups[R groupRunner](e *EPLog, p *batchPlan, r R) {
+	last := -1
+	for si, g := range p.groups {
+		if len(g) == 0 {
+			continue
+		}
+		if last >= 0 {
+			sh, idxs := e.shards[last], p.groups[last]
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				r.runGroup(sh, idxs)
+			}()
+		}
+		last = si
+	}
+	if last >= 0 {
+		r.runGroup(e.shards[last], p.groups[last])
+	}
+	p.wg.Wait()
+}
+
+type writeRunner struct {
+	e   *EPLog
+	ops []BatchOp
+}
+
+func (r writeRunner) runGroup(sh *shard, idxs []int) { r.e.writeGroup(sh, r.ops, idxs) }
+
+type readRunner struct {
+	e     *EPLog
+	ops   []ReadOp
+	spans []device.Span
+}
+
+func (r readRunner) runGroup(sh *shard, idxs []int) {
+	// Ascending-LBA order turns adjacent ops into one contiguous scan.
+	slices.SortFunc(idxs, func(a, b int) int { return cmp.Compare(r.ops[a].LBA, r.ops[b].LBA) })
+	r.e.readGroup(shardSet{first: sh.idx, n: 1}, r.ops, idxs, r.spans)
+}
+
 // WriteBatch applies every op, filling each op's End and Err in place.
-// Shard-local ops (all chunks in one stripe, or a single-shard engine) are
-// grouped per shard and each group runs under one exclusive lock hold;
-// ops spanning several stripes of a multi-shard engine fall back to the
-// one-at-a-time sharded write path. Failures are per-op: a bad or failed
-// op never prevents the rest of the batch from running.
+// Ops local to one shard (all chunks in one stripe, or a single-shard
+// engine) are grouped per shard and each group runs under one exclusive
+// lock hold; an op spanning several shards runs on the caller's goroutine,
+// one hold per touched shard. Failures are per-op: a bad or failed op
+// never prevents the rest of the batch from running.
 func (e *EPLog) WriteBatch(ops []BatchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	// Validate up front and classify: groups[i] holds indices of ops local
-	// to shard i, spanning holds multi-stripe ops of a multi-shard engine.
-	groups := make([][]int, e.nShards)
-	var spanning []int
+	p := e.getPlan()
 	for i := range ops {
 		op := &ops[i]
 		op.End = op.Start
-		nChunks := int64(len(op.Data) / e.csize)
-		if int(nChunks)*e.csize != len(op.Data) || nChunks == 0 {
-			op.Err = fmt.Errorf("core: data length %d not a positive chunk multiple", len(op.Data))
-			continue
-		}
-		if op.LBA < 0 || op.LBA+nChunks > e.geo.Chunks() {
-			op.Err = fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, op.LBA, op.LBA+nChunks, e.geo.Chunks())
-			continue
-		}
-		if e.nShards == 1 {
-			groups[0] = append(groups[0], i)
-			continue
-		}
-		first, _ := e.geo.Stripe(op.LBA)
-		last, _ := e.geo.Stripe(op.LBA + nChunks - 1)
-		if first == last {
-			groups[first%int64(e.nShards)] = append(groups[first%int64(e.nShards)], i)
-		} else {
-			// Consecutive stripes always land on different shards, so a
-			// multi-stripe op can never be shard-local here.
-			spanning = append(spanning, i)
+		var set shardSet
+		if _, set, op.Err = e.classify(op.LBA, len(op.Data)); op.Err == nil {
+			p.add(set, i)
 		}
 	}
+	runGroups(e, p, writeRunner{e, ops})
+	for _, s := range p.spanning {
+		e.writeOp(&ops[s.i], s.set)
+	}
+	planPool.Put(p)
+}
 
-	nGroups := 0
-	for _, g := range groups {
-		if len(g) > 0 {
-			nGroups++
-		}
+// ReadBatch applies every op, filling each op's End and Err in place.
+// Ops local to one shard are grouped per shard and each group is served
+// under one snapshot — one epoch-validated lock-free pass, or one lock
+// hold when that pass is unavailable or fails; an op spanning several
+// shards is a group of its own over every shard it touches. Failures are
+// per-op: a bad or failed op never prevents the rest of the batch from
+// running.
+func (e *EPLog) ReadBatch(ops []ReadOp) {
+	if len(ops) == 0 {
+		return
 	}
-	runGroup := func(sh *shard, idxs []int) {
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		for _, i := range idxs {
-			op := &ops[i]
-			n := int64(len(op.Data) / e.csize)
-			op.End, op.Err = sh.writeSerial(op.Start, op.LBA, n, op.Data)
-		}
-		sh.lockReleasing()
-		sh.mu.Unlock()
-	}
-	if nGroups == 1 {
-		for si, g := range groups {
-			if len(g) > 0 {
-				runGroup(e.shards[si], g)
-			}
-		}
-	} else if nGroups > 1 {
-		done := make(chan struct{}, nGroups)
-		for si, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			sh, idxs := e.shards[si], g
-			go func() {
-				runGroup(sh, idxs)
-				done <- struct{}{}
-			}()
-		}
-		for i := 0; i < nGroups; i++ {
-			<-done
-		}
-	}
-	for _, i := range spanning {
+	e.cReadBatches.Inc()
+	e.cReadBatchOps.Add(int64(len(ops)))
+	p := e.getPlan()
+	p.spans = grow(p.spans, len(ops))
+	for i := range ops {
 		op := &ops[i]
-		n := int64(len(op.Data) / e.csize)
-		op.End, op.Err = e.writeSharded(op.Start, op.LBA, n, op.Data)
+		op.End = op.Start
+		var set shardSet
+		if _, set, op.Err = e.classify(op.LBA, len(op.Buf)); op.Err == nil {
+			p.add(set, i)
+		}
 	}
+	runGroups(e, p, readRunner{e, ops, p.spans})
+	for _, s := range p.spanning {
+		e.readGroup(s.set, ops, []int{s.i}, p.spans)
+	}
+	planPool.Put(p)
 }
 
 // NumShards reports the engine's shard count after clamping.
@@ -134,6 +238,13 @@ func (e *EPLog) NumShards() int { return e.nShards }
 // is the batching payoff metric: coalescing N ops into one batch takes one
 // acquisition per touched shard instead of one per op.
 func (e *EPLog) ShardLockAcquisitions() int64 { return e.lockAcqs.Load() }
+
+// ReadLockAcquisitions returns the cumulative number of shared shard-lock
+// acquisitions taken by reads whose lock-free pass was unavailable or
+// failed. It is the read-side batching payoff metric: coalescing N such
+// reads into one batch takes one acquisition per shard group instead of
+// one per op, and lock-free reads take none at all.
+func (e *EPLog) ReadLockAcquisitions() int64 { return e.readLockAcqs.Load() }
 
 // WritePressure reports the engine's write backpressure signal in [0, 1]:
 // the worst shard's log-region occupancy, or its dirty-window fill when a

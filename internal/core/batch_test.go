@@ -3,14 +3,22 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
+	"github.com/eplog/eplog/internal/obs"
 )
 
 // batchEngine builds an engine over plain mem devices with a wide stripe
 // count so batches can spread across shards.
 func batchEngine(t testing.TB, shards int, stripes int64) *EPLog {
+	t.Helper()
+	return batchEngineObs(t, shards, stripes, nil)
+}
+
+// batchEngineObs is batchEngine reporting into sink (nil for none).
+func batchEngineObs(t testing.TB, shards int, stripes int64, sink *obs.Sink) *EPLog {
 	t.Helper()
 	const k, n = 4, 5
 	devs := make([]device.Dev, n)
@@ -18,7 +26,7 @@ func batchEngine(t testing.TB, shards int, stripes int64) *EPLog {
 		devs[i] = device.NewMem(stripes*4, testChunk)
 	}
 	logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
-	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards})
+	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards, Obs: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +130,13 @@ func TestWriteBatchFewerLockAcquisitions(t *testing.T) {
 }
 
 // TestWriteBatchSpanningOps checks multi-stripe ops of a multi-shard
-// engine fall back to the sharded path and still land correctly alongside
-// local ops.
+// engine land correctly alongside local ops: first one hand-built batch,
+// then seeded batches of misaligned spanning ops (2 … 3·K·Shards chunks,
+// so up to more stripes than shards; the first covers a virgin full stripe
+// between two partial ones, later ones overwrite) mixed with shard-local
+// ops, mirrored one op at a time on a one-shard engine. Contents, main-array
+// chunk counts and the once-per-op envelope must match, and a spanning
+// write must take exactly one exclusive lock per shard it touches.
 func TestWriteBatchSpanningOps(t *testing.T) {
 	e := batchEngine(t, 4, 64)
 	defer e.Close()
@@ -160,6 +173,93 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 	}
 	if !bytes.Equal(got, local) {
 		t.Fatal("local op contents lost")
+	}
+
+	const shards, stripes = 4, 64
+	sink := obs.NewSink(64)
+	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
+	e4, e1 := batchEngineObs(t, shards, stripes, sink), batchEngine(t, 1, stripes)
+	defer e4.Close()
+	defer e1.Close()
+	r := rand.New(rand.NewSource(5))
+	var nOps int64
+	for round := 0; round < 24; round++ {
+		// Disjoint ops in ascending LBA order from a random origin: ops of
+		// one batch touching the same LBA have unspecified order.
+		var batch []BatchOp
+		wantLocks := map[int]bool{} // shards holding a local group
+		spanLocks := 0
+		lba := int64(r.Intn(int(k)))
+		for len(batch) < 6 {
+			n := int64(1)
+			if len(batch)%2 == 0 {
+				n = 2 + int64(r.Intn(3*int(k)*shards-1))
+			}
+			if round == 0 && len(batch) == 0 {
+				lba, n = 9*k+k-1, k+2 // tail of stripe 9, all of virgin stripe 10, head of 11
+			}
+			if lba+n > e4.Chunks() {
+				break
+			}
+			batch = append(batch, BatchOp{LBA: lba, Data: chunkData(round*100+len(batch), int(n))})
+			lo, hi := lba/k, (lba+n-1)/k
+			if lo == hi {
+				wantLocks[int(lo%shards)] = true
+			} else {
+				spanLocks += int(min(hi-lo+1, shards))
+			}
+			lba += n + int64(r.Intn(2*int(k)))
+		}
+		base := e4.ShardLockAcquisitions()
+		e4.WriteBatch(batch)
+		if got, want := e4.ShardLockAcquisitions()-base, int64(len(wantLocks)+spanLocks); got != want {
+			t.Fatalf("round %d: %d exclusive lock acquisitions, want %d (one per local group + one per shard a spanning op touches)",
+				round, got, want)
+		}
+		for i := range batch {
+			if batch[i].Err != nil {
+				t.Fatalf("round %d op %d: %v", round, i, batch[i].Err)
+			}
+			if _, err := e1.WriteChunks(0, batch[i].LBA, batch[i].Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nOps += int64(len(batch))
+		// Fold both engines so the sharded one's background triggers stay
+		// quiet (their lock holds would blur the count above).
+		if err := e4.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e1.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img4, img1 := make([]byte, e4.Chunks()*testChunk), make([]byte, e1.Chunks()*testChunk)
+	if _, err := e4.ReadChunks(0, 0, img4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.ReadChunks(0, 0, img1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img4, img1) {
+		t.Fatal("sharded batched and serial sequential engines diverged")
+	}
+	s4, s1 := e4.Stats(), e1.Stats()
+	if s4.DataWriteChunks != s1.DataWriteChunks || s4.ParityWriteChunks != s1.ParityWriteChunks ||
+		s4.FullStripeWrites != s1.FullStripeWrites {
+		t.Fatalf("main-array traffic diverged:\nsharded: %+v\nserial:  %+v", s4, s1)
+	}
+	var roots int64
+	for _, root := range sink.Spans() {
+		if root.Kind == "write" {
+			roots++
+		}
+	}
+	if d := sink.SpansDropped(); d != 0 {
+		t.Fatalf("span ring evicted %d trees", d)
+	}
+	if s4.Requests != nOps || roots != nOps {
+		t.Fatalf("Stats.Requests = %d, write roots = %d, ops issued = %d; all must agree", s4.Requests, roots, nOps)
 	}
 }
 

@@ -18,32 +18,64 @@ import (
 // With Shards=1 this degenerates to the old single coarse mutex.
 //
 // What runs outside the critical path of those locks is the expensive,
-// embarrassingly parallel work inside one operation: Reed-Solomon
-// encode/reconstruct, chunk memcpy, and per-device span I/O in the
-// direct-stripe, log-stripe flush, parity-commit fold, read, and rebuild
-// paths. Those phases are expressed as task lists and handed to fanOut,
-// which runs them on a bounded workpool of cfg.Workers goroutines. Pool
-// tasks never touch engine metadata (inputs are captured before the fan-
-// out; outputs land in per-task slots or atomics folded back under the
-// lock), and they never take a shard lock — so the lock order is strictly
-// shard locks (ascending index) -> device.Locked/erasure.Cache, with no
-// cycles.
+// embarrassingly parallel work inside one operation: Reed-Solomon encode
+// (erasure.EncodeParallel), the per-device writes of a direct-stripe or
+// log-stripe flush phase (writeDevs), and the per-stripe compound tasks of
+// the parity-commit fold and rebuild (fanOut). All of it runs on a bounded
+// workpool of cfg.Workers goroutines. Pool tasks never touch engine
+// metadata (inputs are captured before the fan-out; outputs land in
+// per-task slots or atomics folded back under the lock), and they never
+// take a shard lock — so the lock order is strictly shard locks (ascending
+// index) -> device.Locked/erasure.Cache, with no cycles.
 //
-// Virtual-time determinism: with workers <= 1, fanOut runs the tasks
-// serially, in order, on the caller's span — bit-for-bit the behavior
-// (and virtual-time accounting) of the single-threaded engine. With
-// workers > 1 each task gets a sub-span starting at the parent's start
-// and the parent is extended to the slowest sub-span's end; because a
-// span issues every operation at its start time and keeps the max
-// completion, the merged end time is identical to the serial result
-// whenever the tasks touch disjoint devices (which the call sites
-// guarantee). Byte counts and stats totals are order-independent either
-// way.
+// Virtual-time determinism: with workers <= 1 both helpers run serially,
+// in order, on the caller's span — bit-for-bit the behavior (and
+// virtual-time accounting) of the single-threaded engine. With workers > 1
+// each pool task gets a sub-span starting at the parent's start and the
+// parent is extended to the slowest sub-span's end; because a span issues
+// every operation at its start time and keeps the max completion, the
+// merged end time is identical to the serial result whenever the tasks
+// touch disjoint devices (which the call sites guarantee). Byte counts and
+// stats totals are order-independent either way.
 
-// fanOut runs one operation's phase tasks on the engine's worker pool.
-// Each task receives a span to issue device I/O on. Tasks must not touch
-// engine metadata or take shard locks; they may only use their span, the
-// devices handed to them, and per-task result slots.
+// devWrite is one chunk write of a phase's per-device fan-out.
+type devWrite struct {
+	dev   device.Dev
+	chunk int64
+	data  []byte
+}
+
+// writeDevs issues one phase's chunk writes, each to a distinct device:
+// inline in list order on the caller's span with a single worker, else
+// dealt round-robin to one pool task per worker. Like tolerantWrite it
+// touches no engine state, so the phase is data, not code, at its call
+// sites.
+func (e *EPLog) writeDevs(span *device.Span, writes []devWrite) error {
+	nTasks := min(e.workers, len(writes))
+	if nTasks <= 1 {
+		for _, w := range writes {
+			if err := tolerantWrite(span, w.dev, w.chunk, w.data); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return e.onSubSpans(span, nTasks, func(t int, sub *device.Span) error {
+		for i := t; i < len(writes); i += nTasks {
+			w := writes[i]
+			if err := tolerantWrite(sub, w.dev, w.chunk, w.data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// fanOut runs one operation's compound phase tasks (a stripe fold, a
+// stripe rebuild) on the engine's worker pool. Each task receives a span
+// to issue device I/O on. Tasks must not touch engine metadata or take
+// shard locks; they may only use their span, the devices handed to them,
+// and per-task result slots.
 func (e *EPLog) fanOut(span *device.Span, tasks []func(*device.Span) error) error {
 	if e.workers <= 1 || len(tasks) <= 1 {
 		for _, t := range tasks {
@@ -53,26 +85,30 @@ func (e *EPLog) fanOut(span *device.Span, tasks []func(*device.Span) error) erro
 		}
 		return nil
 	}
-	subs := make([]*device.Span, len(tasks))
-	wrapped := make([]func() error, len(tasks))
-	for i, t := range tasks {
-		sub := device.NewSpan(span.Start())
-		subs[i] = sub
-		task := t
-		wrapped[i] = func() error { return task(sub) }
+	return e.onSubSpans(span, len(tasks), func(t int, sub *device.Span) error { return tasks[t](sub) })
+}
+
+// onSubSpans runs task(0..n-1) on the worker pool, each on a sub-span of
+// its own starting at span's start, and extends span to the slowest.
+func (e *EPLog) onSubSpans(span *device.Span, n int, task func(t int, sub *device.Span) error) error {
+	subs := make([]device.Span, n)
+	wrapped := make([]func() error, n)
+	for t := range wrapped {
+		subs[t].Reset(span.Start())
+		wrapped[t] = func() error { return task(t, &subs[t]) }
 	}
 	err := workpool.Run(e.workers, wrapped)
 	// Merge even on error so the span reflects the I/O actually issued.
-	for _, sub := range subs {
-		span.Extend(sub.End())
+	for t := range subs {
+		span.Extend(subs[t].End())
 	}
 	return err
 }
 
 // tolerantWrite issues one chunk write on the span, tolerating a failed
 // device: ErrFailed is cleared because the chunk remains recoverable
-// through its protecting stripe. Unlike writeData/writeParity it touches
-// no stats, so it is safe inside pool tasks.
+// through its protecting stripe. It touches no engine state, so it is
+// safe inside pool tasks.
 func tolerantWrite(span *device.Span, dev device.Dev, chunk int64, data []byte) error {
 	if err := span.Write(dev, chunk, data); err != nil {
 		if !errors.Is(err, device.ErrFailed) {

@@ -52,7 +52,7 @@ const locChunkBits = 48
 // without any lock: the word is a single atomic load, and callers that
 // need the location to stay meaningful across a subsequent device read
 // validate the owning shard's seqlock epoch around the pair (see
-// readChunksFast).
+// readGroupFast).
 //
 //eplog:hotpath
 func (e *EPLog) loadLatest(lba int64) Loc {
@@ -107,10 +107,12 @@ type Config struct {
 	// and recovery paths. Nil disables observability at no cost.
 	Obs *obs.Sink
 	// Workers bounds the worker pool that runs an operation's expensive
-	// phases (erasure coding and per-device I/O fan-out). Values <= 1
-	// select the serial mode, which reproduces the single-threaded
-	// engine's virtual-time accounting exactly; higher values trade that
-	// determinism for wall-clock parallelism. See fanOut for the model.
+	// phases: erasure coding, the per-device writes of a stripe or
+	// log-stripe flush, and the per-stripe tasks of commit folds and
+	// rebuilds. Values <= 1 select the serial mode, which reproduces the
+	// single-threaded engine's virtual-time accounting exactly; higher
+	// values trade that determinism for wall-clock parallelism. See
+	// concurrency.go for the model.
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
 	// groups (stripe s belongs to shard s mod Shards), each owning its
@@ -217,10 +219,14 @@ type EPLog struct {
 	nShards int
 	// workers is max(1, cfg.Workers); pool tasks never take shard locks.
 	workers int
-
-	// fastReads enables the lock-free optimistic read pass: set when the
-	// engine has no RAM buffers (device or stripe), whose maps cannot be
-	// consulted without the shard lock. See readChunksFast.
+	// shared is set when several goroutines may issue device I/O at once
+	// (nShards > 1 or workers > 1): every device is then Locked-wrapped and
+	// reads take shard locks shared. The fully serial engine keeps its
+	// devices unwrapped and reads under the exclusive lock instead.
+	shared bool
+	// fastReads enables the lock-free optimistic read pass: set on shared
+	// engines with no RAM buffers (device or stripe), whose maps cannot be
+	// consulted without the shard lock. See readGroupFast.
 	fastReads bool
 
 	geo     store.Geometry
@@ -257,9 +263,8 @@ type EPLog struct {
 	// lockAcquired bracket — the denominator of the batching payoff
 	// (ShardLockAcquisitions).
 	lockAcqs atomic.Int64
-	// readLockAcqs counts shared shard-lock acquisitions on the read paths
-	// (ReadChunks' locked fallback and ReadBatch's group fallback) — the
-	// read-side counterpart (ReadLockAcquisitions).
+	// readLockAcqs counts shared shard-lock acquisitions by readGroup's
+	// locked pass — the read-side counterpart (ReadLockAcquisitions).
 	readLockAcqs atomic.Int64
 
 	obs             *obs.Sink
@@ -269,10 +274,10 @@ type EPLog struct {
 	mCommitFlushLat *obs.Histogram
 	mCommitFoldLat  *obs.Histogram
 	mDegradedReads  *obs.Counter
-	// Read-batching telemetry: batches entered, ops carried, groups that
-	// fell back to (or started on) the shared-lock path, and read-path
-	// shared lock acquisitions — the scrapeable form of the batching
-	// payoff, asserted by the CI batching-regression smoke.
+	// Read-batching telemetry: batches entered, ops carried, groups served
+	// under shard locks instead of the lock-free pass, and read-path shared
+	// lock acquisitions — the scrapeable form of the batching payoff,
+	// asserted by the CI batching-regression smoke.
 	cReadBatches     *obs.Counter
 	cReadBatchOps    *obs.Counter
 	cReadBatchLocked *obs.Counter
@@ -341,7 +346,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	nShards = max(1, nShards)
 
 	workers := max(1, cfg.Workers)
-	if workers > 1 || nShards > 1 {
+	shared := workers > 1 || nShards > 1
+	if shared {
 		// Pool tasks and concurrent shard holders fan I/O out across
 		// goroutines, but the Dev contract lets implementations assume
 		// serialized access — so every device gets a per-device mutex as
@@ -352,7 +358,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e := &EPLog{
 		nShards:    int(nShards),
 		workers:    workers,
-		fastReads:  cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
+		shared:     shared,
+		fastReads:  shared && cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
 		geo:        geo,
 		codes:      erasure.NewCache(erasure.Cauchy),
 		devs:       devs,

@@ -7,7 +7,6 @@ import (
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/store"
 )
 
 // ReadChunks implements store.Store. Reads return the latest acknowledged
@@ -15,181 +14,167 @@ import (
 // failed devices are reconstructed through whichever stripe protects their
 // latest version — the data stripe (committed) or a log stripe (pending).
 //
-// Reads are the fast path. On an engine without RAM buffers they first
-// try a fully lock-free pass: sample the touched shards' seqlock epochs,
-// look every location up through the packed atomic latest words, read the
-// devices, then re-validate the epochs — a read overlapping no writer
-// never touches a shard lock at all, so clean-stripe reads cannot contend
-// with writers on other stripes of the same shard. Any overlap with a
-// writer, any buffered state, or any device failure falls back to the
-// shared-lock path, which takes the touched shards' locks shared and
-// preserves the whole-request snapshot semantics. The remaining exception
-// is the fully serial engine (Shards=1, Workers=1), whose devices are
-// unwrapped and therefore need the exclusive lock to serialize
-// virtual-time accounting — exactly the old engine's behavior.
+// The call is a batch of one on the caller's stack (see batch.go), served
+// by readGroup over every shard the request touches, so a multi-stripe
+// read keeps its whole-request snapshot and the steady state allocates
+// nothing.
 func (e *EPLog) ReadChunks(start float64, lba int64, p []byte) (float64, error) {
-	nChunks := int64(len(p) / e.csize)
-	if int(nChunks)*e.csize != len(p) || nChunks == 0 {
-		return start, fmt.Errorf("core: buffer length %d not a positive chunk multiple", len(p))
+	_, set, err := e.classify(lba, len(p))
+	if err != nil {
+		return start, err
 	}
-	if lba < 0 || lba+nChunks > e.geo.Chunks() {
-		return start, fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, lba, lba+nChunks, e.geo.Chunks())
+	ops := [1]ReadOp{{LBA: lba, Buf: p, Start: start}}
+	var spans [1]device.Span
+	e.readGroup(set, ops[:], []int{0}, spans[:])
+	return ops[0].End, ops[0].Err
+}
+
+// readGroup is the read executor: it serves ops[idxs], whose stripes all
+// belong to the shards in set, under one snapshot of those shards. On an
+// engine without RAM buffers it first tries the lock-free pass — a read
+// overlapping no writer never touches a shard lock, so clean reads cannot
+// contend with writers on other stripes of the same shard. Any overlap
+// with a writer, any buffered state, or any device failure redoes the
+// group under the shards' locks. spans is the per-op device-span table
+// parallel to ops; the group touches only its own ops' entries, so
+// concurrent groups share it safely.
+func (e *EPLog) readGroup(set shardSet, ops []ReadOp, idxs []int, spans []device.Span) {
+	if !e.fastReads || !e.readGroupFast(set, ops, idxs, spans) {
+		e.lockSet(set)
+		e.cReadBatchLocked.Inc()
+		for _, i := range idxs {
+			op, sp := &ops[i], &spans[i]
+			sp.Reset(op.Start)
+			for off := 0; off < len(op.Buf) && op.Err == nil; off += e.csize {
+				op.Err = e.readLBA(sp, op.LBA+int64(off/e.csize), op.Buf[off:off+e.csize])
+			}
+			// Partial-failure contract: the span's progress (not start)
+			// comes back with an error, covering the reads already issued.
+			op.End = sp.End()
+		}
+		e.unlockSet(set)
 	}
-	shared := e.nShards > 1 || e.workers > 1 // devices are Locked-wrapped
-	if shared && e.fastReads {
-		if end, ok := e.readChunksFast(start, lba, nChunks, p); ok {
-			return end, nil
+	// The envelopes are recorded after the snapshot is released: the
+	// recorder is internally locked and the times are explicit, so the
+	// trees are the same and the locks are held for the device work only.
+	for _, i := range idxs {
+		if ops[i].Err == nil {
+			e.finishRead(&ops[i])
 		}
 	}
-	if shared {
-		e.forTouchedShards(lba, nChunks, func(sh *shard) {
+}
+
+// readGroupFast is the optimistic lock-free pass: epoch-validated
+// (seqlock) and never taking a shard lock. It samples the set's epochs
+// (an odd epoch means a writer is inside its critical section — give up
+// immediately), reads every chunk through the packed atomic location
+// words, and re-validates that no sampled epoch moved. A changed epoch
+// means a writer overlapped the pass and may have relocated or released a
+// chunk mid-flight, so the buffer contents are untrusted: the pass reports
+// false and the caller redoes the group under the locks. One sample and
+// one validation cover the whole group — every op of a batch group, every
+// touched shard of a spanning op — which is both the batching payoff and
+// what preserves the cross-chunk snapshot the locked pass provides.
+//
+// Only called when e.fastReads: no RAM buffers to consult (their maps
+// cannot be read without the lock) and Locked-wrapped devices. Device
+// errors (including ErrFailed) also fall back, so degraded reads keep
+// their locked reconstruction path. An abandoned pass leaves no trace; its
+// device-clock advance is the same class of nondeterminism the shared
+// engine already accepts for lock contention.
+//
+//eplog:hotpath
+//eplog:seqlock-read
+func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []device.Span) bool {
+	var stack [8]uint64
+	epochs := stack[:0]
+	// Epoch order is irrelevant, so the set is walked from its first shard;
+	// do-while, because a set is never empty and the protocol (and the
+	// seqlock analyzer) needs at least one sample on every path.
+	for j := 0; ; j++ {
+		ep := e.shards[(set.first+j)%e.nShards].epoch.Load()
+		if ep&1 != 0 {
+			return false
+		}
+		epochs = append(epochs, ep)
+		if j == set.n-1 {
+			break
+		}
+	}
+	for _, i := range idxs {
+		op, sp := &ops[i], &spans[i]
+		sp.Reset(op.Start)
+		for off := 0; off < len(op.Buf); off += e.csize {
+			loc := e.loadLatest(op.LBA + int64(off/e.csize))
+			if sp.Read(e.devs[loc.Dev], loc.Chunk, op.Buf[off:off+e.csize]) != nil {
+				return false
+			}
+		}
+	}
+	for j := 0; ; j++ {
+		if e.shards[(set.first+j)%e.nShards].epoch.Load() != epochs[j] {
+			return false
+		}
+		if j == set.n-1 {
+			break
+		}
+	}
+	for _, i := range idxs {
+		ops[i].End = spans[i].End()
+	}
+	return true
+}
+
+// lockSet takes the read-side lock of every shard in set, in ascending
+// index order. Shared engines read under shared locks, each counted in
+// ReadLockAcquisitions; the fully serial engine (Shards=1, Workers=1) has
+// unwrapped devices, so its reads take the exclusive lock to serialize
+// virtual-time accounting — exactly the unsharded engine's behavior.
+//
+//eplog:lockall
+func (e *EPLog) lockSet(set shardSet) {
+	for i, sh := range e.shards {
+		if !set.has(i, e.nShards) {
+			continue
+		}
+		if e.shared {
 			sh.mu.RLock()
 			e.readLockAcqs.Add(1)
 			e.cReadLocks.Inc()
-		})
-		defer e.forTouchedShards(lba, nChunks, func(sh *shard) { sh.mu.RUnlock() })
-	} else {
-		sh := e.shards[0]
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		defer sh.mu.Unlock()
-		defer sh.lockReleasing()
-	}
-	span := device.NewSpan(start)
-	// Root span for this read, built goroutine-locally (reads under
-	// shared locks never touch sh.curOp; the recorder's own lock covers
-	// its pool and ring). Serial reads record per-device I/O leaves —
-	// including any degraded-read reconstruction traffic — directly on
-	// the root; the parallel fan-out records the op envelope only.
-	rsh := e.shardOfLBA(lba)
-	op := rsh.rec.Start(obs.SpanRead, rsh.idx, start, lba, nChunks)
-	defer func() { rsh.rec.Finish(op, span.End()) }()
-	if e.workers <= 1 {
-		span.SetRecorder(op)
-	}
-	// One pool task per chunk. The tasks only read metadata (the touched
-	// shard locks are held, so nothing mutates it) and their output
-	// buffers are disjoint sub-slices of p. With a single worker the
-	// chunks read inline on the caller's span, in task order — no
-	// closures built.
-	if e.workers <= 1 {
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			if err := e.readLBA(span, lba+off, buf); err != nil {
-				return span.End(), err
-			}
-		}
-	} else {
-		tasks := make([]func(*device.Span) error, nChunks)
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			cur := lba + off
-			tasks[off] = func(sp *device.Span) error {
-				return e.readLBA(sp, cur, buf)
-			}
-		}
-		if err := e.fanOut(span, tasks); err != nil {
-			// Partial-failure contract: the span's progress (not start)
-			// comes back with the error, covering the reads already issued.
-			return span.End(), err
+		} else {
+			t0 := sh.lockClock()
+			sh.mu.Lock()
+			sh.lockAcquired(t0)
 		}
 	}
-	if span.Err() != nil {
-		return span.End(), span.Err()
-	}
-	e.bumpVnow(span.End())
-	e.mReadLat.Observe(span.End() - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: start, Dur: span.End() - start,
-		Dev: -1, LBA: lba, N: nChunks})
-	return span.End(), nil
 }
 
-// readChunksFast is the optimistic lock-free read: an epoch-validated
-// (seqlock) pass that never takes a shard lock. It samples the touched
-// shards' epochs (any odd epoch means a writer is inside its critical
-// section — give up immediately), reads every chunk through the packed
-// atomic location words, and re-validates that no touched epoch moved. A
-// changed epoch means a writer overlapped the read and may have relocated
-// or released a chunk mid-flight, so the buffer contents are untrusted:
-// the pass reports !ok and the caller redoes the request under the shared
-// locks. Validating every touched shard for the whole request (not per
-// chunk) preserves the cross-chunk snapshot the RLock-all path provides.
-//
-// Only called when e.fastReads (no RAM buffers to consult — their maps
-// cannot be read without the lock) and the devices are Locked-wrapped.
-// Device errors (including ErrFailed) also fall back, so degraded reads
-// keep their locked reconstruction path. The span of an abandoned pass is
-// discarded; its device-clock advance is the same class of nondeterminism
-// the shared engine already accepts for lock contention.
-//
-//eplog:seqlock-read
-func (e *EPLog) readChunksFast(start float64, lba, nChunks int64, p []byte) (float64, bool) {
-	var stack [8]uint64
-	epochs := stack[:0]
-	valid := true
-	e.forTouchedShards(lba, nChunks, func(sh *shard) {
-		ep := sh.epoch.Load()
-		if ep&1 != 0 {
-			valid = false
+//eplog:lockall
+func (e *EPLog) unlockSet(set shardSet) {
+	for i, sh := range e.shards {
+		if !set.has(i, e.nShards) {
+			continue
 		}
-		epochs = append(epochs, ep)
-	})
-	if !valid {
-		return 0, false
-	}
-	span := device.NewSpan(start)
-	// Same per-chunk structure as the locked path: inline reads with one
-	// worker, one pool task per chunk otherwise. The tasks are lock-free,
-	// so they are always safe to run on the bounded pool.
-	if e.workers <= 1 {
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			loc := e.loadLatest(lba + off)
-			if span.Read(e.devs[loc.Dev], loc.Chunk, buf) != nil {
-				return 0, false
-			}
-		}
-	} else {
-		tasks := make([]func(*device.Span) error, nChunks)
-		for off := int64(0); off < nChunks; off++ {
-			buf := p[off*int64(e.csize) : (off+1)*int64(e.csize)]
-			cur := lba + off
-			tasks[off] = func(sp *device.Span) error {
-				loc := e.loadLatest(cur)
-				return sp.Read(e.devs[loc.Dev], loc.Chunk, buf)
-			}
-		}
-		if e.fanOut(span, tasks) != nil {
-			return 0, false
+		if e.shared {
+			sh.mu.RUnlock()
+		} else {
+			sh.lockReleasing()
+			sh.mu.Unlock()
 		}
 	}
-	if span.Err() != nil {
-		return 0, false
-	}
-	i := 0
-	e.forTouchedShards(lba, nChunks, func(sh *shard) {
-		if sh.epoch.Load() != epochs[i] {
-			valid = false
-		}
-		i++
-	})
-	if !valid {
-		return 0, false
-	}
-	end := span.End()
-	e.bumpVnow(end)
-	e.mReadLat.Observe(end - start)
-	// Record the op envelope only after validation, so an abandoned pass
-	// leaves no trace and the locked retry records exactly one read. The
-	// recorder is internally locked and the times are explicit, so
-	// recording after completion yields the same tree.
-	rsh := e.shardOfLBA(lba)
-	op := rsh.rec.Start(obs.SpanRead, rsh.idx, start, lba, nChunks)
-	rsh.rec.Finish(op, end)
-	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: start, Dur: end - start,
-		Dev: -1, LBA: lba, N: nChunks})
-	return end, true
+}
+
+// finishRead is the read completion envelope of one successful op: latency
+// observation, SpanRead root, trace event.
+func (e *EPLog) finishRead(op *ReadOp) {
+	nChunks := int64(len(op.Buf) / e.csize)
+	e.bumpVnow(op.End)
+	e.mReadLat.Observe(op.End - op.Start)
+	rsh := e.shardOfLBA(op.LBA)
+	root := rsh.rec.Start(obs.SpanRead, rsh.idx, op.Start, op.LBA, nChunks)
+	rsh.rec.Finish(root, op.End)
+	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: op.Start, Dur: op.End - op.Start,
+		Dev: -1, LBA: op.LBA, N: nChunks})
 }
 
 // readLBA reads the latest contents of one logical chunk. The lock of the
@@ -251,6 +236,23 @@ func (e *EPLog) degradedRead(span *device.Span, lba int64, out []byte) error {
 	return nil
 }
 
+// readSurvivor reads one chunk of a stripe being decoded into an arena
+// buffer at shards[i]; a failed device leaves the slot nil — an erasure
+// for ReconstructData.
+func (e *EPLog) readSurvivor(span *device.Span, shards [][]byte, i int, dev device.Dev, chunk int64) error {
+	buf := bufpool.Default.Get(e.csize)
+	if err := span.Read(dev, chunk, buf); err != nil {
+		bufpool.Default.Put(buf)
+		if !errors.Is(err, device.ErrFailed) {
+			return err
+		}
+		span.ClearErr()
+		return nil
+	}
+	shards[i] = buf
+	return nil
+}
+
 // decodeLogStripe reconstructs the version of wantLBA protected by log
 // stripe ls, reading the surviving members from the SSDs and the log
 // chunks from the log devices. The returned shard is an arena buffer the
@@ -260,24 +262,11 @@ func (e *EPLog) decodeLogStripe(span *device.Span, ls *logStripe, wantLBA int64)
 	kPrime, m := len(ls.members), e.geo.M()
 	shards := make([][]byte, kPrime+m)
 	want := -1
-	readShard := func(i int, dev device.Dev, chunk int64) error {
-		buf := bufpool.Default.Get(e.csize)
-		if err := span.Read(dev, chunk, buf); err != nil {
-			bufpool.Default.Put(buf)
-			if !errors.Is(err, device.ErrFailed) {
-				return err
-			}
-			span.ClearErr()
-			return nil
-		}
-		shards[i] = buf
-		return nil
-	}
 	for i, mb := range ls.members {
 		if mb.lba == wantLBA {
 			want = i
 		}
-		if err := readShard(i, e.devs[mb.loc.Dev], mb.loc.Chunk); err != nil {
+		if err := e.readSurvivor(span, shards, i, e.devs[mb.loc.Dev], mb.loc.Chunk); err != nil {
 			bufpool.Default.PutSlices(shards)
 			return nil, err
 		}
@@ -287,7 +276,7 @@ func (e *EPLog) decodeLogStripe(span *device.Span, ls *logStripe, wantLBA int64)
 		return nil, fmt.Errorf("core: lba %d not a member of log stripe %d", wantLBA, ls.id)
 	}
 	for i := 0; i < m; i++ {
-		if err := readShard(kPrime+i, e.logDevs[i], ls.logPos); err != nil {
+		if err := e.readSurvivor(span, shards, kPrime+i, e.logDevs[i], ls.logPos); err != nil {
 			bufpool.Default.PutSlices(shards)
 			return nil, err
 		}
@@ -321,28 +310,15 @@ func (e *EPLog) decodeCommitted(span *device.Span, stripe int64) ([][]byte, erro
 	k, m := e.geo.K, e.geo.M()
 	home := e.geo.HomeChunk(stripe)
 	shards := make([][]byte, k+m)
-	readShard := func(i int, dev device.Dev, chunk int64) error {
-		buf := bufpool.Default.Get(e.csize)
-		if err := span.Read(dev, chunk, buf); err != nil {
-			bufpool.Default.Put(buf)
-			if !errors.Is(err, device.ErrFailed) {
-				return err
-			}
-			span.ClearErr()
-			return nil
-		}
-		shards[i] = buf
-		return nil
-	}
 	for j := 0; j < k; j++ {
 		loc := e.commLoc[e.geo.LBA(stripe, j)]
-		if err := readShard(j, e.devs[loc.Dev], loc.Chunk); err != nil {
+		if err := e.readSurvivor(span, shards, j, e.devs[loc.Dev], loc.Chunk); err != nil {
 			bufpool.Default.PutSlices(shards)
 			return nil, err
 		}
 	}
 	for i := 0; i < m; i++ {
-		if err := readShard(k+i, e.devs[e.geo.ParityDev(stripe, i)], home); err != nil {
+		if err := e.readSurvivor(span, shards, k+i, e.devs[e.geo.ParityDev(stripe, i)], home); err != nil {
 			bufpool.Default.PutSlices(shards)
 			return nil, err
 		}

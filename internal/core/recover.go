@@ -24,7 +24,7 @@ func (e *EPLog) Rebuild(devIdx int, replacement device.Dev) error {
 	if replacement.ChunkSize() != e.csize || replacement.Chunks() < e.devs[devIdx].Chunks() {
 		return fmt.Errorf("core: replacement geometry mismatch")
 	}
-	if e.workers > 1 || e.nShards > 1 {
+	if e.shared {
 		// The rebuild tasks below share the replacement across pool
 		// goroutines, and it stays in e.devs afterwards — where the
 		// sharded engine requires lock-wrapped devices.
@@ -184,7 +184,7 @@ func (e *EPLog) RecoverLogDevice(dim int, replacement device.Dev) error {
 			return err
 		}
 	}
-	if e.workers > 1 || e.nShards > 1 {
+	if e.shared {
 		replacement = device.NewLocked(replacement)
 	}
 	e.logDevs[dim] = replacement

@@ -34,6 +34,8 @@ type opScratch struct {
 	taken []bool
 	// shards is the k'+m shard-header table for log-stripe encoding.
 	shards [][]byte
+	// writes is the log-stripe flush's per-device write list.
+	writes []devWrite
 }
 
 // getScratch pops a scratch frame, allocating one on first use at each
@@ -56,6 +58,8 @@ func (sh *shard) putScratch(s *opScratch) {
 	s.rest = s.rest[:0]
 	clear(s.shards)
 	s.shards = s.shards[:0]
+	clear(s.writes)
+	s.writes = s.writes[:0]
 	sh.scratchFree = append(sh.scratchFree, s)
 }
 

@@ -41,8 +41,8 @@ type shard struct {
 	e   *EPLog
 	idx int
 	// mu guards everything below plus the owned entries of the engine's
-	// latest/latestProt/commLoc/virgin slices. Readers (ReadChunks,
-	// Stats aggregation) take it shared; every mutation takes it
+	// latest/latestProt/commLoc/virgin slices. Readers (readGroup's locked
+	// pass, Stats aggregation) take it shared; every mutation takes it
 	// exclusively.
 	//
 	//eplog:shardlock
@@ -99,12 +99,13 @@ type shard struct {
 	// dedicated to non-reentrant paths.
 	scratchFree []*opScratch
 	lsFree      []*logStripe
-	wrSeg       []pendingChunk // serial WriteChunks per-stripe segment
-	wrUpdates   []pendingChunk // serial WriteChunks request-wide update set
+	wrSeg       []pendingChunk // writeStripes per-stripe segment
+	wrUpdates   []pendingChunk // writeStripes shard-wide update set
 	dsShards    [][]byte       // directStripeWrite shard headers
+	dsWrites    []devWrite     // directStripeWrite per-device write list
 	foldShards  [][]byte       // foldStripes serial-path shard headers
 	dirtyOrder  []int64        // commitAt dirty-stripe order
-	spanFree    []*device.Span // recycled spans for the write/commit paths
+	spanFree    []*device.Span // recycled spans for the commit path (fanOut's indirect calls make a stack span escape)
 
 	// Flight recorder (flight.go). rec is the shard's causal-span
 	// recorder; curOp is the span that phase children created under mu
@@ -189,32 +190,6 @@ func (e *EPLog) unlockAll() {
 	for _, sh := range e.shards {
 		sh.epoch.Add(1) // even: consistent again
 		sh.mu.Unlock()
-	}
-}
-
-// forTouchedShards calls f once per shard owning any stripe of the chunk
-// range [lba, lba+n), in ascending shard-index order.
-func (e *EPLog) forTouchedShards(lba, n int64, f func(*shard)) {
-	lo, _ := e.geo.Stripe(lba)
-	hi, _ := e.geo.Stripe(lba + n - 1)
-	ns := int64(e.nShards)
-	if hi-lo+1 >= ns {
-		for _, sh := range e.shards {
-			f(sh)
-		}
-		return
-	}
-	// Fewer stripes than shards: the touched residues form one (possibly
-	// wrapped) contiguous range.
-	r1, r2 := lo%ns, hi%ns
-	for i := int64(0); i < ns; i++ {
-		if r1 <= r2 && (i < r1 || i > r2) {
-			continue
-		}
-		if r1 > r2 && i < r1 && i > r2 {
-			continue
-		}
-		f(e.shards[i])
 	}
 }
 

@@ -341,7 +341,9 @@ func BenchmarkMultiShardWrites(b *testing.B) {
 			}
 			logs := make([]device.Dev, n-k)
 			for i := range logs {
-				logs[i] = device.NewMem(1<<20, 4096)
+				// Sized from the workload: CommitEvery folds each shard's
+				// log region long before stripes*8 slots fill.
+				logs[i] = device.NewMem(stripes*8, 4096)
 			}
 			e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards, CommitEvery: 64})
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/store"
 )
 
 // WriteChunks implements store.Store. New writes that span a full stripe
@@ -17,36 +16,81 @@ import (
 // stream to the log devices in the same phase. There is no pre-read
 // anywhere on the write path.
 //
-// With one shard the request runs under the single shard lock, on the
-// engine's pooled scratch — the zero-allocation serial hot path. With
-// several shards the request locks only the shards its stripes belong to,
-// one at a time, so concurrent writes to different stripe groups proceed
-// in parallel.
+// The call is a batch of one on the caller's stack (see batch.go): it
+// locks only the shards its stripes belong to, one at a time, so
+// concurrent writes to different stripe groups proceed in parallel, and
+// its steady state allocates nothing.
 func (e *EPLog) WriteChunks(start float64, lba int64, data []byte) (float64, error) {
-	nChunks := int64(len(data) / e.csize)
-	if int(nChunks)*e.csize != len(data) || nChunks == 0 {
-		return start, fmt.Errorf("core: data length %d not a positive chunk multiple", len(data))
+	_, set, err := e.classify(lba, len(data))
+	if err != nil {
+		return start, err
 	}
-	if lba < 0 || lba+nChunks > e.geo.Chunks() {
-		return start, fmt.Errorf("%w: [%d,%d) of %d", store.ErrWriteTooLarge, lba, lba+nChunks, e.geo.Chunks())
-	}
-	if e.nShards > 1 {
-		return e.writeSharded(start, lba, nChunks, data)
-	}
-	sh := e.shards[0]
+	op := BatchOp{LBA: lba, Data: data, Start: start, End: start}
+	e.writeOp(&op, set)
+	return op.End, op.Err
+}
+
+// inflightWrite is the envelope state of one write op on its way through
+// the executor, shared by the op's per-shard steps. It lives on the driving
+// goroutine's stack (and so must not point at the op itself: the heap
+// pointers below would drag the caller's op to the heap with them).
+type inflightWrite struct {
+	span device.Span
+	// admitted is set once the first touched shard has let the op in: from
+	// then on the op counts as a request and owns a root span on that
+	// shard's recorder.
+	admitted bool
+	rec      *obs.SpanRecorder
+	root     *obs.Span
+}
+
+// writeGroup is writeOp for a batch group — ops all local to sh — with the
+// lock hold amortized: one exclusive hold covers every op in idxs, in
+// order.
+func (e *EPLog) writeGroup(sh *shard, ops []BatchOp, idxs []int) {
 	t0 := sh.lockClock()
 	sh.mu.Lock()
 	sh.lockAcquired(t0)
-	defer sh.mu.Unlock()
-	defer sh.lockReleasing()
-	return sh.writeSerial(start, lba, nChunks, data)
+	for _, i := range idxs {
+		var w inflightWrite
+		e.finishWrite(&ops[i], &w, sh.writeStep(&ops[i], &w))
+	}
+	sh.lockReleasing()
+	sh.mu.Unlock()
 }
 
-// writeSerial is the single-shard write path, bit-identical (byte counts
-// and virtual time) to the unsharded engine. sh.mu is held.
+// writeOp is the write executor for one op: writeStep once per shard in
+// set, in ascending index order on the caller's goroutine, one exclusive
+// hold each. On a one-shard engine this is the serial write path,
+// bit-identical (byte counts and virtual time) to the unsharded engine. An
+// op spanning several shards has every shard group its own update chunks
+// into log stripes (the group-splitting trade-off of DESIGN.md §9); the
+// envelope — request count, root span, latency — is still one per op.
+func (e *EPLog) writeOp(op *BatchOp, set shardSet) {
+	var w inflightWrite
+	var err error
+	for i, sh := range e.shards {
+		if !set.has(i, e.nShards) {
+			continue
+		}
+		t0 := sh.lockClock()
+		sh.mu.Lock()
+		sh.lockAcquired(t0)
+		err = sh.writeStep(op, &w)
+		sh.lockReleasing()
+		sh.mu.Unlock()
+		if err != nil {
+			break
+		}
+	}
+	e.finishWrite(op, &w, err)
+}
+
+// writeStep lands the stripes of op that this shard owns and fires the
+// shard's commit triggers. sh.mu is held exclusively.
 //
 //eplog:hotpath
-func (sh *shard) writeSerial(start float64, lba, nChunks int64, data []byte) (float64, error) {
+func (sh *shard) writeStep(op *BatchOp, w *inflightWrite) error {
 	e := sh.e
 	if e.gc != nil {
 		// Write-behind: surface any background fold failure before
@@ -54,67 +98,32 @@ func (sh *shard) writeSerial(start float64, lba, nChunks int64, data []byte) (fl
 		// full (the wait releases the lock so the fold can run, then
 		// re-checks for an error the fold may have left behind).
 		if err := sh.takeAsyncErr(); err != nil {
-			return start, err
+			return err
 		}
 		sh.waitDirtyWindow()
 		if err := sh.takeAsyncErr(); err != nil {
-			return start, err
+			return err
 		}
 	}
-	sh.stats.Requests++
-	span := sh.newSpan(start)
-	// Root span for this write. Phase children (direct stripe writes, log
-	// appends) attach through sh.curOp; error paths still publish the
-	// tree with whatever progress the device span made.
-	op := sh.rec.Start(obs.SpanWrite, sh.idx, start, lba, nChunks)
+	nChunks := int64(len(op.Data) / e.csize)
+	if !w.admitted {
+		w.admitted = true
+		sh.stats.Requests++
+		w.span.Reset(op.Start)
+		// Root span for this write, on the first touched shard's recorder.
+		// Phase children (direct stripe writes, log appends) attach through
+		// sh.curOp and carry their own shard index; error paths still
+		// publish the tree with whatever progress the device span made.
+		w.rec = sh.rec
+		w.root = sh.rec.Start(obs.SpanWrite, sh.idx, op.Start, op.LBA, nChunks) //eplog:span-handoff finished by finishWrite
+	}
 	prevOp := sh.curOp
-	sh.curOp = op //eplog:span-handoff finished by the deferred closure below
-	defer func() {
-		sh.curOp = prevOp
-		sh.rec.Finish(op, span.End())
-	}()
-
-	// Split into per-stripe segments; chunks not eligible for the direct
-	// or stripe-buffer paths accumulate into one request-wide update set
-	// so elastic grouping can span stripes (Fig. 1(b)). Both slices are
-	// shard scratch: the serial write cannot reenter itself (sh.mu), and
-	// the nested paths use their own frames.
-	updates := sh.wrUpdates[:0]
-	for off := int64(0); off < nChunks; {
-		s, _ := e.geo.Stripe(lba + off)
-		seg := sh.wrSeg[:0]
-		for ; off < nChunks; off++ {
-			s2, _ := e.geo.Stripe(lba + off)
-			if s2 != s {
-				break
-			}
-			seg = append(seg, pendingChunk{
-				lba:  lba + off,
-				data: data[off*int64(e.csize) : (off+1)*int64(e.csize)],
-			})
-		}
-		sh.wrSeg = seg
-		deferred, err := sh.writeSegment(span, s, seg)
-		if err != nil {
-			// Partial-failure contract: once device work has been issued,
-			// errors return the span's progress rather than start, so a
-			// caller replaying from the returned time does not double-
-			// count virtual time (or stats) for work already done.
-			sh.wrUpdates = updates
-			return span.End(), err
-		}
-		updates = append(updates, deferred...)
+	sh.curOp = w.root
+	err := sh.writeStripes(&w.span, op.LBA, nChunks, op.Data)
+	sh.curOp = prevOp
+	if err != nil {
+		return err
 	}
-	sh.wrUpdates = updates
-	if len(updates) > 0 {
-		if err := sh.updatePath(span, updates); err != nil {
-			clearPending(sh.wrUpdates)
-			return span.End(), err
-		}
-	}
-	// Drop data references so scratch reuse cannot pin caller buffers.
-	clearPending(sh.wrSeg[:cap(sh.wrSeg)])
-	clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
 
 	if e.cfg.CommitEvery > 0 {
 		sh.reqSinceCommit++
@@ -125,138 +134,78 @@ func (sh *shard) writeSerial(start float64, lba, nChunks int64, data []byte) (fl
 				// on the background scheduler off the write critical path.
 				e.gc.enqueue(sh)
 			} else if err := sh.commit(); err != nil {
-				return span.End(), err
+				return err
 			}
 		}
 	}
 	if e.gc != nil {
-		// Log-region pressure: fold before the region forces a synchronous
-		// commit inside a foreground flushGroup (same trigger as the
-		// sharded path).
+		// Log-region pressure: fold the shard before its region forces a
+		// synchronous commit inside a foreground flushGroup.
 		if region := sh.logLimit - sh.logStart; sh.logCursor-sh.logStart >= region-(region/4) {
 			sh.cause = causePressure
 			e.gc.enqueue(sh)
 		}
 	}
-	end := span.End()
-	sh.freeSpan(span)
-	e.bumpVnow(end)
-	e.mWriteLat.Observe(end - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: start, Dur: end - start, Dev: -1, LBA: lba, N: nChunks})
-	return end, nil
+	return nil
 }
 
-// writeSharded is the multi-shard write path: the request's per-stripe
-// segments are routed to their owning shards one at a time (direct and
-// stripe-buffer paths run inline under that shard's lock; update chunks
-// are deferred per shard), then each touched shard's update set is
-// grouped and flushed under its lock, in shard-index order. Commit
-// triggers enqueue the shard on the background group-commit scheduler
-// instead of committing inline, so foreground writes to other shards are
-// never blocked behind a fold.
-func (e *EPLog) writeSharded(start float64, lba, nChunks int64, data []byte) (float64, error) {
-	span := device.NewSpan(start)
-	// The root span lives on the first touched shard's recorder (the same
-	// shard that counts the request); segments on other shards attach
-	// phase children carrying their own shard index. The tree is owned by
-	// this goroutine throughout — only one shard lock is held at a time,
-	// and sh.curOp hand-off happens under each shard's lock.
-	var (
-		op      *obs.Span
-		opRec   *obs.SpanRecorder
-		updates = make([][]pendingChunk, e.nShards)
-		touched = make([]bool, e.nShards)
-		seg     []pendingChunk
-		first   = true
-	)
-	defer func() { opRec.Finish(op, span.End()) }()
-	for off := int64(0); off < nChunks; {
-		s, _ := e.geo.Stripe(lba + off)
-		seg = seg[:0]
-		for ; off < nChunks; off++ {
-			s2, _ := e.geo.Stripe(lba + off)
-			if s2 != s {
-				break
-			}
-			seg = append(seg, pendingChunk{
-				lba:  lba + off,
-				data: data[off*int64(e.csize) : (off+1)*int64(e.csize)],
-			})
-		}
-		sh := e.shardOf(s)
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		if err := sh.takeAsyncErr(); err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
-		}
-		sh.waitDirtyWindow()
-		if err := sh.takeAsyncErr(); err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
-		}
-		if first {
-			sh.stats.Requests++
-			first = false
-			opRec = sh.rec
-			op = opRec.Start(obs.SpanWrite, sh.idx, start, lba, nChunks)
-		}
-		touched[sh.idx] = true
-		prevOp := sh.curOp
-		sh.curOp = op //eplog:span-handoff finished once by the final Finish below
-		deferred, err := sh.writeSegment(span, s, seg)
-		sh.curOp = prevOp
-		if err != nil {
-			sh.lockReleasing()
-			sh.mu.Unlock()
-			return span.End(), err
-		}
-		updates[sh.idx] = append(updates[sh.idx], deferred...)
-		sh.lockReleasing()
-		sh.mu.Unlock()
+// finishWrite is the write completion envelope: it reports the outcome
+// through op and publishes the op's span tree, latency, and trace event.
+// Partial-failure contract: once device work has been issued, a failed op
+// returns the span's progress rather than its start, so a caller replaying
+// from the returned time does not double-count virtual time (or stats) for
+// work already done.
+func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite, err error) {
+	op.Err = err
+	if !w.admitted {
+		return
 	}
-	for i, sh := range e.shards {
-		if !touched[i] {
-			continue
-		}
-		t0 := sh.lockClock()
-		sh.mu.Lock()
-		sh.lockAcquired(t0)
-		if u := updates[i]; len(u) > 0 {
-			prevOp := sh.curOp
-			sh.curOp = op //eplog:span-handoff finished once by the final Finish below
-			err := sh.updatePath(span, u)
-			sh.curOp = prevOp
-			if err != nil {
-				sh.lockReleasing()
-				sh.mu.Unlock()
-				return span.End(), err
-			}
-		}
-		if e.cfg.CommitEvery > 0 {
-			sh.reqSinceCommit++
-			if sh.reqSinceCommit >= e.cfg.CommitEvery {
-				sh.cause = causeEvery
-				e.gc.enqueue(sh)
-			}
-		}
-		// Log-region pressure: fold the shard before its private region
-		// forces a synchronous commit inside a foreground flushGroup.
-		if region := sh.logLimit - sh.logStart; sh.logCursor-sh.logStart >= region-(region/4) {
-			sh.cause = causePressure
-			e.gc.enqueue(sh)
-		}
-		sh.lockReleasing()
-		sh.mu.Unlock()
+	op.End = w.span.End()
+	w.rec.Finish(w.root, op.End)
+	if err != nil {
+		return
 	}
-	end := span.End()
-	e.bumpVnow(end)
-	e.mWriteLat.Observe(end - start)
-	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: start, Dur: end - start, Dev: -1, LBA: lba, N: nChunks})
-	return end, nil
+	e.bumpVnow(op.End)
+	e.mWriteLat.Observe(op.End - op.Start)
+	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: op.Start, Dur: op.End - op.Start, Dev: -1,
+		LBA: op.LBA, N: int64(len(op.Data) / e.csize)})
+}
+
+// writeStripes routes the stripes of the request [lba, lba+nChunks) that
+// this shard owns — every stripe on a one-shard engine — in stripe order:
+// each stripe's segment takes the direct or stripe-buffer path if it can,
+// and the remaining chunks accumulate into one shard-wide update set so
+// elastic grouping can span stripes (Fig. 1(b)). Both slices are shard
+// scratch: a write cannot reenter itself (sh.mu), and the nested paths use
+// their own frames.
+//
+//eplog:hotpath
+func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte) error {
+	e := sh.e
+	k, ns, cs := int64(e.geo.K), int64(e.nShards), int64(e.csize)
+	first, _ := e.geo.Stripe(lba)
+	last, _ := e.geo.Stripe(lba + nChunks - 1)
+	var err error
+	updates := sh.wrUpdates[:0]
+	for s := first + (int64(sh.idx)-first%ns+ns)%ns; s <= last && err == nil; s += ns {
+		seg := sh.wrSeg[:0]
+		for c := max(lba, s*k); c < min(lba+nChunks, (s+1)*k); c++ {
+			seg = append(seg, pendingChunk{lba: c, data: data[(c-lba)*cs : (c-lba+1)*cs]})
+		}
+		sh.wrSeg = seg
+		var deferred []pendingChunk
+		if deferred, err = sh.writeSegment(span, s, seg); err == nil {
+			updates = append(updates, deferred...)
+		}
+	}
+	sh.wrUpdates = updates
+	if err == nil && len(updates) > 0 {
+		err = sh.updatePath(span, updates)
+	}
+	// Drop data references so scratch reuse cannot pin caller buffers.
+	clearPending(sh.wrSeg[:cap(sh.wrSeg)])
+	clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
+	return err
 }
 
 // writeSegment routes one stripe's worth of a request, returning any
@@ -279,10 +228,9 @@ func (sh *shard) writeSegment(span *device.Span, stripe int64, seg []pendingChun
 }
 
 // directStripeWrite writes a complete new stripe (data and parity) to the
-// stripe's home locations. Parity buffers come from the arena, the shard
-// table is engine scratch (the path cannot reenter itself), and with a
-// single worker the k+m device writes run inline — the serial steady state
-// allocates nothing.
+// stripe's home locations. Parity buffers come from the arena; the shard
+// table and the device-write list are shard scratch (the path cannot
+// reenter itself), so the steady state allocates nothing.
 func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendingChunk) error {
 	e := sh.e
 	k, m := e.geo.K, e.geo.M()
@@ -290,65 +238,35 @@ func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendin
 	sh.dsShards = grow(sh.dsShards, k+m)
 	shards := sh.dsShards
 	clear(shards)
+	writes := sh.dsWrites[:0]
 	for _, c := range seg {
 		_, slot := e.geo.Stripe(c.lba)
 		shards[slot] = c.data
+		writes = append(writes, devWrite{e.devs[e.geo.DataDev(stripe, slot)], home, c.data})
 	}
-	for i := 0; i < m; i++ {
-		shards[k+i] = bufpool.Default.Get(e.csize)
+	parity := bufpool.Default.GetSlices(shards[k:], e.csize)
+	for i, p := range parity {
+		writes = append(writes, devWrite{e.devs[e.geo.ParityDev(stripe, i)], home, p})
 	}
-	parity := shards[k:]
-	// Phase span: the direct full-stripe write. On the serial path the
-	// device span records each chunk's I/O as leaves; the parallel fan-out
-	// runs on recorder-less sub-spans, so only the phase itself is timed.
+	// Phase span: the direct full-stripe write. Inline device writes record
+	// each chunk's I/O as leaves; the worker pool runs on recorder-less
+	// sub-spans, so there only the phase itself is timed.
 	ps := sh.curOp.Child(obs.SpanDirect, sh.idx, span.Start(), e.geo.LBA(stripe, 0), int64(k))
 	prevRec := span.Recorder()
 	span.SetRecorder(ps)
-	err := func() error {
-		code, err := e.code(k)
-		if err != nil {
-			return err
-		}
-		if err := code.EncodeParallel(shards, e.workers); err != nil {
-			return err
-		}
-		if e.workers <= 1 {
-			// Same device order as the task list below, so the span's
-			// virtual-time accounting is identical.
-			for _, c := range seg {
-				_, slot := e.geo.Stripe(c.lba)
-				if err := tolerantWrite(span, e.devs[e.geo.DataDev(stripe, slot)], home, c.data); err != nil {
-					return err
-				}
-			}
-			for i, p := range parity {
-				if err := tolerantWrite(span, e.devs[e.geo.ParityDev(stripe, i)], home, p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// k+m writes to k+m distinct devices: one pool task each.
-		tasks := make([]func(*device.Span) error, 0, k+m)
-		for _, c := range seg {
-			_, slot := e.geo.Stripe(c.lba)
-			dev, data := e.devs[e.geo.DataDev(stripe, slot)], c.data
-			tasks = append(tasks, func(sp *device.Span) error {
-				return tolerantWrite(sp, dev, home, data)
-			})
-		}
-		for i := range parity {
-			dev, data := e.devs[e.geo.ParityDev(stripe, i)], parity[i]
-			tasks = append(tasks, func(sp *device.Span) error {
-				return tolerantWrite(sp, dev, home, data)
-			})
-		}
-		return e.fanOut(span, tasks)
-	}()
+	code, err := e.code(k)
+	if err == nil {
+		err = code.EncodeParallel(shards, e.workers)
+	}
+	if err == nil {
+		err = e.writeDevs(span, writes)
+	}
 	span.SetRecorder(prevRec)
 	ps.Close(span.End())
 	bufpool.Default.PutSlices(parity)
 	clear(shards)
+	clear(writes)
+	sh.dsWrites = writes
 	if err != nil {
 		return err
 	}
@@ -580,64 +498,34 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	prevRec := span.Recorder()
 	span.SetRecorder(ps)
 
-	// Encode the log chunks from the new data only. Group data is
+	// The log chunks are encoded from the new data only. Group data is
 	// caller-owned; the log chunks come from the arena (encodeRange
-	// clears its destinations, so dirty buffers are fine).
+	// clears its destinations, so dirty buffers are fine). Data to SSDs
+	// and log chunks to log devices form one phase; every write targets a
+	// distinct device (members by the invariant above, log devices by
+	// construction), which is what lets writeDevs fan them out.
 	shards := sc.shardTable(kPrime + m)
-	for i, c := range group {
-		shards[i] = c.data
+	writes := sc.writes[:0]
+	for i, mb := range ls.members {
+		shards[i] = group[i].data
+		writes = append(writes, devWrite{e.devs[mb.loc.Dev], mb.loc.Chunk, group[i].data})
 	}
 	logChunks := bufpool.Default.GetSlices(shards[kPrime:], e.csize)
-	err := func() error {
-		code, err := e.code(kPrime)
-		if err != nil {
-			return err
-		}
-		if err := code.EncodeParallel(shards, e.workers); err != nil {
-			return err
-		}
-
-		// One phase: data to SSDs, log chunks to log devices, in
-		// parallel. Every task targets a distinct device (members by the
-		// invariant above, log devices by construction), so the fan-out
-		// is race-free. With a single worker the writes run inline, in
-		// the same device order as the task list, so the span's virtual-
-		// time accounting is identical.
-		if e.workers <= 1 {
-			for i := range group {
-				mb := ls.members[i]
-				if err := tolerantWrite(span, e.devs[mb.loc.Dev], mb.loc.Chunk, group[i].data); err != nil {
-					return err
-				}
-			}
-			for i, data := range logChunks {
-				// A failed log device costs one of m redundancy.
-				if err := tolerantWrite(span, e.logDevs[i], ls.logPos, data); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		tasks := make([]func(*device.Span) error, 0, kPrime+m) //eplog:alloc-ok parallel fan-out: per log-stripe flush, workers>1 only; the serial branch above is the steady state
-		for i := range group {
-			mb, data := ls.members[i], group[i].data
-			tasks = append(tasks, func(sp *device.Span) error { //eplog:alloc-ok parallel fan-out: per log-stripe flush, workers>1 only; the serial branch above is the steady state
-				return tolerantWrite(sp, e.devs[mb.loc.Dev], mb.loc.Chunk, data)
-			})
-		}
-		logPos := ls.logPos
-		for i := range logChunks {
-			dev, data := e.logDevs[i], logChunks[i]
-			tasks = append(tasks, func(sp *device.Span) error { //eplog:alloc-ok parallel fan-out: per log-stripe flush, workers>1 only; the serial branch above is the steady state
-				// A failed log device costs one of m redundancy.
-				return tolerantWrite(sp, dev, logPos, data)
-			})
-		}
-		return e.fanOut(span, tasks)
-	}()
+	for i, data := range logChunks {
+		// A failed log device costs one of m redundancy.
+		writes = append(writes, devWrite{e.logDevs[i], ls.logPos, data})
+	}
+	sc.writes = writes
+	code, err := e.code(kPrime)
+	if err == nil {
+		err = code.EncodeParallel(shards, e.workers)
+	}
+	if err == nil {
+		err = e.writeDevs(span, writes)
+	}
 	span.SetRecorder(prevRec)
 	ps.Close(span.End())
-	bufpool.Default.PutSlices(shards[kPrime:])
+	bufpool.Default.PutSlices(logChunks)
 	if err != nil {
 		sh.putLogStripe(ls)
 		return err
