@@ -45,7 +45,9 @@ type BlockServeOptions struct {
 	// disables lingering).
 	BatchAge time.Duration
 	// HighWater and LowWater set the backpressure gate thresholds on the
-	// engine's write-pressure signal (0 selects 0.85 / 0.70).
+	// engine's write-pressure signal (0 selects 0.85 / 0.70): a crossing
+	// of HighWater stops socket reads and starts a parity fold at once;
+	// reads resume at or below LowWater.
 	HighWater float64
 	LowWater  float64
 	// DrainTimeout bounds the graceful drain in Close (0 selects 5s).

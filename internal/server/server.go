@@ -13,8 +13,10 @@
 // Backpressure is engine-derived: when core.WritePressure (log-region
 // occupancy / dirty-window fill) crosses the high-water mark, the server
 // stops reading from every socket — the kernel's TCP flow control pushes
-// back to clients — until background parity folds drain it below the
-// low-water mark. Nothing buffers unboundedly.
+// back to clients — and a folder goroutine forces a parity fold at once,
+// reopening the moment that fold leaves the pressure at or below the
+// low-water mark. Only pressure a fold did not clear is polled, on a 2 ms
+// ticker that re-folds every fifth tick. Nothing buffers unboundedly.
 //
 // Close drains gracefully: stop accepting, kick every reader, finish all
 // in-flight requests and flush their responses, then stop the dispatcher
@@ -92,8 +94,9 @@ type Options struct {
 	// pre-adaptive behavior).
 	BatchAge time.Duration
 	// HighWater and LowWater are the WritePressure gate thresholds: at or
-	// above HighWater the server stops reading from sockets, and resumes
-	// below LowWater (defaults 0.85 / 0.70).
+	// above HighWater the server stops reading from sockets and starts a
+	// parity fold at once, and resumes at or below LowWater (defaults
+	// 0.85 / 0.70).
 	HighWater float64
 	LowWater  float64
 	// DrainTimeout bounds the graceful drain in Close; connections still
@@ -179,7 +182,11 @@ type Server struct {
 	workersWG        sync.WaitGroup
 
 	gate       gate
-	refreshing atomic.Bool
+	refreshing atomic.Bool    // a folder goroutine owns the closed gate
+	folderWG   sync.WaitGroup // folder goroutines, so Close outlives their folds
+	// Dispatcher-owned scratch for runWrites, cleared after each run.
+	writeOps   []core.BatchOp
+	writeSpans []*obs.Span
 
 	connMu   sync.Mutex
 	conns    map[*conn]struct{}
@@ -208,7 +215,11 @@ type Server struct {
 	cGateWaits *obs.Counter
 	gGate      *obs.Gauge
 	cForced    *obs.Counter
-	hConnOps   *obs.Histogram
+	cFoldErrs  *obs.Counter
+	// Seconds per gate closure (close → reopen) and per forced fold.
+	hGateClosed *obs.Histogram
+	hFold       *obs.Histogram
+	hConnOps    *obs.Histogram
 	// Read-batching and vectored-writer telemetry: read batches entering
 	// the engine, their op counts, vectored writes issued, and the two
 	// occupancy gauges (requests admitted but not yet responded, split by
@@ -268,6 +279,9 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 	s.cGateWaits = sink.Counter("net.gate_waits")
 	s.gGate = sink.Gauge("net.gate_closed")
 	s.cForced = sink.Counter("net.forced_folds")
+	s.cFoldErrs = sink.Counter("net.fold_errors")
+	s.hGateClosed = sink.Histogram("net.gate_closed_seconds")
+	s.hFold = sink.Histogram("net.fold_seconds")
 	s.hConnOps = sink.Histogram("net.conn_ops")
 	s.cReadBatches = sink.Counter("net.read_batches")
 	s.hReadBatchOps = sink.Histogram("net.read_batch_ops")
@@ -333,6 +347,7 @@ func (s *Server) Close() error {
 		// dispatchers and executors down in dependency order.
 		close(s.writeQ)
 		<-s.dispatchDone
+		s.folderWG.Wait() // only the dispatcher starts folders
 		close(s.readQ)
 		<-s.readDispatchDone // closes rbatchQ after the last batch ships
 		s.workersWG.Wait()
@@ -469,14 +484,13 @@ func (s *Server) runBatch(batch []*request) {
 // runWrites pushes one contiguous run of WRITE frames through the engine
 // as a single batch and responds per op.
 func (s *Server) runWrites(run []*request, root *obs.Span) {
-	ops := make([]core.BatchOp, len(run))
-	spans := make([]*obs.Span, len(run))
-	for i, r := range run {
+	ops, spans := s.writeOps[:0], s.writeSpans[:0]
+	for _, r := range run {
 		n := int64(len(r.f.Payload) / s.csize)
-		ops[i] = core.BatchOp{LBA: r.f.Arg, Data: r.f.Payload}
+		ops = append(ops, core.BatchOp{LBA: r.f.Arg, Data: r.f.Payload})
 		sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), r.f.Arg, n)
 		sp.SetCause("write")
-		spans[i] = sp //eplog:span-handoff closed in the response loop below
+		spans = append(spans, sp) //eplog:span-handoff closed in the response loop below
 	}
 	s.eng.WriteBatch(ops)
 	end := s.now()
@@ -492,6 +506,10 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 		wire.PutPayload(&r.f) // engine has copied the data out
 		s.respond(r, &wire.Frame{Type: wire.TWrite | wire.RespFlag, ReqID: r.f.ReqID, Arg: r.f.Arg, Count: count})
 	}
+	// Keep the grown arrays, but no payload or span past its run.
+	clear(ops)
+	clear(spans)
+	s.writeOps, s.writeSpans = ops, spans
 }
 
 // readDispatch is the single read dispatcher: it drains the
@@ -647,63 +665,94 @@ func (s *Server) validate(f *wire.Frame) string {
 }
 
 // updateGate re-evaluates the backpressure gate from engine occupancy.
-// Closing it stops every reader before its next frame; a background
-// refresher reopens it once pressure decays below the low-water mark.
+// Closing it stops every reader before its next frame and starts the
+// folder, which folds at once and reopens when the pressure is at or below
+// the low-water mark.
 func (s *Server) updateGate() {
 	p := s.eng.WritePressure()
 	if p >= s.opts.HighWater {
-		if s.gate.set(true) {
-			s.gGate.Set(1)
+		s.setGate(true)
+		if s.refreshing.CompareAndSwap(false, true) {
+			s.folderWG.Add(1)
+			go s.folder()
 		}
-		s.ensureRefresher()
 	} else if p <= s.opts.LowWater {
-		if s.gate.set(false) {
-			s.gGate.Set(0)
-		}
+		s.setGate(false)
 	}
 }
 
-// ensureRefresher starts the single pressure refresher if none is running.
-func (s *Server) ensureRefresher() {
-	if s.refreshing.CompareAndSwap(false, true) {
-		go s.refresher()
+// setGate closes or opens the gate, keeping net.gate_closed and the
+// per-closure histogram in step with it.
+func (s *Server) setGate(closed bool) {
+	changed, closedFor := s.gate.set(closed, s.now())
+	if !changed {
+		return
 	}
+	if closed {
+		s.gGate.Set(1)
+		return
+	}
+	s.gGate.Set(0)
+	s.hGateClosed.Observe(closedFor)
 }
 
-// refresher polls WritePressure while the gate is closed: pressure decays
-// through background parity folds, which complete in real time with no
-// batch to piggyback the re-check on. The engine's own fold triggers
-// (window-full, commit-every) only fire on incoming writes — which the
-// closed gate is now blocking — so if pressure does not decay on its own
-// within a few ticks, the refresher forces a fold with Flush. Without
-// that the gate would be a livelock: closed because occupancy is high,
-// occupancy high because nothing folds, nothing folding because no
-// writes arrive.
+// folder is the single goroutine that owns a closed gate, from the batch
+// that closed it to the reopen.
+func (s *Server) folder() {
+	defer s.folderWG.Done()
+	s.foldUntilClear()
+	// Give the role up before reopening: a batch that closes the gate again
+	// from here on starts its own folder, so no closure is left without one.
+	s.refreshing.Store(false)
+	s.setGate(false)
+}
+
+// foldUntilClear returns once the gate may reopen: the pressure is at or
+// below the low-water mark, a fold failed, or the server is shutting down.
+// The engine's own fold triggers (window-full, commit-every) fire on
+// incoming writes, which the closed gate is blocking, so the pressure that
+// closed it is folded away here, at once — waiting for it to decay by
+// itself would be a livelock. The usual fold clears it and nothing sleeps.
+// The ticker is the fallback for pressure a fold did not clear (a
+// concurrent batch refilled the window, or the engine drains on its own
+// schedule): re-read every 2 ms, fold again every fifth tick.
 //
-//eplog:wallclock backpressure decay is driven by background folds completing in real time
-func (s *Server) refresher() {
-	defer s.refreshing.Store(false)
-	t := time.NewTicker(2 * time.Millisecond)
-	defer t.Stop()
-	stale := 0
-	for {
+//eplog:wallclock the fallback poll for pressure a fold did not clear runs in real time
+func (s *Server) foldUntilClear() {
+	var tick *time.Ticker
+	for stale := 0; ; stale++ {
+		if stale%5 == 0 && !s.fold() {
+			return
+		}
+		if s.eng.WritePressure() <= s.opts.LowWater {
+			return
+		}
+		if tick == nil {
+			tick = time.NewTicker(2 * time.Millisecond)
+			defer tick.Stop()
+		}
 		select {
 		case <-s.quit:
 			return
-		case <-t.C:
-			if s.eng.WritePressure() <= s.opts.LowWater {
-				if s.gate.set(false) {
-					s.gGate.Set(0)
-				}
-				return
-			}
-			if stale++; stale >= 5 {
-				stale = 0
-				s.cForced.Add(1)
-				s.eng.Commit() // an error here surfaces on the next write
-			}
+		case <-tick.C:
 		}
 	}
+}
+
+// fold forces one parity fold and reports whether it succeeded. An explicit
+// Commit returns its error to this caller only — the engine latches nothing
+// for the next write — so a failed fold must not keep the gate closed and
+// retry: the folder reopens, and the engine's own dirty-window fold answers
+// the writes it then admits with the error.
+func (s *Server) fold() bool {
+	s.cForced.Add(1)
+	start := s.now()
+	err := s.eng.Commit()
+	s.hFold.Observe(s.now() - start)
+	if err != nil {
+		s.cFoldErrs.Add(1)
+	}
+	return err == nil
 }
 
 // now is the net phase's span clock: wall seconds. Net spans time socket
@@ -723,6 +772,7 @@ type gate struct {
 	cond     *sync.Cond
 	closed   bool
 	released bool
+	since    float64 // when it last closed, on the caller's clock
 }
 
 func (g *gate) init() { g.cond = sync.NewCond(&g.mu) }
@@ -739,16 +789,21 @@ func (g *gate) wait(waits *obs.Counter) {
 	g.mu.Unlock()
 }
 
-// set closes or opens the gate, reporting whether the state changed.
-func (g *gate) set(closed bool) bool {
+// set closes or opens the gate at time now, reporting whether the state
+// changed and, on a reopen, how long the gate had been closed.
+func (g *gate) set(closed bool, now float64) (changed bool, closedFor float64) {
 	g.mu.Lock()
-	changed := g.closed != closed
-	g.closed = closed
-	if changed && !closed {
-		g.cond.Broadcast()
+	defer g.mu.Unlock()
+	if g.closed == closed {
+		return false, 0
 	}
-	g.mu.Unlock()
-	return changed
+	g.closed = closed
+	if closed {
+		g.since = now
+		return true, 0
+	}
+	g.cond.Broadcast()
+	return true, now - g.since
 }
 
 // release permanently opens the gate for shutdown.

@@ -253,8 +253,9 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// stubEngine gives the gate tests a controllable pressure signal and the
-// batching tests visibility into how reads arrive (batch count + sizes).
+// stubEngine gives the gate tests a controllable pressure signal, a hook
+// into forced folds and counts of both calls, and the batching tests
+// visibility into how reads arrive (batch count + sizes).
 type stubEngine struct {
 	pressure   atomic.Uint64 // float64 bits
 	writes     atomic.Int64
@@ -263,6 +264,12 @@ type stubEngine struct {
 	readStall  chan struct{} // non-nil: ReadBatch blocks until closed
 	stallOnce  sync.Once
 	stallEntry chan struct{} // signaled when the first ReadBatch parks
+
+	pressureCalls atomic.Int64
+	commitCalls   atomic.Int64
+	onCommit      func(call int64) error // nil: Commit succeeds; set before serving
+	inCommit      atomic.Int32
+	closedInFold  atomic.Bool // Close arrived while a Commit was running
 }
 
 func (s *stubEngine) setPressure(p float64) { s.pressure.Store(math.Float64bits(p)) }
@@ -279,15 +286,29 @@ func (s *stubEngine) ReadBatch(ops []core.ReadOp) {
 func (s *stubEngine) ReadChunks(start float64, lba int64, p []byte) (float64, error) {
 	return start, nil
 }
-func (s *stubEngine) Flush() error             { return nil }
-func (s *stubEngine) Commit() error            { return nil }
+func (s *stubEngine) Flush() error { return nil }
+func (s *stubEngine) Commit() error {
+	s.inCommit.Add(1)
+	defer s.inCommit.Add(-1)
+	n := s.commitCalls.Add(1)
+	if s.onCommit == nil {
+		return nil
+	}
+	return s.onCommit(n)
+}
 func (s *stubEngine) Chunks() int64            { return 1 << 20 }
 func (s *stubEngine) ChunkSize() int           { return testChunk }
 func (s *stubEngine) Geometry() store.Geometry { return store.Geometry{K: 4, N: 6, Stripes: 1 << 18} }
-func (s *stubEngine) WritePressure() float64   { return math.Float64frombits(s.pressure.Load()) }
-func (s *stubEngine) PendingLogStripes() int   { return 0 }
-func (s *stubEngine) NumShards() int           { return 1 }
-func (s *stubEngine) Close() error             { return nil }
+func (s *stubEngine) WritePressure() float64 {
+	s.pressureCalls.Add(1)
+	return math.Float64frombits(s.pressure.Load())
+}
+func (s *stubEngine) PendingLogStripes() int { return 0 }
+func (s *stubEngine) NumShards() int         { return 1 }
+func (s *stubEngine) Close() error {
+	s.closedInFold.Store(s.inCommit.Load() != 0)
+	return nil
+}
 
 // TestBackpressureGate drives pressure over the high-water mark and checks
 // the server stops reading new frames, then resumes once pressure decays
