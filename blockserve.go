@@ -10,8 +10,8 @@ import (
 // Array.ServeBlocks. It speaks the wire protocol (internal/wire): READ,
 // WRITE, FLUSH, and STAT frames with per-request IDs, pipelined per
 // connection with out-of-order completion, writes batched across
-// connections before entering the engine, and socket-level backpressure
-// tied to log occupancy.
+// connections before entering the engine, and parity folds started per
+// shard in the background as its log fills.
 type BlockServer = server.Server
 
 // BlockServeOptions tunes ServeBlocks. The zero value selects the
@@ -44,12 +44,15 @@ type BlockServeOptions struct {
 	// BatchAge before entering the engine (0 selects 200µs; negative
 	// disables lingering).
 	BatchAge time.Duration
-	// HighWater and LowWater set the backpressure gate thresholds on the
-	// engine's write-pressure signal (0 selects 0.85 / 0.70): a crossing
-	// of HighWater stops socket reads and starts a parity fold at once;
-	// reads resume at or below LowWater.
+	// HighWater is the shard fill (log-region occupancy or dirty-window
+	// fill, whichever is higher) at which that shard's background parity
+	// fold starts (0 selects 0.85). Nothing stops reading sockets: writers
+	// of a shard block only at its full dirty window, readers never.
 	HighWater float64
-	LowWater  float64
+	// LowWater is accepted and ignored: it was the reopen mark of a
+	// socket-read gate that no longer exists, and stays declared only
+	// until benchmark/stack_test.go stops setting it.
+	LowWater float64
 	// DrainTimeout bounds the graceful drain in Close (0 selects 5s).
 	DrainTimeout time.Duration
 }

@@ -1,7 +1,7 @@
 // Command eplogserve exposes a simulated EPLog array as a network block
 // service speaking the wire protocol (internal/wire): pipelined READ /
 // WRITE / FLUSH / STAT frames, cross-connection write batching into the
-// sharded engine, and socket-level backpressure tied to log occupancy.
+// sharded engine, and per-shard background parity folds as the log fills.
 //
 // Usage:
 //
@@ -49,8 +49,8 @@ func main() {
 		rbatchQueue = flag.Int("read-batch-queue", 0, "read batch hand-off queue capacity (0 = read-workers)")
 		writevMax   = flag.Int("writev-max", 64, "max response frames per vectored write")
 		batchAge    = flag.Duration("batch-age", 200*time.Microsecond, "adaptive batch linger bound for both dispatchers (negative disables)")
-		highWater   = flag.Float64("high-water", 0.85, "write-pressure level that closes the read gate")
-		lowWater    = flag.Float64("low-water", 0.70, "write-pressure level that reopens the read gate")
+		highWater   = flag.Float64("high-water", 0.85, "shard fill (log region or dirty window) at which that shard's background parity fold starts")
+		lowWater    = flag.Float64("low-water", 0.70, "ignored: reopen mark of the removed socket-read gate, kept until benchmark/stack_test.go stops reading it")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful drain bound at shutdown")
 		spans       = flag.Int("spans", eplog.DefaultSpanTrees, "span trees retained per shard")
 	)

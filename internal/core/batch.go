@@ -247,26 +247,30 @@ func (e *EPLog) ShardLockAcquisitions() int64 { return e.lockAcqs.Load() }
 func (e *EPLog) ReadLockAcquisitions() int64 { return e.readLockAcqs.Load() }
 
 // WritePressure reports the engine's write backpressure signal in [0, 1]:
-// the worst shard's log-region occupancy, or its dirty-window fill when a
-// write-behind window is configured, whichever is higher. The network
-// server gates socket reads on it so a saturated log region throttles
-// clients instead of buffering requests unboundedly.
+// the fill of its fullest shard (log-region occupancy, or dirty-window
+// fill when a write-behind window is configured, whichever is higher). It
+// takes no lock, so a STAT never waits out a fold.
 func (e *EPLog) WritePressure() float64 {
 	var p float64
-	w := e.cfg.DirtyWindowStripes
 	for _, sh := range e.shards {
-		sh.mu.RLock()
-		if region := sh.logLimit - sh.logStart; region > 0 {
-			if f := float64(sh.logCursor-sh.logStart) / float64(region); f > p {
-				p = f
-			}
-		}
-		if w > 0 {
-			if f := float64(len(sh.logStripes)) / float64(w); f > p {
-				p = f
-			}
-		}
-		sh.mu.RUnlock()
+		p = max(p, sh.fill())
 	}
 	return min(p, 1)
+}
+
+// FoldPressured hands every shard whose own fill (its term of
+// WritePressure) is at or above threshold to the group committer, which
+// folds it under that shard's lock only, attributed to the pressure
+// trigger; a failed fold surfaces on the shard's next write, Flush or
+// Close. It takes no lock and never blocks; without a committer (one
+// shard, not write-behind) or after Close it does nothing.
+func (e *EPLog) FoldPressured(threshold float64) {
+	if e.gc == nil || e.gc.stopped() {
+		return
+	}
+	for _, sh := range e.shards {
+		if sh.fill() >= threshold {
+			e.gc.enqueue(sh)
+		}
+	}
 }

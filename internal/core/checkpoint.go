@@ -221,6 +221,9 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 			sh.nextLogID = base + ((idx-base)%ns+ns)%ns
 		}
 	}
+	for _, sh := range e.shards {
+		sh.publishFill()
+	}
 
 	// Rebuild the allocators: a chunk is in use iff something references
 	// it — a latest or committed version, a log-stripe member, or a

@@ -56,15 +56,16 @@ func (sh *shard) commit() error {
 //eplog:hotpath
 func (sh *shard) commitAt(start float64) (float64, error) {
 	e := sh.e
-	// This commit covers whatever a pending background enqueue wanted.
-	sh.queued.Store(false)
 	if sh.inCommit {
 		return start, nil
 	}
-	// Whatever happens below — drain, failure, or nothing to fold — wake
-	// writers blocked on the write-behind dirty window so they re-check it
-	// (and see any asyncErr a failed background fold left behind).
+	// Whatever happens below — drain, failure, or nothing to fold — this
+	// commit covers every background enqueue up to its end (a FoldPressured
+	// may see the shard still full while the fold runs), and wakes writers
+	// blocked on the write-behind dirty window so they re-check it (and see
+	// any asyncErr a failed background fold left behind).
 	defer func() {
+		sh.queued.Store(false)
 		if sh.commitWake != nil {
 			sh.commitWake.Broadcast()
 		}
@@ -175,7 +176,7 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	}
 	clear(sh.logStripes)
 	sh.logCursor = sh.logStart
-	sh.gLogOcc.Set(0)
+	sh.publishFill()
 	clear(sh.dirty)
 	sh.reqSinceCommit = 0
 	sh.stats.Commits++

@@ -90,7 +90,8 @@ type Config struct {
 	// CommitEvery triggers an automatic parity commit after that many
 	// write requests when > 0 (Section III-C, scenario iv). In sharded
 	// engines the threshold applies per shard and the commit runs on the
-	// background group-commit scheduler instead of inline.
+	// background group-commit scheduler instead of inline (and is skipped
+	// when the shard has nothing to drain or fold).
 	CommitEvery int
 	// TrimOnCommit issues TRIM for chunks released by parity commit,
 	// the paper's optional extension for further GC reduction.
@@ -273,7 +274,10 @@ type EPLog struct {
 	mCommitLat      *obs.Histogram
 	mCommitFlushLat *obs.Histogram
 	mCommitFoldLat  *obs.Histogram
-	mDegradedReads  *obs.Counter
+	// mWindowWait: wall seconds a writer spent parked in waitDirtyWindow,
+	// the engine's only write backpressure; observed only on a real wait.
+	mWindowWait    *obs.Histogram
+	mDegradedReads *obs.Counter
 	// Read-batching telemetry: batches entered, ops carried, groups served
 	// under shard locks instead of the lock-free pass, and read-path shared
 	// lock acquisitions — the scrapeable form of the batching payoff,
@@ -427,6 +431,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e.mCommitLat = cfg.Obs.Histogram("core.commit_latency")
 	e.mCommitFlushLat = cfg.Obs.Histogram("core.commit_flush_latency")
 	e.mCommitFoldLat = cfg.Obs.Histogram("core.commit_fold_latency")
+	e.mWindowWait = cfg.Obs.Histogram("core.window_wait_seconds")
 	e.mDegradedReads = cfg.Obs.Counter("core.degraded_reads")
 	e.cReadBatches = cfg.Obs.Counter("core.read_batches")
 	e.cReadBatchOps = cfg.Obs.Counter("core.read_batch_ops")
@@ -527,27 +532,23 @@ func (e *EPLog) Stats() Stats {
 func (e *EPLog) Geometry() store.Geometry { return e.geo }
 
 // PendingLogChunks returns the occupied log-device chunks across all log
-// devices, aggregated under the shards' read locks.
+// devices, summed from the fill each shard publishes — no lock taken.
 func (e *EPLog) PendingLogChunks() int64 {
 	var occupied int64
 	for _, sh := range e.shards {
-		sh.mu.RLock()
-		occupied += sh.logCursor - sh.logStart
-		sh.mu.RUnlock()
+		occupied += sh.logUsed.Load()
 	}
 	return occupied * int64(e.geo.M())
 }
 
 // PendingLogStripes returns the number of un-committed log stripes,
-// aggregated under the shards' read locks.
+// summed from the fill each shard publishes — no lock taken.
 func (e *EPLog) PendingLogStripes() int {
-	n := 0
+	var n int64
 	for _, sh := range e.shards {
-		sh.mu.RLock()
-		n += len(sh.logStripes)
-		sh.mu.RUnlock()
+		n += sh.pendingStripes.Load()
 	}
-	return n
+	return int(n)
 }
 
 // vnow reads the high-water completion time.

@@ -49,7 +49,8 @@ const (
 	causeGuard
 	// causeSpace: allocation or the log region ran out of space outright.
 	causeSpace
-	// causePressure: the sharded engine's log-region pressure enqueue.
+	// causePressure: a background fold of a pressured shard — a write past
+	// logPressureMark, or FoldPressured at its caller's threshold.
 	causePressure
 	// causeWindow: a writer blocked on the write-behind dirty window
 	// (DirtyWindowStripes) enqueued the fold that will unblock it.

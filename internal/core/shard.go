@@ -76,6 +76,11 @@ type shard struct {
 	logStart  int64
 	logLimit  int64
 	logCursor int64
+	// pendingStripes and logUsed publish len(logStripes) and
+	// logCursor-logStart (publishFill) to readers that must not queue
+	// behind a fold's exclusive hold: STAT, the server's per-batch check.
+	pendingStripes atomic.Int64
+	logUsed        atomic.Int64
 
 	devBufs []*deviceBuffer
 	// fullBufs counts device buffers currently at (or beyond) capacity,
@@ -144,6 +149,58 @@ func (sh *shard) takeAsyncErr() error {
 	return err
 }
 
+// logPressureMark is the log-region fill at which a write enqueues its
+// shard's fold, before a full region forces a commit inside flushGroup.
+const logPressureMark = 0.75
+
+// publishFill republishes the log occupancy where it changes: log append,
+// commit reset, restore. sh.mu is held exclusively.
+//
+//eplog:hotpath
+func (sh *shard) publishFill() {
+	used := sh.logCursor - sh.logStart
+	sh.pendingStripes.Store(int64(len(sh.logStripes)))
+	sh.logUsed.Store(used)
+	sh.gLogOcc.Set(float64(used))
+}
+
+// logFill is the occupied share of the shard's log region. Lock-free.
+//
+//eplog:hotpath
+func (sh *shard) logFill() float64 {
+	region := sh.logLimit - sh.logStart
+	if region <= 0 {
+		return 0
+	}
+	return float64(sh.logUsed.Load()) / float64(region)
+}
+
+// fill is the shard's write pressure: its log-region occupancy, or its
+// dirty-window fill when a window is configured, whichever is higher.
+func (sh *shard) fill() float64 {
+	f := sh.logFill()
+	if w := sh.e.cfg.DirtyWindowStripes; w > 0 {
+		f = max(f, float64(sh.pendingStripes.Load())/float64(w))
+	}
+	return f
+}
+
+// devBufsEmpty reports whether no device buffer holds a chunk.
+func (sh *shard) devBufsEmpty() bool {
+	for _, b := range sh.devBufs {
+		if !b.empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// idle reports whether a commit would find nothing to drain or fold.
+func (sh *shard) idle() bool {
+	return len(sh.logStripes) == 0 && len(sh.dirty) == 0 && sh.devBufsEmpty() &&
+		(sh.stripeBuf == nil || sh.stripeBuf.empty())
+}
+
 // waitDirtyWindow blocks the calling writer while the shard's write-behind
 // dirty window is full — at least DirtyWindowStripes log stripes pending —
 // until a background fold drains the shard. Called with sh.mu held
@@ -158,7 +215,11 @@ func (sh *shard) waitDirtyWindow() {
 	if w <= 0 || sh.e.gc == nil {
 		return
 	}
+	var t0 time.Time
 	for len(sh.logStripes) >= w && sh.asyncErr == nil && !sh.e.gc.stopped() {
+		if t0.IsZero() {
+			t0 = sh.lockClock()
+		}
 		sh.cause = causeWindow
 		sh.e.gc.enqueue(sh)
 		// Cond.Wait releases mu outside the lockAcquired/lockReleasing
@@ -168,6 +229,9 @@ func (sh *shard) waitDirtyWindow() {
 		sh.epoch.Add(1)
 		sh.commitWake.Wait()
 		sh.epoch.Add(1)
+	}
+	if !t0.IsZero() {
+		sh.e.mWindowWait.Observe(sh.lockClock().Sub(t0).Seconds())
 	}
 }
 
@@ -195,9 +259,10 @@ func (e *EPLog) unlockAll() {
 
 // groupCommitter is the background group-commit scheduler of the sharded
 // engine: foreground writes enqueue shards whose commit triggers fire
-// (CommitEvery, log-region pressure) instead of committing inline, and the
-// scheduler folds each queued shard under that shard's lock only — writes
-// to other shards proceed undisturbed.
+// (CommitEvery, log-region pressure, a full dirty window) instead of
+// committing inline, FoldPressured enqueues the shards at or above a
+// caller's fill threshold, and the scheduler folds each queued shard under
+// that shard's lock only — writes to other shards proceed undisturbed.
 type groupCommitter struct {
 	e    *EPLog
 	wake chan struct{}
@@ -254,6 +319,9 @@ func (gc *groupCommitter) sweep() {
 		t0 := sh.lockClock()
 		sh.mu.Lock()
 		sh.lockAcquired(t0)
+		if sh.cause == causeManual { // unlatched: enqueued by FoldPressured
+			sh.cause = causePressure
+		}
 		if _, err := sh.commitAt(0); err != nil {
 			// Surfaced to the next write touching this shard (or to
 			// Flush/Close if no write comes).

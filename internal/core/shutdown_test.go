@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/eplog/eplog/internal/device"
+	"github.com/eplog/eplog/internal/obs"
 )
 
 // errInjected is a non-ErrFailed device error: tolerantWrite swallows
@@ -17,13 +18,26 @@ var errInjected = errors.New("injected device read failure")
 
 // brokenReadDev passes everything through until armed, then fails every
 // read with errInjected. The flag is atomic so tests can arm it while the
-// background committer is running.
+// background committer is running. A readHold stored in hold parks the next
+// read (one shot, before the broken check), so a test can keep a fold open
+// under its shard lock and knows when it got there.
 type brokenReadDev struct {
 	device.Dev
 	broken atomic.Bool
+	hold   atomic.Pointer[readHold]
+}
+
+type readHold struct{ entered, release chan struct{} }
+
+func (d *brokenReadDev) park() {
+	if h := d.hold.Swap(nil); h != nil {
+		close(h.entered)
+		<-h.release
+	}
 }
 
 func (d *brokenReadDev) ReadChunk(idx int64, p []byte) error {
+	d.park()
 	if d.broken.Load() {
 		return errInjected
 	}
@@ -31,6 +45,7 @@ func (d *brokenReadDev) ReadChunk(idx int64, p []byte) error {
 }
 
 func (d *brokenReadDev) ReadChunkAt(start float64, idx int64, p []byte) (float64, error) {
+	d.park()
 	if d.broken.Load() {
 		return start, errInjected
 	}
@@ -222,7 +237,8 @@ func TestGroupCommitterDrainsOnStop(t *testing.T) {
 // background fold drains the shard).
 func TestDirtyWindowBackpressure(t *testing.T) {
 	const w = 2
-	e, _ := newShutdownArray(t, Config{WriteBehind: true, DirtyWindowStripes: w})
+	sink := obs.NewSink(64)
+	e, _ := newShutdownArray(t, Config{WriteBehind: true, DirtyWindowStripes: w, Obs: sink})
 	defer e.Close()
 	full := chunkData(1, e.geo.K)
 	for s := int64(0); s < e.geo.Stripes; s++ {
@@ -240,6 +256,10 @@ func TestDirtyWindowBackpressure(t *testing.T) {
 	}
 	if e.Stats().Commits == 0 {
 		t.Error("no background fold ran; the window never drained")
+	}
+	// Each fold frees the whole window, so roughly every w+1-th write parks.
+	if h := sink.Histogram("core.window_wait_seconds").Snapshot(); h.Count == 0 || h.Count >= 64 || h.Sum <= 0 {
+		t.Errorf("core.window_wait_seconds: %d waits summing to %g s over 64 writes, want some but not all", h.Count, h.Sum)
 	}
 }
 

@@ -128,23 +128,27 @@ func (sh *shard) writeStep(op *BatchOp, w *inflightWrite) error {
 	if e.cfg.CommitEvery > 0 {
 		sh.reqSinceCommit++
 		if sh.reqSinceCommit >= e.cfg.CommitEvery {
-			sh.cause = causeEvery
-			if e.gc != nil {
+			switch {
+			case e.gc != nil && sh.idle():
+				// Direct stripe writes alone got here: a background fold
+				// would find nothing, at a moment no caller can observe.
+				sh.reqSinceCommit = 0
+			case e.gc != nil:
 				// Write-behind: acknowledge at log-append; the fold runs
 				// on the background scheduler off the write critical path.
+				sh.cause = causeEvery
 				e.gc.enqueue(sh)
-			} else if err := sh.commit(); err != nil {
-				return err
+			default:
+				sh.cause = causeEvery
+				if err := sh.commit(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	if e.gc != nil {
-		// Log-region pressure: fold the shard before its region forces a
-		// synchronous commit inside a foreground flushGroup.
-		if region := sh.logLimit - sh.logStart; sh.logCursor-sh.logStart >= region-(region/4) {
-			sh.cause = causePressure
-			e.gc.enqueue(sh)
-		}
+	if e.gc != nil && sh.logFill() >= logPressureMark {
+		sh.cause = causePressure
+		e.gc.enqueue(sh)
 	}
 	return nil
 }
@@ -534,9 +538,9 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	sh.stats.LogChunkWrites += int64(m)
 	sh.stats.LogBytes += int64(m) * int64(e.csize)
 	sh.logCursor++
-	sh.gLogOcc.Set(float64(sh.logCursor - sh.logStart))
 	sh.nextLogID += int64(e.nShards)
 	sh.logStripes[ls.id] = ls
+	sh.publishFill()
 	sh.stats.LogStripes++
 	sh.stats.LogStripeMembers += int64(len(ls.members))
 	e.obs.Emit(obs.Event{Kind: obs.KindLogAppend, T: span.Start(), Dev: -1,
@@ -621,21 +625,9 @@ func (sh *shard) flush(span *device.Span) error {
 			}
 		}
 	}
-	if sh.devBufs != nil {
-		for {
-			empty := true
-			for _, b := range sh.devBufs {
-				if !b.empty() {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				break
-			}
-			if err := sh.drainRound(span); err != nil {
-				return err
-			}
+	for !sh.devBufsEmpty() {
+		if err := sh.drainRound(span); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -75,9 +75,9 @@ func (c *conn) kick() {
 
 // reader decodes frames off the socket and routes them: writes and
 // flushes to the dispatcher queue, reads and stats to the worker pool,
-// protocol violations straight back as StatusBadRequest. It parks at the
-// backpressure gate between frames and exits on any decode error (the
-// decoder latches, including the kicked deadline at shutdown).
+// protocol violations straight back as StatusBadRequest. It blocks only on
+// its own connection's QueueDepth (the sem slot) and exits on any decode
+// error (the decoder latches, including the kicked deadline at shutdown).
 func (c *conn) reader() {
 	dec := wire.NewDecoder(bufio.NewReaderSize(c.nc, 64<<10), c.s.opts.MaxPayload)
 	for {
@@ -85,10 +85,6 @@ func (c *conn) reader() {
 		if err := dec.ReadFrame(&f); err != nil {
 			return
 		}
-		// Backpressure: park here (holding at most this one decoded frame)
-		// while the gate is closed, so no further bytes are read off the
-		// socket and nothing new enters the engine until pressure decays.
-		c.s.gate.wait(c.s.cGateWaits)
 		c.s.cFramesIn.Add(1)
 		c.s.cBytesIn.Add(int64(wire.HeaderSize + len(f.Payload)))
 		c.ops++

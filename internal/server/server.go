@@ -10,13 +10,14 @@
 // lock acquisition; a FLUSH frame is a batch barrier covering every write
 // the server read before it.
 //
-// Backpressure is engine-derived: when core.WritePressure (log-region
-// occupancy / dirty-window fill) crosses the high-water mark, the server
-// stops reading from every socket — the kernel's TCP flow control pushes
-// back to clients — and a folder goroutine forces a parity fold at once,
-// reopening the moment that fold leaves the pressure at or below the
-// low-water mark. Only pressure a fold did not clear is polled, on a 2 ms
-// ticker that re-folds every fifth tick. Nothing buffers unboundedly.
+// Parity commits stay off the write path: after each dispatcher batch the
+// server calls core.FoldPressured(HighWater), which hands the shards whose
+// own fill has reached the mark to the engine's background group
+// committer. The only thing that ever blocks a write is the engine's
+// dirty-window cond, for writers of one shard at a full window; readers
+// are never parked by write pressure. Memory is bounded by QueueDepth per
+// connection: a client that pipelines deeper stops being read and TCP flow
+// control pushes back.
 //
 // Close drains gracefully: stop accepting, kick every reader, finish all
 // in-flight requests and flush their responses, then stop the dispatcher
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/eplog/eplog/internal/bufpool"
@@ -44,7 +44,7 @@ type Engine interface {
 	ReadBatch(ops []core.ReadOp)
 	ReadChunks(start float64, lba int64, p []byte) (float64, error)
 	Flush() error
-	Commit() error
+	FoldPressured(threshold float64)
 	Chunks() int64
 	ChunkSize() int
 	Geometry() store.Geometry
@@ -72,7 +72,7 @@ type Options struct {
 	// WriteQueue is the capacity of the write/flush dispatch queue
 	// between connection readers and the write dispatcher (<= 0 selects
 	// 1024). Soak and bench sweep it to trade arrival buffering against
-	// memory and gate responsiveness.
+	// memory.
 	WriteQueue int
 	// ReadQueue is the capacity of the read/stats dispatch queue between
 	// connection readers and the read dispatcher (<= 0 selects 1024).
@@ -93,12 +93,15 @@ type Options struct {
 	// disables lingering (flush as soon as the queue is empty, the
 	// pre-adaptive behavior).
 	BatchAge time.Duration
-	// HighWater and LowWater are the WritePressure gate thresholds: at or
-	// above HighWater the server stops reading from sockets and starts a
-	// parity fold at once, and resumes at or below LowWater (defaults
-	// 0.85 / 0.70).
+	// HighWater is the shard fill (the per-shard term of
+	// core.WritePressure) at which that shard's background parity fold
+	// starts; the server checks it after every write batch (<= 0 selects
+	// 0.85).
 	HighWater float64
-	LowWater  float64
+	// LowWater is accepted and ignored: it was the reopen mark of the
+	// socket-read gate this server no longer has, and stays declared only
+	// until benchmark/stack_test.go stops setting it.
+	LowWater float64
 	// DrainTimeout bounds the graceful drain in Close; connections still
 	// alive after it are force-closed (<= 0 selects 5s).
 	DrainTimeout time.Duration
@@ -143,9 +146,6 @@ func (o Options) withDefaults() Options {
 	if o.HighWater <= 0 {
 		o.HighWater = 0.85
 	}
-	if o.LowWater <= 0 {
-		o.LowWater = 0.70
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
 	}
@@ -181,9 +181,6 @@ type Server struct {
 	readDispatchDone chan struct{}
 	workersWG        sync.WaitGroup
 
-	gate       gate
-	refreshing atomic.Bool    // a folder goroutine owns the closed gate
-	folderWG   sync.WaitGroup // folder goroutines, so Close outlives their folds
 	// Dispatcher-owned scratch for runWrites, cleared after each run.
 	writeOps   []core.BatchOp
 	writeSpans []*obs.Span
@@ -212,14 +209,7 @@ type Server struct {
 	cErrs      *obs.Counter
 	cBatches   *obs.Counter
 	hBatchOps  *obs.Histogram
-	cGateWaits *obs.Counter
-	gGate      *obs.Gauge
-	cForced    *obs.Counter
-	cFoldErrs  *obs.Counter
-	// Seconds per gate closure (close → reopen) and per forced fold.
-	hGateClosed *obs.Histogram
-	hFold       *obs.Histogram
-	hConnOps    *obs.Histogram
+	hConnOps   *obs.Histogram
 	// Read-batching and vectored-writer telemetry: read batches entering
 	// the engine, their op counts, vectored writes issued, and the two
 	// occupancy gauges (requests admitted but not yet responded, split by
@@ -259,7 +249,6 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 		readDispatchDone: make(chan struct{}),
 		conns:            make(map[*conn]struct{}),
 	}
-	s.gate.init()
 	sink := opts.Sink
 	s.rec = sink.SpanRecorder(opts.SpanShard)
 	s.cConns = sink.Counter("net.conns_total")
@@ -276,12 +265,6 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 	s.cErrs = sink.Counter("net.op_errors")
 	s.cBatches = sink.Counter("net.batches")
 	s.hBatchOps = sink.Histogram("net.batch_ops")
-	s.cGateWaits = sink.Counter("net.gate_waits")
-	s.gGate = sink.Gauge("net.gate_closed")
-	s.cForced = sink.Counter("net.forced_folds")
-	s.cFoldErrs = sink.Counter("net.fold_errors")
-	s.hGateClosed = sink.Histogram("net.gate_closed_seconds")
-	s.hFold = sink.Histogram("net.fold_seconds")
 	s.hConnOps = sink.Histogram("net.conn_ops")
 	s.cReadBatches = sink.Counter("net.read_batches")
 	s.hReadBatchOps = sink.Histogram("net.read_batch_ops")
@@ -312,7 +295,6 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.quit)
-		s.gate.release()
 		s.ln.Close()
 		<-s.acceptDone
 
@@ -347,7 +329,6 @@ func (s *Server) Close() error {
 		// dispatchers and executors down in dependency order.
 		close(s.writeQ)
 		<-s.dispatchDone
-		s.folderWG.Wait() // only the dispatcher starts folders
 		close(s.readQ)
 		<-s.readDispatchDone // closes rbatchQ after the last batch ships
 		s.workersWG.Wait()
@@ -383,8 +364,8 @@ func (s *Server) acceptLoop() {
 // first, then filling adaptively), splits each batch at FLUSH barriers,
 // and runs the write runs through core.WriteBatch — one shard lock
 // acquisition per touched shard for the whole run, however many
-// connections contributed. After each batch it re-evaluates the
-// backpressure gate.
+// connections contributed. After each batch it hands the shards the batch
+// left at or above HighWater to the engine's background committer.
 func (s *Server) dispatch() {
 	defer close(s.dispatchDone)
 	batch := make([]*request, 0, s.opts.BatchMax)
@@ -392,7 +373,7 @@ func (s *Server) dispatch() {
 		batch = append(batch[:0], r)
 		batch = s.fillAdaptive(s.writeQ, batch, s.gWriteInflight)
 		s.runBatch(batch)
-		s.updateGate()
+		s.eng.FoldPressured(s.opts.HighWater)
 	}
 }
 
@@ -664,97 +645,6 @@ func (s *Server) validate(f *wire.Frame) string {
 	return ""
 }
 
-// updateGate re-evaluates the backpressure gate from engine occupancy.
-// Closing it stops every reader before its next frame and starts the
-// folder, which folds at once and reopens when the pressure is at or below
-// the low-water mark.
-func (s *Server) updateGate() {
-	p := s.eng.WritePressure()
-	if p >= s.opts.HighWater {
-		s.setGate(true)
-		if s.refreshing.CompareAndSwap(false, true) {
-			s.folderWG.Add(1)
-			go s.folder()
-		}
-	} else if p <= s.opts.LowWater {
-		s.setGate(false)
-	}
-}
-
-// setGate closes or opens the gate, keeping net.gate_closed and the
-// per-closure histogram in step with it.
-func (s *Server) setGate(closed bool) {
-	changed, closedFor := s.gate.set(closed, s.now())
-	if !changed {
-		return
-	}
-	if closed {
-		s.gGate.Set(1)
-		return
-	}
-	s.gGate.Set(0)
-	s.hGateClosed.Observe(closedFor)
-}
-
-// folder is the single goroutine that owns a closed gate, from the batch
-// that closed it to the reopen.
-func (s *Server) folder() {
-	defer s.folderWG.Done()
-	s.foldUntilClear()
-	// Give the role up before reopening: a batch that closes the gate again
-	// from here on starts its own folder, so no closure is left without one.
-	s.refreshing.Store(false)
-	s.setGate(false)
-}
-
-// foldUntilClear returns once the gate may reopen: the pressure is at or
-// below the low-water mark, a fold failed, or the server is shutting down.
-// The engine's own fold triggers (window-full, commit-every) fire on
-// incoming writes, which the closed gate is blocking, so the pressure that
-// closed it is folded away here, at once — waiting for it to decay by
-// itself would be a livelock. The usual fold clears it and nothing sleeps.
-// The ticker is the fallback for pressure a fold did not clear (a
-// concurrent batch refilled the window, or the engine drains on its own
-// schedule): re-read every 2 ms, fold again every fifth tick.
-//
-//eplog:wallclock the fallback poll for pressure a fold did not clear runs in real time
-func (s *Server) foldUntilClear() {
-	var tick *time.Ticker
-	for stale := 0; ; stale++ {
-		if stale%5 == 0 && !s.fold() {
-			return
-		}
-		if s.eng.WritePressure() <= s.opts.LowWater {
-			return
-		}
-		if tick == nil {
-			tick = time.NewTicker(2 * time.Millisecond)
-			defer tick.Stop()
-		}
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-		}
-	}
-}
-
-// fold forces one parity fold and reports whether it succeeded. An explicit
-// Commit returns its error to this caller only — the engine latches nothing
-// for the next write — so a failed fold must not keep the gate closed and
-// retry: the folder reopens, and the engine's own dirty-window fold answers
-// the writes it then admits with the error.
-func (s *Server) fold() bool {
-	s.cForced.Add(1)
-	start := s.now()
-	err := s.eng.Commit()
-	s.hFold.Observe(s.now() - start)
-	if err != nil {
-		s.cFoldErrs.Add(1)
-	}
-	return err == nil
-}
-
 // now is the net phase's span clock: wall seconds. Net spans time socket
 // and batch latency — real time by nature, unlike the engine's virtual
 // device clock; the two never mix (net spans parent no engine spans).
@@ -762,54 +652,4 @@ func (s *Server) fold() bool {
 //eplog:wallclock net spans time real request handling, not simulated devices
 func (s *Server) now() float64 {
 	return float64(time.Now().UnixNano()) / 1e9
-}
-
-// gate is the server-wide read gate. When closed, every connection reader
-// parks before decoding its next frame; release (shutdown) unblocks
-// everyone for good.
-type gate struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	closed   bool
-	released bool
-	since    float64 // when it last closed, on the caller's clock
-}
-
-func (g *gate) init() { g.cond = sync.NewCond(&g.mu) }
-
-// wait parks while the gate is closed. Returns immediately after release.
-func (g *gate) wait(waits *obs.Counter) {
-	g.mu.Lock()
-	if g.closed && !g.released {
-		waits.Add(1)
-		for g.closed && !g.released {
-			g.cond.Wait()
-		}
-	}
-	g.mu.Unlock()
-}
-
-// set closes or opens the gate at time now, reporting whether the state
-// changed and, on a reopen, how long the gate had been closed.
-func (g *gate) set(closed bool, now float64) (changed bool, closedFor float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed == closed {
-		return false, 0
-	}
-	g.closed = closed
-	if closed {
-		g.since = now
-		return true, 0
-	}
-	g.cond.Broadcast()
-	return true, now - g.since
-}
-
-// release permanently opens the gate for shutdown.
-func (g *gate) release() {
-	g.mu.Lock()
-	g.released = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,55 +182,58 @@ func TestSoakReconciliation(t *testing.T) {
 
 // TestGracefulDrain closes the server while writes are in flight and
 // checks every acknowledged write is durable in the engine — acks are
-// never dropped by shutdown.
+// never dropped by shutdown. Close starts at an ack barrier: once the
+// clients have seen barrier acknowledgements, with most of the stream still
+// unsent or in flight.
 func TestGracefulDrain(t *testing.T) {
-	e := testEngine(t, 2, 256)
+	const nConns, perConn, barrier = 4, 1500, 64
+	e := testEngine(t, 2, nConns*perConn/4)
 	defer e.Close()
 	s, err := Listen("127.0.0.1:0", e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const nConns, perConn = 4, 200
-	type acked struct {
-		lba  int64
-		seed uint64
-	}
 	var mu sync.Mutex
-	var oks []acked
+	var oks []int64 // acknowledged LBAs; LBA l carries workload.Fill seed l+1
+	reached := make(chan struct{})
 
 	var wg sync.WaitGroup
-	wg.Add(nConns)
 	for ci := 0; ci < nConns; ci++ {
-		go func(ci int) {
+		c, err := Dial(s.Addr().String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		done := make(chan *Call, perConn)
+		wg.Add(2)
+		go func() { // sender: disjoint LBAs, so no ordering hazards
 			defer wg.Done()
-			c, err := Dial(s.Addr().String(), 0)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			done := make(chan *Call, perConn)
 			buf := make([]byte, testChunk)
-			pending := make(map[*Call]acked)
 			for i := 0; i < perConn; i++ {
-				seed := uint64(ci*perConn + i + 1)
-				lba := int64(ci*perConn + i) // disjoint LBAs: no ordering hazards
-				workload.Fill(buf, seed)
-				call := c.Go(wire.Frame{Type: wire.TWrite, Arg: lba, Count: uint32(len(buf)), Payload: buf}, done)
-				pending[call] = acked{lba, seed}
+				lba := int64(ci*perConn + i)
+				workload.Fill(buf, uint64(lba)+1)
+				c.Go(wire.Frame{Type: wire.TWrite, Arg: lba, Count: uint32(len(buf)), Payload: buf}, done)
 			}
+		}()
+		go func() { // receiver: counts acks as they arrive
+			defer wg.Done()
 			for range perConn {
 				call := <-done
-				if call.Err == nil {
-					mu.Lock()
-					oks = append(oks, pending[call])
-					mu.Unlock()
+				if call.Err != nil {
+					continue
 				}
+				mu.Lock()
+				oks = append(oks, call.Req.Arg)
+				if len(oks) == barrier {
+					close(reached)
+				}
+				mu.Unlock()
 			}
-		}(ci)
+		}()
 	}
 
-	time.Sleep(5 * time.Millisecond) // let some writes take flight mid-stream
+	await(t, "the ack barrier", reached)
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -239,25 +241,26 @@ func TestGracefulDrain(t *testing.T) {
 
 	want := make([]byte, testChunk)
 	got := make([]byte, testChunk)
-	for _, a := range oks {
-		workload.Fill(want, a.seed)
-		if _, err := e.ReadChunks(0, a.lba, got); err != nil {
-			t.Fatalf("acked write at %d unreadable: %v", a.lba, err)
+	for _, lba := range oks {
+		workload.Fill(want, uint64(lba)+1)
+		if _, err := e.ReadChunks(0, lba, got); err != nil {
+			t.Fatalf("acked write at %d unreadable: %v", lba, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("acked write at %d not durable", a.lba)
+			t.Fatalf("acked write at %d not durable", lba)
 		}
 	}
+	t.Logf("%d of %d writes acknowledged before the drain finished", len(oks), nConns*perConn)
 	if len(oks) == 0 {
 		t.Fatal("no writes acked before drain — test proved nothing")
 	}
 }
 
-// stubEngine gives the gate tests a controllable pressure signal, a hook
-// into forced folds and counts of both calls, and the batching tests
-// visibility into how reads arrive (batch count + sizes).
+// stubEngine counts what the server asks of the engine — write batches,
+// FoldPressured calls and their thresholds, read batches and their sizes —
+// and can park its first ReadBatch or every WriteBatch. The server can
+// reach nothing else: Engine has no Commit.
 type stubEngine struct {
-	pressure   atomic.Uint64 // float64 bits
 	writes     atomic.Int64
 	readOps    atomic.Int64
 	readCalls  atomic.Int64
@@ -265,16 +268,26 @@ type stubEngine struct {
 	stallOnce  sync.Once
 	stallEntry chan struct{} // signaled when the first ReadBatch parks
 
-	pressureCalls atomic.Int64
-	commitCalls   atomic.Int64
-	onCommit      func(call int64) error // nil: Commit succeeds; set before serving
-	inCommit      atomic.Int32
-	closedInFold  atomic.Bool // Close arrived while a Commit was running
+	writeEntry chan struct{} // non-nil: receives once per WriteBatch entered
+	writeStall chan struct{} // non-nil: WriteBatch blocks until closed
+	inWrite    atomic.Int32
+	closedInOp atomic.Bool // Close arrived while a WriteBatch was running
+
+	mu         sync.Mutex
+	thresholds []float64 // one per FoldPressured call
 }
 
-func (s *stubEngine) setPressure(p float64) { s.pressure.Store(math.Float64bits(p)) }
-
-func (s *stubEngine) WriteBatch(ops []core.BatchOp) { s.writes.Add(int64(len(ops))) }
+func (s *stubEngine) WriteBatch(ops []core.BatchOp) {
+	s.inWrite.Add(1)
+	defer s.inWrite.Add(-1)
+	s.writes.Add(int64(len(ops)))
+	if s.writeEntry != nil {
+		s.writeEntry <- struct{}{}
+	}
+	if s.writeStall != nil {
+		<-s.writeStall
+	}
+}
 func (s *stubEngine) ReadBatch(ops []core.ReadOp) {
 	s.readCalls.Add(1)
 	s.readOps.Add(int64(len(ops)))
@@ -287,79 +300,37 @@ func (s *stubEngine) ReadChunks(start float64, lba int64, p []byte) (float64, er
 	return start, nil
 }
 func (s *stubEngine) Flush() error { return nil }
-func (s *stubEngine) Commit() error {
-	s.inCommit.Add(1)
-	defer s.inCommit.Add(-1)
-	n := s.commitCalls.Add(1)
-	if s.onCommit == nil {
-		return nil
-	}
-	return s.onCommit(n)
+func (s *stubEngine) FoldPressured(threshold float64) {
+	s.mu.Lock()
+	s.thresholds = append(s.thresholds, threshold)
+	s.mu.Unlock()
+}
+func (s *stubEngine) foldCalls() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]float64(nil), s.thresholds...)
 }
 func (s *stubEngine) Chunks() int64            { return 1 << 20 }
 func (s *stubEngine) ChunkSize() int           { return testChunk }
 func (s *stubEngine) Geometry() store.Geometry { return store.Geometry{K: 4, N: 6, Stripes: 1 << 18} }
-func (s *stubEngine) WritePressure() float64 {
-	s.pressureCalls.Add(1)
-	return math.Float64frombits(s.pressure.Load())
-}
-func (s *stubEngine) PendingLogStripes() int { return 0 }
-func (s *stubEngine) NumShards() int         { return 1 }
+func (s *stubEngine) WritePressure() float64   { return 1 } // never parks anyone
+func (s *stubEngine) PendingLogStripes() int   { return 0 }
+func (s *stubEngine) NumShards() int           { return 1 }
 func (s *stubEngine) Close() error {
-	s.closedInFold.Store(s.inCommit.Load() != 0)
+	s.closedInOp.Store(s.inWrite.Load() != 0)
 	return nil
 }
 
-// TestBackpressureGate drives pressure over the high-water mark and checks
-// the server stops reading new frames, then resumes once pressure decays
-// below the low-water mark.
-func TestBackpressureGate(t *testing.T) {
-	eng := &stubEngine{}
-	s, err := Listen("127.0.0.1:0", eng, Options{HighWater: 0.8, LowWater: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// First write: processed normally, then updateGate sees high pressure
-	// and closes the gate.
-	eng.setPressure(1.0)
-	if err := c.Write(0, make([]byte, testChunk)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "gate to close", func() bool {
-		s.gate.mu.Lock()
-		defer s.gate.mu.Unlock()
-		return s.gate.closed
-	})
-
-	// The next frame must park at the gate: the engine sees no new writes.
-	done := make(chan *Call, 1)
-	c.Go(wire.Frame{Type: wire.TWrite, Arg: 4, Count: testChunk, Payload: make([]byte, testChunk)}, done)
-	time.Sleep(30 * time.Millisecond)
-	if n := eng.writes.Load(); n != 1 {
-		t.Fatalf("engine saw %d writes while gated, want 1", n)
-	}
-
-	// Pressure decays (as background folds would make it); the refresher
-	// reopens the gate and the parked write completes.
-	eng.setPressure(0.1)
+func await[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
 	select {
-	case call := <-done:
-		if call.Err != nil {
-			t.Fatalf("post-gate write: %v", call.Err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write never completed after pressure decayed")
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
 	}
-	if n := eng.writes.Load(); n != 2 {
-		t.Fatalf("engine saw %d writes after reopen, want 2", n)
-	}
+	var zero T
+	return zero
 }
 
 // TestCloseIdempotent checks double-Close and close-with-idle-conns.
