@@ -70,7 +70,7 @@ func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment to run: all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs, conc, kernels, scaling, net")
 		scale      = flag.Int64("scale", experiments.DefaultScale, "scale divisor versus the paper (1 = paper scale)")
-		workers    = flag.Int("workers", 1, "worker-pool size and concurrent writers for the conc experiment")
+		workers    = flag.Int("workers", 1, "fold/rebuild worker-pool size and concurrent writers for the conc experiment")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "stripe-group shard count: the scaling experiment sweeps 1/2/4/8 plus this value")
 		benchOut   = flag.String("bench-out", "BENCH_kernels.json", "JSON report path for the kernels experiment")
 		scalingOut = flag.String("scaling-out", "BENCH_scaling.json", "JSON report path for the scaling experiment")

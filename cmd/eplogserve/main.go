@@ -37,7 +37,7 @@ func main() {
 		m           = flag.Int("m", 2, "parity chunks per stripe (also the number of log devices)")
 		stripes     = flag.Int64("stripes", 1024, "number of data stripes")
 		shards      = flag.Int("shards", 4, "stripe-group shard count")
-		workers     = flag.Int("workers", 2, "worker-pool size")
+		workers     = flag.Int("workers", 2, "worker-pool size for parity-commit folds and rebuilds (writes and reads run inline)")
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")
 		writeBehind = flag.Bool("write-behind", true, "acknowledge writes at the dirty window, fold in the background")
 		dirtyWindow = flag.Int("dirty-window", 128, "dirty-window bound in stripes (0 = unbounded)")

@@ -100,8 +100,14 @@ func BenchmarkDirectStripeWrite(b *testing.B) {
 // state before counting. Wherever the background group-commit scheduler
 // runs (write-behind, or any multi-shard engine) the pin also covers the
 // foreground enqueue (CAS plus a buffered channel send) and the background
-// fold (the same pooled commit path). Workers=2 is reported, not gated:
-// the worker pool's goroutines and sub-spans allocate per fan-out.
+// fold (the same pooled commit path). At Workers=2 the write path itself
+// is just as allocation-free (its phases run inline at any Workers); what
+// remains is the fold's fan-out — ≈ 3 objects per folded stripe plus the
+// pool's own — and this stream dirties a fresh stripe with every update,
+// so the row is gated at foldFanOutAllocs per op rather than 0. (The
+// served stack folds ≈ 3 updates per stripe; its rung reads under 2.)
+const foldFanOutAllocs = 4
+
 func TestSteadyStateUpdateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race runs")
@@ -129,10 +135,8 @@ func TestSteadyStateUpdateAllocFree(t *testing.T) {
 					cfg.DirtyWindowStripes = 16
 				}
 				avg := steadyStateUpdateAllocs(t, cfg)
-				if workers > 1 {
-					t.Logf("Workers=%d: %.2f allocs/op (reported, not gated)", workers, avg)
-				} else if avg > 0 {
-					t.Errorf("steady-state update allocates %.2f objects/op, want 0", avg)
+				if want := float64(foldFanOutAllocs * (workers - 1)); avg > want {
+					t.Errorf("Workers=%d: steady-state update allocates %.2f objects/op, want <= %v", workers, avg, want)
 				}
 			}
 		})

@@ -17,26 +17,26 @@ import (
 // of the single-threaded engine carry over unchanged within each shard.
 // With Shards=1 this degenerates to the old single coarse mutex.
 //
-// What runs outside the critical path of those locks is the expensive,
-// embarrassingly parallel work inside one operation: Reed-Solomon encode
-// (erasure.EncodeParallel), the per-device writes of a direct-stripe or
-// log-stripe flush phase (writeDevs), and the per-stripe compound tasks of
-// the parity-commit fold and rebuild (fanOut). All of it runs on a bounded
-// workpool of cfg.Workers goroutines. Pool tasks never touch engine
+// A write's own phases are too short to farm out — a k'+m encode is well
+// under a microsecond and a simulated device write about one — so the
+// write path runs them inline on the caller's goroutine at any Workers
+// (Encode, then writeDevs). What runs on the bounded workpool of
+// cfg.Workers goroutines is the per-stripe compound work of the
+// parity-commit fold and of rebuild (fanOut). Pool tasks never touch engine
 // metadata (inputs are captured before the fan-out; outputs land in
 // per-task slots or atomics folded back under the lock), and they never
 // take a shard lock — so the lock order is strictly shard locks (ascending
 // index) -> device.Locked/erasure.Cache, with no cycles.
 //
-// Virtual-time determinism: with workers <= 1 both helpers run serially,
-// in order, on the caller's span — bit-for-bit the behavior (and
-// virtual-time accounting) of the single-threaded engine. With workers > 1
-// each pool task gets a sub-span starting at the parent's start and the
-// parent is extended to the slowest sub-span's end; because a span issues
-// every operation at its start time and keeps the max completion, the
-// merged end time is identical to the serial result whenever the tasks
-// touch disjoint devices (which the call sites guarantee). Byte counts and
-// stats totals are order-independent either way.
+// Virtual-time determinism: with workers <= 1 fanOut runs serially, in
+// order, on the caller's span — bit-for-bit the behavior (and virtual-time
+// accounting) of the single-threaded engine. With workers > 1 each pool
+// task gets a sub-span starting at the parent's start and the parent is
+// extended to the slowest sub-span's end; because a span issues every
+// operation at its start time and keeps the max completion, the merged end
+// time is identical to the serial result whenever the tasks touch disjoint
+// devices (which the call sites guarantee). Byte counts and stats totals
+// are order-independent either way.
 
 // devWrite is one chunk write of a phase's per-device fan-out.
 type devWrite struct {
@@ -45,37 +45,23 @@ type devWrite struct {
 	data  []byte
 }
 
-// writeDevs issues one phase's chunk writes, each to a distinct device:
-// inline in list order on the caller's span with a single worker, else
-// dealt round-robin to one pool task per worker. Like tolerantWrite it
-// touches no engine state, so the phase is data, not code, at its call
-// sites.
-func (e *EPLog) writeDevs(span *device.Span, writes []devWrite) error {
-	nTasks := min(e.workers, len(writes))
-	if nTasks <= 1 {
-		for _, w := range writes {
-			if err := tolerantWrite(span, w.dev, w.chunk, w.data); err != nil {
-				return err
-			}
+// writeDevs issues one phase's chunk writes, each to a distinct device,
+// inline in list order on the caller's span. Like tolerantWrite it touches
+// no engine state, so the phase is data, not code, at its call sites.
+func writeDevs(span *device.Span, writes []devWrite) error {
+	for _, w := range writes {
+		if err := tolerantWrite(span, w.dev, w.chunk, w.data); err != nil {
+			return err
 		}
-		return nil
 	}
-	return e.onSubSpans(span, nTasks, func(t int, sub *device.Span) error {
-		for i := t; i < len(writes); i += nTasks {
-			w := writes[i]
-			if err := tolerantWrite(sub, w.dev, w.chunk, w.data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return nil
 }
 
 // fanOut runs one operation's compound phase tasks (a stripe fold, a
-// stripe rebuild) on the engine's worker pool. Each task receives a span
-// to issue device I/O on. Tasks must not touch engine metadata or take
-// shard locks; they may only use their span, the devices handed to them,
-// and per-task result slots.
+// stripe rebuild) on the engine's worker pool, each on a sub-span of its
+// own starting at span's start; span is extended to the slowest. Tasks
+// must not touch engine metadata or take shard locks; they may only use
+// their span, the devices handed to them, and per-task result slots.
 func (e *EPLog) fanOut(span *device.Span, tasks []func(*device.Span) error) error {
 	if e.workers <= 1 || len(tasks) <= 1 {
 		for _, t := range tasks {
@@ -85,17 +71,11 @@ func (e *EPLog) fanOut(span *device.Span, tasks []func(*device.Span) error) erro
 		}
 		return nil
 	}
-	return e.onSubSpans(span, len(tasks), func(t int, sub *device.Span) error { return tasks[t](sub) })
-}
-
-// onSubSpans runs task(0..n-1) on the worker pool, each on a sub-span of
-// its own starting at span's start, and extends span to the slowest.
-func (e *EPLog) onSubSpans(span *device.Span, n int, task func(t int, sub *device.Span) error) error {
-	subs := make([]device.Span, n)
-	wrapped := make([]func() error, n)
+	subs := make([]device.Span, len(tasks))
+	wrapped := make([]func() error, len(tasks))
 	for t := range wrapped {
 		subs[t].Reset(span.Start())
-		wrapped[t] = func() error { return task(t, &subs[t]) }
+		wrapped[t] = func() error { return tasks[t](&subs[t]) }
 	}
 	err := workpool.Run(e.workers, wrapped)
 	// Merge even on error so the span reflects the I/O actually issued.

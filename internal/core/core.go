@@ -107,13 +107,13 @@ type Config struct {
 	// and structured trace events from the write, read, commit, checkpoint
 	// and recovery paths. Nil disables observability at no cost.
 	Obs *obs.Sink
-	// Workers bounds the worker pool that runs an operation's expensive
-	// phases: erasure coding, the per-device writes of a stripe or
-	// log-stripe flush, and the per-stripe tasks of commit folds and
-	// rebuilds. Values <= 1 select the serial mode, which reproduces the
-	// single-threaded engine's virtual-time accounting exactly; higher
-	// values trade that determinism for wall-clock parallelism. See
-	// concurrency.go for the model.
+	// Workers bounds the worker pool that runs the per-stripe tasks of
+	// commit folds and rebuilds; a write's own encode and device writes
+	// run inline on the caller's goroutine at any value. Values <= 1
+	// select the serial mode, which reproduces the single-threaded
+	// engine's virtual-time accounting exactly; higher values trade that
+	// determinism for wall-clock parallelism. See concurrency.go for the
+	// model.
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
 	// groups (stripe s belongs to shard s mod Shards), each owning its

@@ -252,18 +252,17 @@ func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendin
 	for i, p := range parity {
 		writes = append(writes, devWrite{e.devs[e.geo.ParityDev(stripe, i)], home, p})
 	}
-	// Phase span: the direct full-stripe write. Inline device writes record
-	// each chunk's I/O as leaves; the worker pool runs on recorder-less
-	// sub-spans, so there only the phase itself is timed.
+	// Phase span: the direct full-stripe write; each chunk's device write
+	// is recorded under it as an I/O leaf.
 	ps := sh.curOp.Child(obs.SpanDirect, sh.idx, span.Start(), e.geo.LBA(stripe, 0), int64(k))
 	prevRec := span.Recorder()
 	span.SetRecorder(ps)
 	code, err := e.code(k)
 	if err == nil {
-		err = code.EncodeParallel(shards, e.workers)
+		err = code.Encode(shards)
 	}
 	if err == nil {
-		err = e.writeDevs(span, writes)
+		err = writeDevs(span, writes)
 	}
 	span.SetRecorder(prevRec)
 	ps.Close(span.End())
@@ -507,7 +506,7 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	// clears its destinations, so dirty buffers are fine). Data to SSDs
 	// and log chunks to log devices form one phase; every write targets a
 	// distinct device (members by the invariant above, log devices by
-	// construction), which is what lets writeDevs fan them out.
+	// construction), so the span's end is that of the slowest.
 	shards := sc.shardTable(kPrime + m)
 	writes := sc.writes[:0]
 	for i, mb := range ls.members {
@@ -522,10 +521,10 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	sc.writes = writes
 	code, err := e.code(kPrime)
 	if err == nil {
-		err = code.EncodeParallel(shards, e.workers)
+		err = code.Encode(shards)
 	}
 	if err == nil {
-		err = e.writeDevs(span, writes)
+		err = writeDevs(span, writes)
 	}
 	span.SetRecorder(prevRec)
 	ps.Close(span.End())
