@@ -19,11 +19,23 @@ import (
 // batch, so unrelated clients share one shard-lock hold or one seqlock
 // sample instead of paying one each) and WriteChunks/ReadChunks, which
 // are batches of one on the caller's stack. classify is the one range
-// check and the one shard router. The executors are writeOp (write.go;
-// writeGroup is its lock-amortizing form) and readGroup (read.go); each
-// op leaves through finishWrite or finishRead, so spans, latency
-// observations, and trace events cannot tell a batched op from a single
-// one.
+// check and the one shard router. The executors are writeStep (write.go;
+// driven by writeGroup for a batch group and by writeOp for a group of
+// one) and readGroup (read.go); each op leaves through finishWrite or
+// finishRead, so spans, latency observations, and trace events cannot tell
+// a batched op from a single one.
+//
+// The write executor's unit is the shard group, not the op: the update
+// chunks of every op in the group form one update set and one updatePath
+// flushes it, so chunks of different requests bound for different SSDs
+// share a log stripe (k' > 1 from 1-chunk updates) with no RAM buffer and
+// no acknowledgement before the log append. Contract: an op rejected by
+// classify or at admission (a background fold's error) contributes nothing
+// to the set; a flush error fails every op with a chunk in the set and no
+// other; the flush starts at the latest Start among those ops and each of
+// them ends when it does; commit triggers run after the flush — the
+// CommitEvery commit of an inline-commit engine included, on the op whose
+// count fired it — and the log-region mark is evaluated once per group.
 //
 // Ordering: ops local to one shard land on it in batch order (reads in
 // ascending LBA order, under one snapshot), but shard groups run in
@@ -176,10 +188,12 @@ func (r readRunner) runGroup(sh *shard, idxs []int) {
 
 // WriteBatch applies every op, filling each op's End and Err in place.
 // Ops local to one shard (all chunks in one stripe, or a single-shard
-// engine) are grouped per shard and each group runs under one exclusive
-// lock hold; an op spanning several shards runs on the caller's goroutine,
-// one hold per touched shard. Failures are per-op: a bad or failed op
-// never prevents the rest of the batch from running.
+// engine) are grouped per shard and each group lands as one elastic unit
+// under one exclusive lock hold; an op spanning several shards runs on the
+// caller's goroutine, one hold per touched shard. Failures are per-op,
+// except that the ops sharing a failed log-stripe flush fail together (see
+// the pipeline comment above); a bad op never prevents the rest of the
+// batch from running.
 func (e *EPLog) WriteBatch(ops []BatchOp) {
 	if len(ops) == 0 {
 		return
@@ -195,7 +209,7 @@ func (e *EPLog) WriteBatch(ops []BatchOp) {
 	}
 	runGroups(e, p, writeRunner{e, ops})
 	for _, s := range p.spanning {
-		e.writeOp(&ops[s.i], s.set)
+		e.writeOp(ops, s.i, s.set)
 	}
 	planPool.Put(p)
 }

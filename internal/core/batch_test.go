@@ -49,9 +49,25 @@ func singleChunkOps(e *EPLog, nOps int, seed byte) []BatchOp {
 	return ops
 }
 
+// sameButFewerLogStripes demands of a batched run what the sequential run
+// of the same ops did on the main array and for the envelope — and no more
+// log stripes or log chunks than it, because a group's update chunks share
+// log stripes across requests.
+func sameButFewerLogStripes(t *testing.T, batched, sequential Stats) {
+	t.Helper()
+	elastic := batched
+	elastic.LogStripes, elastic.LogChunkWrites, elastic.LogBytes =
+		sequential.LogStripes, sequential.LogChunkWrites, sequential.LogBytes
+	if elastic != sequential || batched.LogStripes > sequential.LogStripes ||
+		batched.LogChunkWrites > sequential.LogChunkWrites || batched.LogBytes > sequential.LogBytes {
+		t.Fatalf("stats diverged beyond log-stripe sharing:\nbatched:    %+v\nsequential: %+v", batched, sequential)
+	}
+}
+
 // TestWriteBatchMatchesSequential writes the same op stream batched and
 // sequentially (on twin engines) and demands identical device contents,
-// stats, and per-op success.
+// per-op success and stats, except that the batch may need fewer log
+// stripes (48 one-chunk updates: 48 sequentially, a dozen batched).
 func TestWriteBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -84,9 +100,9 @@ func TestWriteBatchMatchesSequential(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatal("batched and sequential engines diverged")
 			}
-			sb, ss := eb.Stats(), es.Stats()
-			if sb != ss {
-				t.Fatalf("stats diverged:\nbatched:    %+v\nsequential: %+v", sb, ss)
+			sameButFewerLogStripes(t, eb.Stats(), es.Stats())
+			if sb := eb.Stats(); sb.LogStripes*2 > sb.LogStripeMembers {
+				t.Errorf("%d log stripes for %d updates: the batch's groups did not share stripes", sb.LogStripes, sb.LogStripeMembers)
 			}
 		})
 	}
@@ -134,9 +150,11 @@ func TestWriteBatchFewerLockAcquisitions(t *testing.T) {
 // then seeded batches of misaligned spanning ops (2 … 3·K·Shards chunks,
 // so up to more stripes than shards; the first covers a virgin full stripe
 // between two partial ones, later ones overwrite) mixed with shard-local
-// ops, mirrored one op at a time on a one-shard engine. Contents, main-array
-// chunk counts and the once-per-op envelope must match, and a spanning
-// write must take exactly one exclusive lock per shard it touches.
+// ops, mirrored one op at a time on a one-shard engine and on a sharded
+// twin. Contents, main-array chunk counts, logged members and the
+// once-per-op envelope must match, the batched run may not need more log
+// stripes than its twin, and a spanning write must take exactly one
+// exclusive lock per shard it touches.
 func TestWriteBatchSpanningOps(t *testing.T) {
 	e := batchEngine(t, 4, 64)
 	defer e.Close()
@@ -179,8 +197,10 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 	sink := obs.NewSink(64)
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
 	e4, e1 := batchEngineObs(t, shards, stripes, sink), batchEngine(t, 1, stripes)
+	e4seq := batchEngine(t, shards, stripes)
 	defer e4.Close()
 	defer e1.Close()
+	defer e4seq.Close()
 	r := rand.New(rand.NewSource(5))
 	var nOps int64
 	for round := 0; round < 24; round++ {
@@ -223,6 +243,9 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 			if _, err := e1.WriteChunks(0, batch[i].LBA, batch[i].Data); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := e4seq.WriteChunks(0, batch[i].LBA, batch[i].Data); err != nil {
+				t.Fatal(err)
+			}
 		}
 		nOps += int64(len(batch))
 		// Fold both engines so the sharded one's background triggers stay
@@ -231,6 +254,9 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := e1.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e4seq.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,8 +272,15 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 	}
 	s4, s1 := e4.Stats(), e1.Stats()
 	if s4.DataWriteChunks != s1.DataWriteChunks || s4.ParityWriteChunks != s1.ParityWriteChunks ||
-		s4.FullStripeWrites != s1.FullStripeWrites {
+		s4.FullStripeWrites != s1.FullStripeWrites || s4.LogStripeMembers != s1.LogStripeMembers {
 		t.Fatalf("main-array traffic diverged:\nsharded: %+v\nserial:  %+v", s4, s1)
+	}
+	// Against its own shape run one op at a time (the one-shard engine
+	// groups a spanning op's chunks across what are shard boundaries here,
+	// DESIGN §9), batching may only save log stripes.
+	if sq := e4seq.Stats(); s4.LogStripeMembers != sq.LogStripeMembers ||
+		s4.LogStripes > sq.LogStripes || s4.LogChunkWrites > sq.LogChunkWrites {
+		t.Fatalf("batched run needs more log stripes than the sequential one:\nbatched:    %+v\nsequential: %+v", s4, sq)
 	}
 	var roots int64
 	for _, root := range sink.Spans() {

@@ -276,7 +276,11 @@ type EPLog struct {
 	mCommitFoldLat  *obs.Histogram
 	// mWindowWait: wall seconds a writer spent parked in waitDirtyWindow,
 	// the engine's only write backpressure; observed only on a real wait.
-	mWindowWait    *obs.Histogram
+	mWindowWait *obs.Histogram
+	// The elasticity achieved: ops per batch group (writeGroup), and
+	// members (k') per log stripe flushed.
+	mGroupOps      *obs.Histogram
+	mStripeMembers *obs.Histogram
 	mDegradedReads *obs.Counter
 	// Read-batching telemetry: batches entered, ops carried, groups served
 	// under shard locks instead of the lock-free pass, and read-path shared
@@ -432,6 +436,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e.mCommitFlushLat = cfg.Obs.Histogram("core.commit_flush_latency")
 	e.mCommitFoldLat = cfg.Obs.Histogram("core.commit_fold_latency")
 	e.mWindowWait = cfg.Obs.Histogram("core.window_wait_seconds")
+	e.mGroupOps = cfg.Obs.Histogram("core.write_group_ops")
+	e.mStripeMembers = cfg.Obs.Histogram("core.log_stripe_members")
 	e.mDegradedReads = cfg.Obs.Counter("core.degraded_reads")
 	e.cReadBatches = cfg.Obs.Counter("core.read_batches")
 	e.cReadBatchOps = cfg.Obs.Counter("core.read_batch_ops")

@@ -104,13 +104,14 @@ type shard struct {
 	// dedicated to non-reentrant paths.
 	scratchFree []*opScratch
 	lsFree      []*logStripe
-	wrSeg       []pendingChunk // writeStripes per-stripe segment
-	wrUpdates   []pendingChunk // writeStripes shard-wide update set
-	dsShards    [][]byte       // directStripeWrite shard headers
-	dsWrites    []devWrite     // directStripeWrite per-device write list
-	foldShards  [][]byte       // foldStripes serial-path shard headers
-	dirtyOrder  []int64        // commitAt dirty-stripe order
-	spanFree    []*device.Span // recycled spans for the commit path (fanOut's indirect calls make a stack span escape)
+	wrSeg       []pendingChunk  // writeStripes per-stripe segment
+	wrUpdates   []pendingChunk  // writeStep shard-wide update set
+	wrOps       []inflightWrite // writeGroup per-op envelopes
+	dsShards    [][]byte        // directStripeWrite shard headers
+	dsWrites    []devWrite      // directStripeWrite per-device write list
+	foldShards  [][]byte        // foldStripes serial-path shard headers
+	dirtyOrder  []int64         // commitAt dirty-stripe order
+	spanFree    []*device.Span  // recycled spans for the commit path (fanOut's indirect calls make a stack span escape)
 
 	// Flight recorder (flight.go). rec is the shard's causal-span
 	// recorder; curOp is the span that phase children created under mu

@@ -25,132 +25,169 @@ func (e *EPLog) WriteChunks(start float64, lba int64, data []byte) (float64, err
 	if err != nil {
 		return start, err
 	}
-	op := BatchOp{LBA: lba, Data: data, Start: start, End: start}
-	e.writeOp(&op, set)
-	return op.End, op.Err
+	ops := [1]BatchOp{{LBA: lba, Data: data, Start: start, End: start}}
+	e.writeOp(ops[:], 0, set)
+	return ops[0].End, ops[0].Err
 }
 
 // inflightWrite is the envelope state of one write op on its way through
 // the executor, shared by the op's per-shard steps. It lives on the driving
-// goroutine's stack (and so must not point at the op itself: the heap
-// pointers below would drag the caller's op to the heap with them).
+// goroutine's stack, or for a batch group in shard scratch (and so must not
+// point at the op itself: the heap pointers below would drag the caller's
+// op to the heap with them).
 type inflightWrite struct {
 	span device.Span
 	// admitted is set once the first touched shard has let the op in: from
 	// then on the op counts as a request and owns a root span on that
 	// shard's recorder.
 	admitted bool
-	rec      *obs.SpanRecorder
-	root     *obs.Span
+	// grouped is set while the op has a chunk in the current shard's
+	// update set, so the set's flush decides its outcome and end time.
+	grouped bool
+	rec     *obs.SpanRecorder
+	root    *obs.Span
+	err     error
 }
 
-// writeGroup is writeOp for a batch group — ops all local to sh — with the
-// lock hold amortized: one exclusive hold covers every op in idxs, in
-// order.
+// writeGroup drives a batch group — ops all local to sh — through the
+// executor under one exclusive hold, their envelopes in shard scratch.
 func (e *EPLog) writeGroup(sh *shard, ops []BatchOp, idxs []int) {
+	e.mGroupOps.Observe(float64(len(idxs)))
 	t0 := sh.lockClock()
 	sh.mu.Lock()
 	sh.lockAcquired(t0)
-	for _, i := range idxs {
-		var w inflightWrite
-		e.finishWrite(&ops[i], &w, sh.writeStep(&ops[i], &w))
+	ws := grow(sh.wrOps, len(idxs))
+	sh.wrOps = ws
+	sh.writeStep(ops, idxs, ws)
+	for j, i := range idxs {
+		e.finishWrite(&ops[i], &ws[j])
 	}
+	clear(ws) // scratch must not pin span trees
 	sh.lockReleasing()
 	sh.mu.Unlock()
 }
 
-// writeOp is the write executor for one op: writeStep once per shard in
-// set, in ascending index order on the caller's goroutine, one exclusive
-// hold each. On a one-shard engine this is the serial write path,
-// bit-identical (byte counts and virtual time) to the unsharded engine. An
-// op spanning several shards has every shard group its own update chunks
-// into log stripes (the group-splitting trade-off of DESIGN.md §9); the
-// envelope — request count, root span, latency — is still one per op.
-func (e *EPLog) writeOp(op *BatchOp, set shardSet) {
-	var w inflightWrite
-	var err error
-	for i, sh := range e.shards {
-		if !set.has(i, e.nShards) {
+// writeOp drives one op as a group of one: writeStep once per shard in set,
+// in ascending index order on the caller's goroutine, one exclusive hold
+// each. On a one-shard engine this is the serial write path, bit-identical
+// (byte counts and virtual time) to the unsharded engine. An op spanning
+// several shards has every shard group its own update chunks into log
+// stripes (the group-splitting trade-off of DESIGN.md §9); the envelope —
+// request count, root span, latency — is still one per op.
+func (e *EPLog) writeOp(ops []BatchOp, i int, set shardSet) {
+	var w [1]inflightWrite
+	idxs := [1]int{i}
+	for si, sh := range e.shards {
+		if !set.has(si, e.nShards) {
 			continue
 		}
 		t0 := sh.lockClock()
 		sh.mu.Lock()
 		sh.lockAcquired(t0)
-		err = sh.writeStep(op, &w)
+		sh.writeStep(ops, idxs[:], w[:])
 		sh.lockReleasing()
 		sh.mu.Unlock()
-		if err != nil {
+		if w[0].err != nil {
 			break
 		}
 	}
-	e.finishWrite(op, &w, err)
+	e.finishWrite(&ops[i], &w[0])
 }
 
-// writeStep lands the stripes of op that this shard owns and fires the
-// shard's commit triggers. sh.mu is held exclusively.
+// writeStep is the write executor: it lands on this shard the stripes it
+// owns of every op in idxs (ws holds their envelopes, index for index) as
+// one elastic unit, then fires the shard's commit triggers. Each op is
+// admitted in order and its direct and stripe-buffer segments are written
+// at once; the update chunks of all of them form one update set, flushed
+// by one updatePath (the contract is in batch.go's pipeline comment).
+// sh.mu is held exclusively.
 //
 //eplog:hotpath
-func (sh *shard) writeStep(op *BatchOp, w *inflightWrite) error {
+func (sh *shard) writeStep(ops []BatchOp, idxs []int, ws []inflightWrite) {
 	e := sh.e
-	if e.gc != nil {
-		// Write-behind: surface any background fold failure before
-		// acknowledging more writes, and block while the dirty window is
-		// full (the wait releases the lock so the fold can run, then
-		// re-checks for an error the fold may have left behind).
-		if err := sh.takeAsyncErr(); err != nil {
-			return err
-		}
-		sh.waitDirtyWindow()
-		if err := sh.takeAsyncErr(); err != nil {
-			return err
-		}
-	}
-	nChunks := int64(len(op.Data) / e.csize)
-	if !w.admitted {
-		w.admitted = true
-		sh.stats.Requests++
-		w.span.Reset(op.Start)
-		// Root span for this write, on the first touched shard's recorder.
-		// Phase children (direct stripe writes, log appends) attach through
-		// sh.curOp and carry their own shard index; error paths still
-		// publish the tree with whatever progress the device span made.
-		w.rec = sh.rec
-		w.root = sh.rec.Start(obs.SpanWrite, sh.idx, op.Start, op.LBA, nChunks) //eplog:span-handoff finished by finishWrite
-	}
+	// Write-behind: block while the dirty window is full — once, before
+	// anything is pending, because the wait releases the lock so the fold
+	// can run — and surface a background fold failure (one the wait may
+	// have left behind included) on the next op instead of acknowledging it.
+	sh.waitDirtyWindow()
 	prevOp := sh.curOp
-	sh.curOp = w.root
-	err := sh.writeStripes(&w.span, op.LBA, nChunks, op.Data)
-	sh.curOp = prevOp
-	if err != nil {
-		return err
-	}
-
-	if e.cfg.CommitEvery > 0 {
-		sh.reqSinceCommit++
-		if sh.reqSinceCommit >= e.cfg.CommitEvery {
-			switch {
-			case e.gc != nil && sh.idle():
-				// Direct stripe writes alone got here: a background fold
-				// would find nothing, at a moment no caller can observe.
-				sh.reqSinceCommit = 0
-			case e.gc != nil:
-				// Write-behind: acknowledge at log-append; the fold runs
-				// on the background scheduler off the write critical path.
-				sh.cause = causeEvery
-				e.gc.enqueue(sh)
-			default:
-				sh.cause = causeEvery
-				if err := sh.commit(); err != nil {
-					return err
-				}
+	lead, start := -1, 0.0 // first op with a chunk in the set; latest Start among them
+	for j, i := range idxs {
+		op, w := &ops[i], &ws[j]
+		n := len(sh.wrUpdates)
+		if w.err = sh.takeAsyncErr(); w.err == nil {
+			nChunks := int64(len(op.Data) / e.csize)
+			if !w.admitted {
+				w.admitted = true
+				sh.stats.Requests++
+				w.span.Reset(op.Start)
+				// Root span for this write, on the first touched shard's
+				// recorder. Phase children attach through sh.curOp and carry
+				// their own shard index; error paths still publish the tree
+				// with whatever progress the device span made.
+				w.rec = sh.rec
+				w.root = sh.rec.Start(obs.SpanWrite, sh.idx, op.Start, op.LBA, nChunks) //eplog:span-handoff finished by finishWrite
 			}
+			sh.curOp = w.root
+			w.err = sh.writeStripes(&w.span, op.LBA, nChunks, op.Data)
+		}
+		if w.err != nil {
+			sh.wrUpdates = sh.wrUpdates[:n] // a rejected or failed op contributes nothing
+		}
+		if w.grouped = len(sh.wrUpdates) > n; w.grouped {
+			if lead < 0 {
+				lead, start = j, op.Start
+			}
+			start = max(start, op.Start)
+		}
+	}
+	if lead >= 0 {
+		// One flush for the set; its log-append phases hang under lead's root.
+		var fl device.Span
+		fl.Reset(start)
+		sh.curOp = ws[lead].root
+		err := sh.updatePath(&fl, sh.wrUpdates)
+		for j := range ws {
+			if w := &ws[j]; w.grouped {
+				w.span.Extend(fl.End())
+				w.err = err
+			}
+		}
+	}
+	sh.curOp = prevOp
+	// Drop data references so scratch reuse cannot pin caller buffers.
+	clearPending(sh.wrSeg[:cap(sh.wrSeg)])
+	clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
+	sh.wrUpdates = sh.wrUpdates[:0]
+
+	// Commit triggers: CommitEvery per landed op, the log-region mark once.
+	for j := 0; e.cfg.CommitEvery > 0 && j < len(ws); j++ {
+		if ws[j].err != nil {
+			continue
+		}
+		sh.reqSinceCommit++
+		if sh.reqSinceCommit < e.cfg.CommitEvery {
+			continue
+		}
+		switch {
+		case e.gc != nil && sh.idle():
+			// Direct stripe writes alone got here: a background fold
+			// would find nothing, at a moment no caller can observe.
+			sh.reqSinceCommit = 0
+		case e.gc != nil:
+			// Write-behind: acknowledge at log-append; the fold runs
+			// on the background scheduler off the write critical path.
+			sh.cause = causeEvery
+			e.gc.enqueue(sh)
+		default:
+			sh.cause = causeEvery
+			ws[j].err = sh.commit()
 		}
 	}
 	if e.gc != nil && sh.logFill() >= logPressureMark {
 		sh.cause = causePressure
 		e.gc.enqueue(sh)
 	}
-	return nil
 }
 
 // finishWrite is the write completion envelope: it reports the outcome
@@ -159,14 +196,14 @@ func (sh *shard) writeStep(op *BatchOp, w *inflightWrite) error {
 // returns the span's progress rather than its start, so a caller replaying
 // from the returned time does not double-count virtual time (or stats) for
 // work already done.
-func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite, err error) {
-	op.Err = err
+func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite) {
+	op.Err = w.err
 	if !w.admitted {
 		return
 	}
 	op.End = w.span.End()
 	w.rec.Finish(w.root, op.End)
-	if err != nil {
+	if w.err != nil {
 		return
 	}
 	e.bumpVnow(op.End)
@@ -178,10 +215,10 @@ func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite, err error) {
 // writeStripes routes the stripes of the request [lba, lba+nChunks) that
 // this shard owns — every stripe on a one-shard engine — in stripe order:
 // each stripe's segment takes the direct or stripe-buffer path if it can,
-// and the remaining chunks accumulate into one shard-wide update set so
-// elastic grouping can span stripes (Fig. 1(b)). Both slices are shard
-// scratch: a write cannot reenter itself (sh.mu), and the nested paths use
-// their own frames.
+// and the remaining chunks join the shard-wide update set (wrUpdates) that
+// writeStep flushes, so elastic grouping can span stripes (Fig. 1(b)) and
+// requests. Both slices are shard scratch: a write cannot reenter itself
+// (sh.mu), and the nested paths use their own frames.
 //
 //eplog:hotpath
 func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte) error {
@@ -189,27 +226,19 @@ func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte
 	k, ns, cs := int64(e.geo.K), int64(e.nShards), int64(e.csize)
 	first, _ := e.geo.Stripe(lba)
 	last, _ := e.geo.Stripe(lba + nChunks - 1)
-	var err error
-	updates := sh.wrUpdates[:0]
-	for s := first + (int64(sh.idx)-first%ns+ns)%ns; s <= last && err == nil; s += ns {
+	for s := first + (int64(sh.idx)-first%ns+ns)%ns; s <= last; s += ns {
 		seg := sh.wrSeg[:0]
 		for c := max(lba, s*k); c < min(lba+nChunks, (s+1)*k); c++ {
 			seg = append(seg, pendingChunk{lba: c, data: data[(c-lba)*cs : (c-lba+1)*cs]})
 		}
 		sh.wrSeg = seg
-		var deferred []pendingChunk
-		if deferred, err = sh.writeSegment(span, s, seg); err == nil {
-			updates = append(updates, deferred...)
+		deferred, err := sh.writeSegment(span, s, seg)
+		if err != nil {
+			return err
 		}
+		sh.wrUpdates = append(sh.wrUpdates, deferred...)
 	}
-	sh.wrUpdates = updates
-	if err == nil && len(updates) > 0 {
-		err = sh.updatePath(span, updates)
-	}
-	// Drop data references so scratch reuse cannot pin caller buffers.
-	clearPending(sh.wrSeg[:cap(sh.wrSeg)])
-	clearPending(sh.wrUpdates[:cap(sh.wrUpdates)])
-	return err
+	return nil
 }
 
 // writeSegment routes one stripe's worth of a request, returning any
@@ -219,7 +248,15 @@ func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte
 //eplog:hotpath
 func (sh *shard) writeSegment(span *device.Span, stripe int64, seg []pendingChunk) ([]pendingChunk, error) {
 	e := sh.e
-	if e.virgin[stripe] {
+	direct := e.virgin[stripe]
+	for i := 0; direct && i < len(sh.wrUpdates); i++ {
+		// An earlier op of the group left a partial write of this
+		// still-virgin stripe in the update set: the segment follows it
+		// through the set, which keeps the group in batch order.
+		s, _ := e.geo.Stripe(sh.wrUpdates[i].lba)
+		direct = s != stripe
+	}
+	if direct {
 		if len(seg) == e.geo.K {
 			// New full-stripe write: straight to the main array.
 			return nil, sh.directStripeWrite(span, stripe, seg)
@@ -542,6 +579,7 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	sh.publishFill()
 	sh.stats.LogStripes++
 	sh.stats.LogStripeMembers += int64(len(ls.members))
+	e.mStripeMembers.Observe(float64(kPrime))
 	e.obs.Emit(obs.Event{Kind: obs.KindLogAppend, T: span.Start(), Dev: -1,
 		LBA: ls.logPos, N: int64(kPrime), Aux: int64(m)})
 
