@@ -62,6 +62,8 @@ func run(addr string, conns, ops, depth int, seed int64, flushEvery, readEvery, 
 	fmt.Printf("eplogsoak: %d ops in %v (%.0f/s): %d bytes written, %d read, %d flush barriers\n",
 		rep.Ops, elapsed.Round(time.Millisecond), float64(rep.Ops)/elapsed.Seconds(),
 		rep.BytesWritten, rep.BytesRead, rep.Flushes)
+	fmt.Printf("eplogsoak: frames_per_write %.2f (%d request frames in %d socket writes)\n",
+		float64(rep.FramesSent)/float64(rep.SocketWrites), rep.FramesSent, rep.SocketWrites)
 
 	fmt.Printf("eplogsoak: replaying %d ops serially in process\n", rep.Ops)
 	if err := rep.Reconcile(); err != nil {

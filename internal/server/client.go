@@ -35,19 +35,47 @@ type Call struct {
 // waiting, many calls ride the connection concurrently, and a receiver
 // goroutine matches responses to calls by request ID — in whatever order
 // the server completes them. Safe for concurrent use.
+//
+// Sends coalesce the way the server's writer coalesces responses: a call
+// that finds others pending only encodes its frame into the send buffer,
+// and the flusher goroutine pushes everything buffered with one socket
+// write when it next runs. A call that is alone in the pipeline has nothing
+// to share a segment with and flushes inline, so a synchronous caller pays
+// no goroutine hop. Nothing waits on a clock.
 type Client struct {
-	nc     net.Conn
+	sock sockWriter // the connection, counting the writes bw issues to it
+
+	// sendMu orders frames on the wire and guards bw, enc and wake.
+	sendMu sync.Mutex
 	bw     *bufio.Writer
 	enc    *wire.Encoder
-	sendMu sync.Mutex
+	// wake is set while a token sits in flushC or the flusher, having taken
+	// it, has not yet locked sendMu: the frames buffered meanwhile ride that
+	// flush, and the next token is sent only after wake clears, so start's
+	// send on the cap-1 flushC never blocks.
+	wake   bool
+	flushC chan struct{}
 
 	nextID atomic.Uint64
+	frames atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]*Call
 	err     error
 
-	recvDone chan struct{}
+	recvDone  chan struct{}
+	flushDone chan struct{}
+}
+
+// sockWriter counts socket writes.
+type sockWriter struct {
+	net.Conn
+	writes atomic.Uint64
+}
+
+func (w *sockWriter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
 }
 
 // Dial connects a client. maxPayload bounds response payloads (<= 0
@@ -58,23 +86,39 @@ func Dial(addr string, maxPayload int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(nc, 64<<10)
+	return newClient(nc, maxPayload), nil
+}
+
+// newClient starts a client over an established connection, which it owns
+// from here on.
+func newClient(nc net.Conn, maxPayload int) *Client {
 	c := &Client{
-		nc:       nc,
-		bw:       bw,
-		enc:      wire.NewEncoder(bw),
-		pending:  make(map[uint64]*Call),
-		recvDone: make(chan struct{}),
+		sock:      sockWriter{Conn: nc},
+		flushC:    make(chan struct{}, 1),
+		pending:   make(map[uint64]*Call),
+		recvDone:  make(chan struct{}),
+		flushDone: make(chan struct{}),
 	}
+	c.bw = bufio.NewWriterSize(&c.sock, 64<<10)
+	c.enc = wire.NewEncoder(c.bw)
 	go c.receive(maxPayload)
-	return c, nil
+	go c.flusher()
+	return c
+}
+
+// SendStats returns how many request frames the client has encoded and how
+// many socket writes carried them; frames/writes is the send-side
+// coalescing ratio (the mirror of the server's net.frames_out /
+// net.writev_calls).
+func (c *Client) SendStats() (frames, writes uint64) {
+	return c.frames.Load(), c.sock.writes.Load()
 }
 
 // Go issues req without waiting for its response. The request ID is
 // assigned here; req.Payload may be reused by the caller as soon as Go
-// returns (the frame is fully written before it does). done may be nil
-// for a fresh channel; it must be buffered deep enough for the caller's
-// pipeline.
+// returns (the frame has been copied into the send buffer or written to the
+// socket before it does). done may be nil for a fresh channel; it must be
+// buffered deep enough for the caller's pipeline.
 func (c *Client) Go(req wire.Frame, done chan *Call) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
@@ -82,7 +126,9 @@ func (c *Client) Go(req wire.Frame, done chan *Call) *Call {
 	return c.start(&Call{Req: req, Done: done})
 }
 
-// start assigns the request ID, registers the call, and ships its frame.
+// start assigns the request ID, registers the call, and ships its frame:
+// straight to the socket when the call is the only one pending, otherwise
+// into the send buffer for the flusher.
 func (c *Client) start(call *Call) *Call {
 	call.Req.ReqID = c.nextID.Add(1)
 
@@ -95,12 +141,19 @@ func (c *Client) start(call *Call) *Call {
 		return call
 	}
 	c.pending[call.Req.ReqID] = call
+	solo := len(c.pending) == 1
 	c.mu.Unlock()
 
 	c.sendMu.Lock()
 	err := c.enc.WriteFrame(&call.Req)
 	if err == nil {
-		err = c.bw.Flush()
+		c.frames.Add(1)
+		if solo {
+			err = c.bw.Flush()
+		} else if !c.wake {
+			c.wake = true
+			c.flushC <- struct{}{}
+		}
 	}
 	c.sendMu.Unlock()
 	if err != nil {
@@ -109,36 +162,79 @@ func (c *Client) start(call *Call) *Call {
 	return call
 }
 
+// flusher pushes the send buffer to the socket once per wake-up, carrying
+// every frame the senders buffered by the time it takes sendMu. It exits
+// with the receiver — at Close or a dead transport, when the client has
+// failed and nothing more will be sent — or on the first failed flush
+// (bufio latches the error, so every later send fails in start).
+func (c *Client) flusher() {
+	defer close(c.flushDone)
+	for {
+		select {
+		case <-c.flushC:
+		case <-c.recvDone:
+			return
+		}
+		c.sendMu.Lock()
+		c.wake = false
+		err := c.bw.Flush()
+		c.sendMu.Unlock()
+		if err != nil {
+			c.fail(err)
+			return
+		}
+	}
+}
+
+// claim takes the call registered under id out of the pending table (nil
+// for a stray ID).
+func (c *Client) claim(id uint64) *Call {
+	c.mu.Lock()
+	call := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return call
+}
+
 // receive matches responses to pending calls until the transport fails
 // (including EOF at close).
 func (c *Client) receive(maxPayload int) {
 	defer close(c.recvDone)
-	dec := wire.NewDecoder(bufio.NewReaderSize(c.nc, 64<<10), maxPayload)
+	dec := wire.NewDecoder(bufio.NewReaderSize(&c.sock, 64<<10), maxPayload)
 	// Successful READ responses land straight in the caller's Dst buffer
 	// when one was supplied (GoRead/ReadInto) — no per-read pool traffic,
-	// no copy. Anything else keeps the pool-backed default.
+	// no copy. Anything else keeps the pool-backed default. The hook has to
+	// find the call to find Dst, so it claims it there and then: claimed is
+	// the call of the frame being decoded, and the loop below does not look
+	// it up a second time.
+	var claimed *Call
 	dec.SetPayloadAlloc(func(f *wire.Frame, n int) []byte {
 		if f.Type != wire.TRead|wire.RespFlag || f.Status != wire.StatusOK {
 			return nil
 		}
-		c.mu.Lock()
-		call := c.pending[f.ReqID]
-		c.mu.Unlock()
-		if call == nil || len(call.Dst) < n {
+		claimed = c.claim(f.ReqID)
+		if claimed == nil || len(claimed.Dst) < n {
 			return nil
 		}
-		return call.Dst[:n]
+		return claimed.Dst[:n]
 	})
 	for {
 		var f wire.Frame
+		claimed = nil
 		if err := dec.ReadFrame(&f); err != nil {
+			// A call claimed before its payload failed to arrive is no
+			// longer in the table fail walks.
+			if claimed != nil {
+				claimed.Err = err
+				claimed.Done <- claimed
+			}
 			c.fail(err)
 			return
 		}
-		c.mu.Lock()
-		call := c.pending[f.ReqID]
-		delete(c.pending, f.ReqID)
-		c.mu.Unlock()
+		call := claimed
+		if call == nil {
+			call = c.claim(f.ReqID)
+		}
 		if call == nil {
 			wire.PutPayload(&f) // stray ID: recycle and move on
 			continue
@@ -167,11 +263,13 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// Close tears the connection down and fails outstanding calls.
+// Close tears the connection down, fails outstanding calls, and returns
+// once the receiver and the flusher have exited.
 func (c *Client) Close() error {
 	c.fail(ErrClientClosed)
-	err := c.nc.Close()
+	err := c.sock.Close()
 	<-c.recvDone
+	<-c.flushDone
 	return err
 }
 

@@ -173,10 +173,12 @@ type Server struct {
 	// writeQ carries writes and flushes in socket-arrival order to the
 	// write dispatcher; readQ carries reads and stats to the read
 	// dispatcher, which answers stats inline and ships read batches to the
-	// executor pool over rbatchQ.
+	// executor pool over rbatchQ; the executors hand the batch slices back,
+	// cleared, over rbatchFree.
 	writeQ           chan *request
 	readQ            chan *request
 	rbatchQ          chan []*request
+	rbatchFree       chan []*request
 	dispatchDone     chan struct{}
 	readDispatchDone chan struct{}
 	workersWG        sync.WaitGroup
@@ -245,6 +247,7 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 		writeQ:           make(chan *request, opts.WriteQueue),
 		readQ:            make(chan *request, opts.ReadQueue),
 		rbatchQ:          make(chan []*request, opts.ReadBatchQueue),
+		rbatchFree:       make(chan []*request, opts.ReadBatchQueue+opts.ReadWorkers), // every slice but the one being filled: queued or executing
 		dispatchDone:     make(chan struct{}),
 		readDispatchDone: make(chan struct{}),
 		conns:            make(map[*conn]struct{}),
@@ -498,7 +501,9 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 // policy as the write dispatcher, answers STAT frames inline (cheap
 // metadata snapshots that must not wait on the engine), and ships each
 // READ batch to the executor pool — so concurrent connections share one
-// core.ReadBatch, and reads still overtake queued writes.
+// core.ReadBatch, and reads still overtake queued writes. The batch slice
+// itself is what ships: the dispatcher goes on with one an executor has
+// handed back.
 func (s *Server) readDispatch() {
 	defer close(s.readDispatchDone)
 	defer close(s.rbatchQ)
@@ -515,40 +520,53 @@ func (s *Server) readDispatch() {
 				n++
 			}
 		}
-		if n > 0 {
-			rb := make([]*request, n)
-			copy(rb, batch[:n])
-			s.rbatchQ <- rb
+		clear(batch[n:])
+		if n == 0 {
+			continue
+		}
+		s.rbatchQ <- batch[:n]
+		select {
+		case batch = <-s.rbatchFree:
+		default:
+			batch = make([]*request, 0, s.opts.BatchMax)
 		}
 	}
 }
 
 // readExec runs read batches from the dispatcher. Several executors keep
 // batches from distinct fills in flight at once, preserving the
-// out-of-order completion pipelining promises.
+// out-of-order completion pipelining promises. Each owns its engine-op and
+// span scratch, and returns the batch slice to the dispatcher once no
+// request in it is referenced any more.
 func (s *Server) readExec() {
 	defer s.workersWG.Done()
+	var ops []core.ReadOp
+	var spans []*obs.Span
 	for rb := range s.rbatchQ {
-		s.runReadBatch(rb)
+		ops, spans = s.runReadBatch(rb, ops[:0], spans[:0])
+		clear(rb)
+		select {
+		case s.rbatchFree <- rb:
+		default:
+		}
 	}
 }
 
 // runReadBatch pushes one batch of READ frames through the engine as a
 // single core.ReadBatch and responds per op. Response payloads come from
 // the arena here and are released by the connection writer once the
-// vectored write lands (or recycled immediately on a per-op error).
-func (s *Server) runReadBatch(batch []*request) {
+// vectored write lands (or recycled immediately on a per-op error). ops and
+// spans are the executor's scratch, handed back grown and cleared.
+func (s *Server) runReadBatch(batch []*request, ops []core.ReadOp, spans []*obs.Span) ([]core.ReadOp, []*obs.Span) {
 	s.cReadBatches.Add(1)
 	s.hReadBatchOps.Observe(float64(len(batch)))
 	start := s.now()
 	root := s.rec.Start(obs.SpanNetReadBatch, s.opts.SpanShard, start, 0, int64(len(batch)))
-	ops := make([]core.ReadOp, len(batch))
-	spans := make([]*obs.Span, len(batch))
-	for i, r := range batch {
-		ops[i] = core.ReadOp{LBA: r.f.Arg, Buf: bufpool.Default.Get(int(r.f.Count) * s.csize)}
+	for _, r := range batch {
+		ops = append(ops, core.ReadOp{LBA: r.f.Arg, Buf: bufpool.Default.Get(int(r.f.Count) * s.csize)})
 		sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), r.f.Arg, int64(r.f.Count))
 		sp.SetCause("read")
-		spans[i] = sp //eplog:span-handoff closed in the response loop below
+		spans = append(spans, sp) //eplog:span-handoff closed in the response loop below
 	}
 	s.eng.ReadBatch(ops)
 	end := s.now()
@@ -564,6 +582,10 @@ func (s *Server) runReadBatch(batch []*request) {
 			Arg: r.f.Arg, Count: uint32(len(ops[i].Buf)), Payload: ops[i].Buf})
 	}
 	s.rec.Finish(root, end)
+	// Keep the grown arrays, but no payload or span past its batch.
+	clear(ops)
+	clear(spans)
+	return ops, spans
 }
 
 // runStat answers one STAT frame from live engine metadata.

@@ -18,15 +18,19 @@ const testChunk = 128
 
 // testEngine builds a sharded in-memory engine wide enough for soak runs.
 func testEngine(t testing.TB, shards int, stripes int64) *core.EPLog {
+	return testEngineChunk(t, shards, stripes, testChunk)
+}
+
+func testEngineChunk(t testing.TB, shards int, stripes int64, chunk int) *core.EPLog {
 	t.Helper()
 	const k, n = 4, 6
 	devs := make([]device.Dev, n)
 	for i := range devs {
-		devs[i] = device.NewMem(stripes*4, testChunk)
+		devs[i] = device.NewMem(stripes*4, chunk)
 	}
 	logs := make([]device.Dev, n-k)
 	for i := range logs {
-		logs[i] = device.NewMem(stripes*8, testChunk)
+		logs[i] = device.NewMem(stripes*8, chunk)
 	}
 	e, err := core.New(devs, logs, core.Config{K: k, Stripes: stripes, Shards: shards})
 	if err != nil {
@@ -40,6 +44,11 @@ func testEngine(t testing.TB, shards int, stripes int64) *core.EPLog {
 func startServer(t testing.TB, shards int, stripes int64, opts Options) (*Server, *core.EPLog) {
 	t.Helper()
 	e := testEngine(t, shards, stripes)
+	return serveEngine(t, e, opts), e
+}
+
+func serveEngine(t testing.TB, e *core.EPLog, opts Options) *Server {
+	t.Helper()
 	opts.CloseStore = true
 	s, err := Listen("127.0.0.1:0", e, opts)
 	if err != nil {
@@ -47,7 +56,7 @@ func startServer(t testing.TB, shards int, stripes int64, opts Options) (*Server
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, e
+	return s
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -174,6 +183,11 @@ func TestSoakReconciliation(t *testing.T) {
 	}
 	if rep.BytesWritten == 0 || rep.BytesRead == 0 || rep.Flushes == 0 {
 		t.Fatalf("degenerate soak: %+v", rep)
+	}
+	// Every op and flush barrier, plus each connection's closing FLUSH, is
+	// one request frame; no socket write is empty.
+	if want := uint64(rep.Ops + rep.Flushes + int64(conns)); rep.FramesSent != want || rep.SocketWrites == 0 || rep.SocketWrites > rep.FramesSent {
+		t.Fatalf("%d frames in %d socket writes, want %d frames", rep.FramesSent, rep.SocketWrites, want)
 	}
 	if err := rep.Reconcile(); err != nil {
 		t.Fatal(err)

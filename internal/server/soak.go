@@ -60,6 +60,10 @@ type ConnLog struct {
 	BytesWritten int64
 	BytesRead    int64
 	Flushes      int64
+	// FramesSent and SocketWrites are the client's send-side counters
+	// (Client.SendStats) when the connection finished.
+	FramesSent   uint64
+	SocketWrites uint64
 }
 
 // SoakReport is the outcome of a soak run, sufficient to replay the whole
@@ -71,6 +75,10 @@ type SoakReport struct {
 	BytesRead    int64
 	Ops          int64
 	Flushes      int64
+	// FramesSent / SocketWrites over all connections is the run's
+	// frames_per_write: how many request frames shared a socket write.
+	FramesSent   uint64
+	SocketWrites uint64
 }
 
 // RunSoak drives Conns concurrent pipelined connections of deterministic
@@ -135,6 +143,8 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		rep.BytesRead += cl.BytesRead
 		rep.Ops += int64(len(cl.Ops))
 		rep.Flushes += cl.Flushes
+		rep.FramesSent += cl.FramesSent
+		rep.SocketWrites += cl.SocketWrites
 	}
 	return rep, nil
 }
@@ -271,7 +281,9 @@ func soakConn(opts SoakOptions, st wire.Stat, cl *ConnLog) error {
 			return err
 		}
 	}
-	return c.Flush()
+	err = c.Flush()
+	cl.FramesSent, cl.SocketWrites = c.SendStats()
+	return err
 }
 
 // Reconcile replays the whole soak op stream through a fresh serial
