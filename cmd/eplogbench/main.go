@@ -4,17 +4,11 @@
 //
 // Usage:
 //
-//	eplogbench [-exp all|1|2|3|4|5|6|fig6|table1|recovery|obs|conc|kernels|scaling] [-scale N] [-workers N] [-shards N]
+//	eplogbench [-exp all|table1|1|2|3|4|5|6|fig6|recovery|ablations|obs|kernels|scaling|net] [-scale N] [-shards N]
 //
 // Scale divides the paper's request counts and working sets; -scale 1 is
 // paper scale (hours of runtime and tens of GB of RAM), the default keeps
 // the full suite to minutes on a laptop.
-//
-// Workers sizes the engine's worker pool and, in the conc experiment, the
-// number of concurrent writer goroutines. The conc experiment runs the
-// same update workload single-worker and at -workers and reports both; the
-// byte-count metrics must be identical (concurrency changes wall-clock
-// time, never traffic).
 //
 // Shards sizes the engine's stripe-group partition for the scaling
 // experiment, which sweeps 1/2/4/8 shards (plus -shards if different,
@@ -46,6 +40,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/eplog/eplog/internal/experiments"
@@ -66,11 +61,14 @@ type outputs struct {
 	telemetryLinger time.Duration
 }
 
+// experimentNames is every value -exp accepts: "all" and the steps of run,
+// then the three benchmarks main dispatches itself.
+var experimentNames = []string{"all", "table1", "1", "2", "3", "4", "5", "6", "fig6", "recovery", "ablations", "obs", "kernels", "scaling", "net"}
+
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run: all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs, conc, kernels, scaling, net")
+		exp        = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 		scale      = flag.Int64("scale", experiments.DefaultScale, "scale divisor versus the paper (1 = paper scale)")
-		workers    = flag.Int("workers", 1, "fold/rebuild worker-pool size and concurrent writers for the conc experiment")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "stripe-group shard count: the scaling experiment sweeps 1/2/4/8 plus this value")
 		benchOut   = flag.String("bench-out", "BENCH_kernels.json", "JSON report path for the kernels experiment")
 		scalingOut = flag.String("scaling-out", "BENCH_scaling.json", "JSON report path for the scaling experiment")
@@ -97,7 +95,7 @@ func main() {
 		return
 	}
 	if *exp == "scaling" {
-		if err := runScalingBench(*scale, *shards, *workers, *scalingOut, *force); err != nil {
+		if err := runScalingBench(*scale, *shards, *scalingOut, *force); err != nil {
 			fmt.Fprintln(os.Stderr, "eplogbench:", err)
 			os.Exit(1)
 		}
@@ -110,7 +108,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*exp, *scale, *workers, out); err != nil {
+	if err := run(*exp, *scale, out); err != nil {
 		fmt.Fprintln(os.Stderr, "eplogbench:", err)
 		os.Exit(1)
 	}
@@ -207,7 +205,7 @@ func (s *recorder) addRows(exp string, rows []experiments.SchemeRow) {
 	}
 }
 
-func run(exp string, scale int64, workers int, out outputs) error {
+func run(exp string, scale int64, out outputs) error {
 	if scale < 1 {
 		return fmt.Errorf("scale must be >= 1, got %d", scale)
 	}
@@ -465,46 +463,8 @@ func run(exp string, scale int64, workers int, out outputs) error {
 		return err
 	}
 
-	if err := step("conc", func() error {
-		sweep := []int{1}
-		if workers > 1 {
-			sweep = append(sweep, workers)
-		}
-		var results []*experiments.ConcurrencyResult
-		for _, w := range sweep {
-			r, err := experiments.Concurrency(scale, w)
-			if err != nil {
-				return err
-			}
-			results = append(results, r)
-			label := fmt.Sprintf("workers=%d", w)
-			sink.add("conc", label, "EPLog", "workers", float64(r.Workers))
-			sink.add("conc", label, "EPLog", "writers", float64(r.Writers))
-			sink.add("conc", label, "EPLog", "requests", float64(r.Requests))
-			sink.add("conc", label, "EPLog", "ssd_write_bytes", float64(r.SSDWriteBytes))
-			sink.add("conc", label, "EPLog", "log_write_bytes", float64(r.LogWriteBytes))
-			sink.add("conc", label, "EPLog", "commits", float64(r.EPLogStats.Commits))
-			sink.add("conc", label, "EPLog", "elapsed_seconds", r.Elapsed.Seconds())
-		}
-		fmt.Print(experiments.FormatConcurrency(results))
-		base := results[0]
-		for _, r := range results[1:] {
-			if r.SSDWriteBytes != base.SSDWriteBytes || r.LogWriteBytes != base.LogWriteBytes ||
-				r.EPLogStats != base.EPLogStats {
-				return fmt.Errorf("byte counts diverged between workers=%d and workers=%d", base.Workers, r.Workers)
-			}
-		}
-		if len(results) > 1 {
-			fmt.Println("byte counts identical across worker counts ✓")
-		}
-		fmt.Println()
-		return nil
-	}); err != nil {
-		return err
-	}
-
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want all, table1, 1-6, fig6, recovery, ablations, obs, conc, kernels, scaling)", exp)
+		return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(experimentNames, ", "))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"strings"
@@ -8,10 +9,18 @@ import (
 )
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run("nope", 64, 1, outputs{}); err == nil {
-		t.Error("unknown experiment accepted")
+	// Every value main or run dispatches on; "conc" was one until the
+	// worker pool it varied was deleted.
+	accepted := "all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs, kernels, scaling, net"
+	for _, exp := range []string{"nope", "conc"} {
+		err := run(exp, 64, outputs{})
+		if err == nil {
+			t.Errorf("unknown experiment %q accepted", exp)
+		} else if _, list, _ := strings.Cut(err.Error(), "(want "); list != accepted+")" {
+			t.Errorf("error for %q lists %q, want every accepted value: %s", exp, list, accepted)
+		}
 	}
-	if err := run("all", 0, 1, outputs{}); err == nil {
+	if err := run("all", 0, outputs{}); err == nil {
 		t.Error("zero scale accepted")
 	}
 }
@@ -19,11 +28,41 @@ func TestUnknownExperiment(t *testing.T) {
 func TestFastExperiments(t *testing.T) {
 	// fig6 and table1 are cheap enough for a unit test; the trace-driven
 	// experiments are covered by internal/experiments tests.
-	if err := run("fig6", 512, 1, outputs{}); err != nil {
+	if err := run("fig6", 512, outputs{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("table1", 512, 1, outputs{}); err != nil {
+	if err := run("table1", 512, outputs{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPaperExperimentsGolden is the byte-determinism oracle: Experiments 1,
+// 2 and 4 at -scale 256 must reproduce the checked-in JSONL records byte
+// for byte (write traffic, GC counts, commit overhead — no host fields).
+// An engine change that moves them has changed the reproduction. To
+// regenerate after an intended change, from the repo root:
+//
+//	for e in 1 2 4; do rm -f cmd/eplogbench/testdata/exp$e-scale256.jsonl; go run ./cmd/eplogbench -exp $e -scale 256 -json cmd/eplogbench/testdata/exp$e-scale256.jsonl; done
+func TestPaperExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace-driven experiments")
+	}
+	for _, exp := range []string{"1", "2", "4"} {
+		path := t.TempDir() + "/out.jsonl"
+		if err := run(exp, 256, outputs{jsonPath: path}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/exp" + exp + "-scale256.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-exp %s -scale 256 -json differs from testdata/exp%s-scale256.jsonl (%d vs %d bytes)", exp, exp, len(got), len(want))
+		}
 	}
 }
 
@@ -31,7 +70,7 @@ func TestOneTraceExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace-driven experiment")
 	}
-	if err := run("6", 512, 1, outputs{}); err != nil {
+	if err := run("6", 512, outputs{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,7 +78,7 @@ func TestOneTraceExperiment(t *testing.T) {
 func TestScalingBenchReport(t *testing.T) {
 	path := t.TempDir() + "/BENCH_scaling.json"
 	// -scale 512 keeps the sweep to a few hundred requests per run.
-	if err := runScalingBench(512, 4, 2, path, false); err != nil {
+	if err := runScalingBench(512, 4, path, false); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -56,20 +95,19 @@ func TestScalingBenchReport(t *testing.T) {
 	if rep.NumCPU < 1 || rep.GOMAXPROCS < 1 {
 		t.Errorf("environment metadata missing: %+v", rep)
 	}
-	if len(rep.Runs) < 5 { // shards {1,2,4,8} x workers {1,2} minus dups
-		t.Fatalf("report has %d runs, want a full sweep", len(rep.Runs))
+	if len(rep.Runs) != 4 { // shards {1,2,4,8}; -shards 4 is already among them
+		t.Fatalf("report has %d runs, want the four-row shard sweep", len(rep.Runs))
 	}
-	seen4 := false
-	for _, r := range rep.Runs {
+	for i, r := range rep.Runs {
 		if r.SSDWriteBytes != rep.Runs[0].SSDWriteBytes || r.LogWriteBytes != rep.Runs[0].LogWriteBytes {
 			t.Errorf("row %+v: traffic differs from first row", r)
 		}
-		if r.Shards == 4 && r.Workers == 1 {
-			seen4 = true
+		if want := 1 << i; r.Shards != want {
+			t.Errorf("row %d has shards=%d, want %d", i, r.Shards, want)
 		}
 	}
-	if !seen4 {
-		t.Error("sweep missing the shards=4 workers=1 headline configuration")
+	if rep.SpeedupAt4Shards <= 0 || rep.SpeedupAt4Shards != rep.Runs[2].Speedup {
+		t.Errorf("headline speedup %v is not the shards=4 row's %v", rep.SpeedupAt4Shards, rep.Runs[2].Speedup)
 	}
 }
 
@@ -123,7 +161,7 @@ func TestScalingOverwriteGuard(t *testing.T) {
 
 func TestCSVExport(t *testing.T) {
 	path := t.TempDir() + "/out.csv"
-	if err := run("fig6", 512, 1, outputs{csvPath: path}); err != nil {
+	if err := run("fig6", 512, outputs{csvPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -140,7 +178,7 @@ func TestCSVExport(t *testing.T) {
 
 func TestJSONExport(t *testing.T) {
 	path := t.TempDir() + "/out.jsonl"
-	if err := run("fig6", 512, 1, outputs{jsonPath: path}); err != nil {
+	if err := run("fig6", 512, outputs{jsonPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -170,7 +208,7 @@ func TestObsOutputs(t *testing.T) {
 		tracePath:   dir + "/trace.jsonl",
 		promPath:    dir + "/metrics.prom",
 	}
-	if err := run("obs", 512, 1, out); err != nil {
+	if err := run("obs", 512, out); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,10 +13,9 @@ import (
 	"github.com/eplog/eplog/internal/gf"
 )
 
-// The scaling mode sweeps the engine's stripe-group shard count (and
-// optionally the worker-pool size) over the byte-deterministic
-// shard-scaling workload and writes the results to a JSON report
-// (BENCH_scaling.json in the repo). Byte counts are asserted identical
+// The scaling mode sweeps the engine's stripe-group shard count over the
+// byte-deterministic shard-scaling workload and writes the results to a
+// JSON report (BENCH_scaling.json in the repo). Byte counts are asserted identical
 // across every configuration — sharding may only change wall-clock time —
 // so the report doubles as the checked-in evidence for both the
 // determinism contract and the parallel speedup. Speedups are only
@@ -27,10 +26,9 @@ import (
 // scalingRow is one configuration in the JSON report.
 type scalingRow struct {
 	Shards         int     `json:"shards"`
-	Workers        int     `json:"workers"`
 	Writers        int     `json:"writers"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Speedup is serial elapsed over this row's elapsed, at equal workers.
+	// Speedup is the 1-shard row's elapsed over this row's elapsed.
 	Speedup float64 `json:"speedup"`
 	// ReadElapsedSeconds and ReadSpeedup are the same pair for the
 	// read-back phase, which runs on clean stripes over the lock-free
@@ -66,9 +64,8 @@ type scalingReport struct {
 	// Note qualifies the speedup column for single-core environments.
 	Note string       `json:"note"`
 	Runs []scalingRow `json:"runs"`
-	// SpeedupAt4Shards is the headline number (workers=1 rows); the
-	// acceptance bar is >= 2x on a 4+-core host. ReadSpeedupAt4Shards is
-	// its read-phase counterpart.
+	// SpeedupAt4Shards is the headline number; the acceptance bar is >= 2x
+	// on a 4+-core host. ReadSpeedupAt4Shards is its read-phase counterpart.
 	SpeedupAt4Shards     float64 `json:"speedup_at_4_shards"`
 	ReadSpeedupAt4Shards float64 `json:"read_speedup_at_4_shards"`
 	BytesIdentical       bool    `json:"bytes_identical"`
@@ -118,7 +115,7 @@ func guardScalingOverwrite(path string, force bool) error {
 }
 
 // runScalingBench runs the shard sweep and writes the report to path.
-func runScalingBench(scale int64, maxShards, workers int, path string, force bool) error {
+func runScalingBench(scale int64, maxShards int, path string, force bool) error {
 	if err := guardScalingOverwrite(path, force); err != nil {
 		return err
 	}
@@ -135,15 +132,11 @@ func runScalingBench(scale int64, maxShards, workers int, path string, force boo
 		shardsList = append(shardsList, s)
 	}
 	sort.Ints(shardsList)
-	workerSweep := []int{1}
-	if workers > 1 {
-		workerSweep = append(workerSweep, workers)
-	}
 
 	fmt.Printf("Shard-scaling sweep — %s/%s, %d CPUs, GOMAXPROCS=%d, gf kernel %s\n\n",
 		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), gf.KernelName())
 	rep := &scalingReport{
-		Command:    fmt.Sprintf("eplogbench -exp scaling -scale %d -shards %d -workers %d", scale, maxShards, workers),
+		Command:    fmt.Sprintf("eplogbench -exp scaling -scale %d -shards %d", scale, maxShards),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -152,7 +145,7 @@ func runScalingBench(scale int64, maxShards, workers int, path string, force boo
 		CPUModel:   cpuModel(),
 		Kernel:     gf.KernelName(),
 		Scale:      benchScale,
-		Note: "speedup compares wall-clock time against the 1-shard run at equal workers; " +
+		Note: "speedup compares wall-clock time against the 1-shard run; " +
 			"it is only meaningful when NumCPU >= shards. Byte counts must be identical in every row.",
 		BytesIdentical: true,
 	}
@@ -160,48 +153,39 @@ func runScalingBench(scale int64, maxShards, workers int, path string, force boo
 	// best-of-3 elapsed per configuration smooths scheduler noise.
 	const iters = 3
 	var results []*experiments.ScalingResult
-	serialByWorkers := map[int]float64{}
-	serialReadByWorkers := map[int]float64{}
-	for _, w := range workerSweep {
-		for _, s := range shardsList {
-			var best *experiments.ScalingResult
-			for i := 0; i < iters; i++ {
-				r, err := experiments.Scaling(benchScale, s, w)
-				if err != nil {
-					return fmt.Errorf("scaling shards=%d workers=%d: %w", s, w, err)
-				}
-				if best == nil || r.Elapsed+r.ReadElapsed < best.Elapsed+best.ReadElapsed {
-					best = r
-				}
+	for _, s := range shardsList {
+		var best *experiments.ScalingResult
+		for i := 0; i < iters; i++ {
+			r, err := experiments.Scaling(benchScale, s)
+			if err != nil {
+				return fmt.Errorf("scaling shards=%d: %w", s, err)
 			}
-			results = append(results, best)
-			if best.Shards == 1 {
-				serialByWorkers[w] = best.Elapsed.Seconds()
-				serialReadByWorkers[w] = best.ReadElapsed.Seconds()
+			if best == nil || r.Elapsed+r.ReadElapsed < best.Elapsed+best.ReadElapsed {
+				best = r
 			}
 		}
+		results = append(results, best)
 	}
 
-	base := results[0]
+	base := results[0] // the 1-shard run: shardsList is sorted and always holds 1
 	rep.Requests = base.Requests
 	for _, r := range results {
 		if !experiments.ScalingIdentical(base, r) {
 			rep.BytesIdentical = false
 		}
 		speedup, readSpeedup := 0.0, 0.0
-		if serial := serialByWorkers[r.Workers]; serial > 0 && r.Elapsed.Seconds() > 0 {
-			speedup = serial / r.Elapsed.Seconds()
+		if r.Elapsed > 0 {
+			speedup = base.Elapsed.Seconds() / r.Elapsed.Seconds()
 		}
-		if serial := serialReadByWorkers[r.Workers]; serial > 0 && r.ReadElapsed.Seconds() > 0 {
-			readSpeedup = serial / r.ReadElapsed.Seconds()
+		if r.ReadElapsed > 0 {
+			readSpeedup = base.ReadElapsed.Seconds() / r.ReadElapsed.Seconds()
 		}
-		if r.Shards == 4 && r.Workers == 1 {
+		if r.Shards == 4 {
 			rep.SpeedupAt4Shards = speedup
 			rep.ReadSpeedupAt4Shards = readSpeedup
 		}
 		rep.Runs = append(rep.Runs, scalingRow{
 			Shards:             r.Shards,
-			Workers:            r.Workers,
 			Writers:            r.Writers,
 			ElapsedSeconds:     r.Elapsed.Seconds(),
 			Speedup:            speedup,

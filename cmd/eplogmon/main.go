@@ -38,7 +38,6 @@ func main() {
 		m           = flag.Int("m", 2, "parity chunks per stripe (also the number of log devices)")
 		stripes     = flag.Int64("stripes", 256, "number of data stripes")
 		shards      = flag.Int("shards", 1, "stripe-group shard count (<=1 serial: spans then include per-device I/O leaves)")
-		workers     = flag.Int("workers", 1, "worker-pool size for parity-commit folds and rebuilds (writes and reads run inline)")
 		spans       = flag.Int("spans", eplog.DefaultSpanTrees, "span trees retained per shard")
 		sampling    = flag.Int("sampling", 1, "record one operation span in this many (<=1 records all)")
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")
@@ -48,14 +47,14 @@ func main() {
 		seed        = flag.Int64("seed", 1, "workload random seed")
 	)
 	flag.Parse()
-	if err := run(*addr, *k, *m, *stripes, *shards, *workers, *spans, *sampling,
+	if err := run(*addr, *k, *m, *stripes, *shards, *spans, *sampling,
 		*commitEvery, *duration, *rate, *status, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "eplogmon:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, k, m int, stripes int64, shards, workers, spans, sampling,
+func run(addr string, k, m int, stripes int64, shards, spans, sampling,
 	commitEvery int, duration time.Duration, rate float64, status time.Duration, seed int64) error {
 	if k < 2 || m < 1 {
 		return fmt.Errorf("need k >= 2 and m >= 1, got k=%d m=%d", k, m)
@@ -90,7 +89,6 @@ func run(addr string, k, m int, stripes int64, shards, workers, spans, sampling,
 		TraceEvents:  eplog.DefaultTraceEvents,
 		Spans:        spans,
 		SpanSampling: sampling,
-		Workers:      workers,
 		Shards:       shards,
 	})
 	if err != nil {

@@ -37,7 +37,7 @@ func main() {
 		m           = flag.Int("m", 2, "parity chunks per stripe (also the number of log devices)")
 		stripes     = flag.Int64("stripes", 1024, "number of data stripes")
 		shards      = flag.Int("shards", 4, "stripe-group shard count")
-		workers     = flag.Int("workers", 2, "worker-pool size for parity-commit folds and rebuilds (writes and reads run inline)")
+		_           = flag.Int("workers", 2, "Deprecated: ignored; kept for benchmark/ until ROADMAP item 3")
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")
 		writeBehind = flag.Bool("write-behind", true, "acknowledge writes at the dirty window, fold in the background")
 		dirtyWindow = flag.Int("dirty-window", 128, "dirty-window bound in stripes (0 = unbounded)")
@@ -55,7 +55,7 @@ func main() {
 		spans       = flag.Int("spans", eplog.DefaultSpanTrees, "span trees retained per shard")
 	)
 	flag.Parse()
-	if err := run(*addr, *telemetry, *k, *m, *stripes, *shards, *workers, *commitEvery,
+	if err := run(*addr, *telemetry, *k, *m, *stripes, *shards, *commitEvery,
 		*writeBehind, *dirtyWindow, *batchMax, *queueDepth, *readWorkers, *writeQueue, *readQueue,
 		*rbatchQueue, *writevMax, *batchAge,
 		*highWater, *lowWater, *drain, *spans); err != nil {
@@ -64,7 +64,7 @@ func main() {
 	}
 }
 
-func run(addr, telemetry string, k, m int, stripes int64, shards, workers, commitEvery int,
+func run(addr, telemetry string, k, m int, stripes int64, shards, commitEvery int,
 	writeBehind bool, dirtyWindow, batchMax, queueDepth, readWorkers, writeQueue, readQueue, rbatchQueue, writevMax int,
 	batchAge time.Duration, highWater, lowWater float64, drain time.Duration, spans int) error {
 	if k < 2 || m < 1 {
@@ -98,7 +98,6 @@ func run(addr, telemetry string, k, m int, stripes int64, shards, workers, commi
 		TrimOnCommit:       true,
 		TraceEvents:        eplog.DefaultTraceEvents,
 		Spans:              spans,
-		Workers:            workers,
 		Shards:             shards,
 		WriteBehind:        writeBehind,
 		DirtyWindowStripes: dirtyWindow,

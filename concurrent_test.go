@@ -42,7 +42,6 @@ func TestConcurrentSoak(t *testing.T) {
 	a, err := eplog.New(devs, logs, eplog.Config{
 		K:           k,
 		Stripes:     stripes,
-		Workers:     4,
 		TraceEvents: 256,
 	})
 	if err != nil {

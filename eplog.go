@@ -59,12 +59,7 @@ type Config struct {
 	// > 1; values <= 1 record every operation. Commits and rebuilds are
 	// always recorded.
 	SpanSampling int
-	// Workers bounds the worker pool that parallelizes the per-stripe
-	// work of parity-commit folds and rebuilds (reads, writes and their
-	// coding always run inline on the caller's goroutine). Values <= 1
-	// select the serial mode, whose virtual-time accounting is
-	// bit-for-bit that of the single-threaded engine; the array is safe
-	// for concurrent use either way.
+	// Deprecated: ignored; kept for benchmark/ until ROADMAP item 3.
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
 	// groups, each with its own lock, so requests touching different
@@ -94,9 +89,8 @@ type Stats = core.Stats
 // logging engine, with optional persistent metadata checkpointing. An
 // Array is safe for concurrent use: the engine partitions its state into
 // per-stripe-group shards with their own locks (Config.Shards; requests
-// touching different shards run in parallel; commit folds and rebuilds fan
-// out on a worker pool sized by Config.Workers), and the checkpoint
-// bookkeeping below is guarded by chkptMu. Lock order is chkptMu before
+// touching different shards run in parallel, each wholly on its caller's
+// goroutine), and the checkpoint bookkeeping below is guarded by chkptMu. Lock order is chkptMu before
 // the engine's shard locks; nothing ever takes them in the opposite
 // order.
 type Array struct {
@@ -147,7 +141,6 @@ func coreConfig(cfg Config, sink *obs.Sink) core.Config {
 		CommitEvery:         cfg.CommitEvery,
 		TrimOnCommit:        cfg.TrimOnCommit,
 		CommitGuardChunks:   cfg.CommitGuardChunks,
-		Workers:             cfg.Workers,
 		Shards:              cfg.Shards,
 		WriteBehind:         cfg.WriteBehind,
 		DirtyWindowStripes:  cfg.DirtyWindowStripes,

@@ -101,15 +101,17 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	// flushes forced by the drain nest under the commit's flush phase.
 	fl := op.Child(obs.SpanCommitFlush, sh.idx, spanStart, 0, 0)
 	sh.curOp = fl //eplog:span-handoff child closed after the flush below
-	flushSpan := sh.newSpan(start)
-	flushErr := sh.flush(flushSpan)
+	var flushSpan device.Span
+	flushSpan.Reset(start)
+	flushErr := sh.flush(&flushSpan)
 	fl.Close(max(flushSpan.End(), spanStart))
 	sh.curOp = op //eplog:span-handoff root restored; finished by the deferred closure
 	if flushErr != nil {
 		opEnd = flushSpan.End()
 		return flushSpan.End(), flushErr
 	}
-	span := sh.newSpan(flushSpan.End())
+	var span device.Span
+	span.Reset(flushSpan.End())
 	parityBefore := sh.stats.ParityWriteChunks
 
 	// Deterministic stripe order keeps runs reproducible. The order slice
@@ -127,14 +129,14 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 		opEnd = span.End()
 		return span.End(), err
 	}
-	// Fold phase: serial folds record their per-device reads and parity
-	// writes as I/O leaves; the parallel fold runs on recorder-less
-	// sub-spans, so only the phase is timed.
+	// Fold phase. Only the serial engine records the per-device reads and
+	// parity writes as I/O leaves; on a sharded one their memory shows in
+	// the served stack's RSS (TestFoldLeavesOnlyOnSerialEngine).
 	fold := op.Child(obs.SpanCommitFold, sh.idx, max(span.Start(), spanStart), 0, int64(len(stripes)))
-	prevRec := span.Recorder()
-	span.SetRecorder(fold)
-	foldErr := sh.foldStripes(span, code, stripes)
-	span.SetRecorder(prevRec)
+	if !e.shared {
+		span.SetRecorder(fold)
+	}
+	foldErr := sh.foldStripes(&span, code, stripes)
 	fold.Close(max(span.End(), spanStart))
 	if foldErr != nil {
 		// Partial-failure contract: the span's progress (not start) comes
@@ -182,8 +184,6 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	sh.stats.Commits++
 
 	end, foldStart, flushEnd := span.End(), span.Start(), flushSpan.End()
-	sh.freeSpan(flushSpan)
-	sh.freeSpan(span)
 	parityDelta := sh.stats.ParityWriteChunks - parityBefore
 	// Anchor the phase latencies to when the commit could actually begin:
 	// untimed internal commits (start 0) inherit the device-clock backlog
@@ -204,49 +204,24 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 
 // foldStripes is the commit's fold phase: for every dirty stripe it reads
 // the k latest data chunks, re-encodes the parity, and writes it to the
-// stripe's home locations. Stripes are independent (distinct reads and
-// parity homes): with one worker they fold inline on the caller's span
-// using the shard's scratch shard table — the serial commit allocates
-// nothing — while the parallel engine runs one worker-pool task per
-// stripe, with per-task I/O counts accumulated in slots and folded into
-// the stats after the join, keeping the totals identical to the serial
-// engine.
+// stripe's home locations, in stripe order on the caller's span with the
+// shard's scratch shard table — a commit allocates nothing.
 //
 //eplog:hotpath
 func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []int64) error {
 	e := sh.e
-	k, m := e.geo.K, e.geo.M()
-	if e.workers <= 1 {
-		sh.foldShards = grow(sh.foldShards, k+m)
-		for _, s := range stripes {
-			clear(sh.foldShards)
-			reads, parity, err := e.foldStripe(span, code, s, sh.foldShards)
-			sh.stats.CommitReadChunks += reads
-			sh.stats.ParityWriteChunks += parity
-			sh.stats.CommitWriteChunks += parity
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	type foldCount struct{ reads, parity int64 }
-	counts := make([]foldCount, len(stripes))               //eplog:alloc-ok parallel fan-out: per-commit, workers>1 only; the serial branch above is the steady state
-	tasks := make([]func(*device.Span) error, len(stripes)) //eplog:alloc-ok parallel fan-out: per-commit, workers>1 only
-	for i, s := range stripes {
-		tasks[i] = func(sp *device.Span) error { //eplog:alloc-ok parallel fan-out: per-commit, workers>1 only
-			reads, parity, err := e.foldStripe(sp, code, s, make([][]byte, k+m))
-			counts[i] = foldCount{reads, parity}
+	sh.foldShards = grow(sh.foldShards, e.geo.K+e.geo.M())
+	for _, s := range stripes {
+		clear(sh.foldShards)
+		reads, parity, err := e.foldStripe(span, code, s, sh.foldShards)
+		sh.stats.CommitReadChunks += reads
+		sh.stats.ParityWriteChunks += parity
+		sh.stats.CommitWriteChunks += parity
+		if err != nil {
 			return err
 		}
 	}
-	err := e.fanOut(span, tasks)
-	for _, c := range counts {
-		sh.stats.CommitReadChunks += c.reads
-		sh.stats.ParityWriteChunks += c.parity
-		sh.stats.CommitWriteChunks += c.parity
-	}
-	return err
+	return nil
 }
 
 // foldStripe folds one stripe: read the k latest data chunks into arena

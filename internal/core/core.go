@@ -107,13 +107,7 @@ type Config struct {
 	// and structured trace events from the write, read, commit, checkpoint
 	// and recovery paths. Nil disables observability at no cost.
 	Obs *obs.Sink
-	// Workers bounds the worker pool that runs the per-stripe tasks of
-	// commit folds and rebuilds; a write's own encode and device writes
-	// run inline on the caller's goroutine at any value. Values <= 1
-	// select the serial mode, which reproduces the single-threaded
-	// engine's virtual-time accounting exactly; higher values trade that
-	// determinism for wall-clock parallelism. See concurrency.go for the
-	// model.
+	// Deprecated: ignored; kept for benchmark/ until ROADMAP item 3.
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
 	// groups (stripe s belongs to shard s mod Shards), each owning its
@@ -210,20 +204,19 @@ type member struct {
 // partitioned into stripe-group shards, each guarded by its own RWMutex
 // (see shard.go); requests touching different shards run fully in
 // parallel, whole-array operations stop the world by taking every shard
-// lock in index order, and an operation's expensive phases run on the
-// worker pool (see the concurrency model in concurrency.go).
+// lock in index order, and every phase of an operation runs on its
+// caller's goroutine.
 type EPLog struct {
 	// shards partitions the mutable state by stripe group: stripe s
 	// belongs to shards[s % nShards]. With nShards == 1 the engine
 	// degenerates to the single-lock design and is bit-identical to it.
 	shards  []*shard
 	nShards int
-	// workers is max(1, cfg.Workers); pool tasks never take shard locks.
-	workers int
-	// shared is set when several goroutines may issue device I/O at once
-	// (nShards > 1 or workers > 1): every device is then Locked-wrapped and
-	// reads take shard locks shared. The fully serial engine keeps its
-	// devices unwrapped and reads under the exclusive lock instead.
+	// shared is nShards > 1: holders of different shard locks may then
+	// issue device I/O at once, so every device is Locked-wrapped and reads
+	// take shard locks shared. The serial engine keeps its devices
+	// unwrapped, reads under the exclusive lock, and records fold and
+	// rebuild I/O as span leaves.
 	shared bool
 	// fastReads enables the lock-free optimistic read pass: set on shared
 	// engines with no RAM buffers (device or stripe), whose maps cannot be
@@ -353,19 +346,17 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	}
 	nShards = max(1, nShards)
 
-	workers := max(1, cfg.Workers)
-	shared := workers > 1 || nShards > 1
+	shared := nShards > 1
 	if shared {
-		// Pool tasks and concurrent shard holders fan I/O out across
-		// goroutines, but the Dev contract lets implementations assume
-		// serialized access — so every device gets a per-device mutex as
-		// its outermost wrapper. The input slices are not mutated.
+		// Concurrent shard holders issue I/O from several goroutines, but
+		// the Dev contract lets implementations assume serialized access —
+		// so every device gets a per-device mutex as its outermost wrapper.
+		// The input slices are not mutated.
 		devs = lockDevs(devs)
 		logDevs = lockDevs(logDevs)
 	}
 	e := &EPLog{
 		nShards:    int(nShards),
-		workers:    workers,
 		shared:     shared,
 		fastReads:  shared && cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
 		geo:        geo,
@@ -447,6 +438,16 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		sh.initFlight(cfg.Obs)
 	}
 	return e, nil
+}
+
+// lockDevs wraps every device in a per-device mutex (device.Locked),
+// returning a fresh slice.
+func lockDevs(devs []device.Dev) []device.Dev {
+	out := make([]device.Dev, len(devs))
+	for i, d := range devs {
+		out[i] = device.NewLocked(d)
+	}
+	return out
 }
 
 // partitionRange splits [reserved, total) into n contiguous partitions and

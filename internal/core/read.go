@@ -127,7 +127,7 @@ func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []de
 
 // lockSet takes the read-side lock of every shard in set, in ascending
 // index order. Shared engines read under shared locks, each counted in
-// ReadLockAcquisitions; the fully serial engine (Shards=1, Workers=1) has
+// ReadLockAcquisitions; the serial engine (Shards <= 1) has
 // unwrapped devices, so its reads take the exclusive lock to serialize
 // virtual-time accounting — exactly the unsharded engine's behavior.
 //

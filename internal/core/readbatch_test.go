@@ -443,41 +443,35 @@ func TestReadBatchAllocFree(t *testing.T) {
 		wops[i] = BatchOp{LBA: lba, Data: buf}
 	}
 	for _, tc := range []struct {
-		name   string
-		writes float64 // ops per step that can trigger a fold
-		step   func(e *EPLog)
+		name string
+		step func(e *EPLog)
 	}{
-		{"ReadBatch/one-group", 0, func(e *EPLog) { e.ReadBatch(rops) }},
-		{"ReadChunks", 0, func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
-		{"WriteBatch/one-group", nOps, func(e *EPLog) { e.WriteBatch(wops) }},
+		{"ReadBatch/one-group", func(e *EPLog) { e.ReadBatch(rops) }},
+		{"ReadChunks", func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
+		{"WriteBatch/one-group", func(e *EPLog) { e.WriteBatch(wops) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2} {
-				sink := obs.NewSink(256)
-				sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
-				devs := make([]device.Dev, n)
-				for i := range devs {
-					devs[i] = device.NewMem(stripes*4, testChunk)
-				}
-				logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
-				// CommitEvery plus a bounded dirty window keep the written
-				// shard's log-stripe freelist recycling.
-				e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards, Workers: workers,
-					CommitEvery: 8, DirtyWindowStripes: 16, Obs: sink})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				fillEngine(t, e, 13)
-				for i := 0; i < 64; i++ {
-					tc.step(e)
-				}
-				avg := steadyAllocs(func() { tc.step(e) })
-				// Workers=2 adds the fold fan-out only (see
-				// TestSteadyStateUpdateAllocFree), so only where writes fold.
-				if want := foldFanOutAllocs * tc.writes * float64(workers-1); avg > want {
-					t.Errorf("Workers=%d: steady state allocates %.2f objects/call, want <= %v", workers, avg, want)
-				}
+			sink := obs.NewSink(256)
+			sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
+			devs := make([]device.Dev, n)
+			for i := range devs {
+				devs[i] = device.NewMem(stripes*4, testChunk)
+			}
+			logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
+			// CommitEvery plus a bounded dirty window keep the written
+			// shard's log-stripe freelist recycling.
+			e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards,
+				CommitEvery: 8, DirtyWindowStripes: 16, Obs: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			fillEngine(t, e, 13)
+			for i := 0; i < 64; i++ {
+				tc.step(e)
+			}
+			if avg := steadyAllocs(func() { tc.step(e) }); avg != 0 {
+				t.Errorf("steady state allocates %.2f objects/call, want 0", avg)
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/eplog/eplog/internal/bufpool"
-	"github.com/eplog/eplog/internal/device"
-)
+import "github.com/eplog/eplog/internal/bufpool"
 
 // Shard-owned scratch. The write and commit hot paths used to allocate
 // their grouping slices, shard-header tables and device-membership sets on
@@ -114,23 +111,6 @@ func (sh *shard) putLogStripe(ls *logStripe) {
 	ls.members = ls.members[:0]
 	ls.id, ls.logPos = 0, 0
 	sh.lsFree = append(sh.lsFree, ls)
-}
-
-// newSpan pops a recycled span reset to start, or allocates one. Spans
-// are returned with freeSpan on the paths that finish with them; error
-// paths may simply drop them (the freelist is opportunistic).
-func (sh *shard) newSpan(start float64) *device.Span {
-	if n := len(sh.spanFree); n > 0 {
-		sp := sh.spanFree[n-1]
-		sh.spanFree = sh.spanFree[:n-1]
-		sp.Reset(start)
-		return sp
-	}
-	return device.NewSpan(start)
-}
-
-func (sh *shard) freeSpan(sp *device.Span) {
-	sh.spanFree = append(sh.spanFree, sp)
 }
 
 // grow returns s resized to n entries, reallocating only when capacity is

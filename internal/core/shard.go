@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/obs"
 )
 
@@ -109,9 +108,8 @@ type shard struct {
 	wrOps       []inflightWrite // writeGroup per-op envelopes
 	dsShards    [][]byte        // directStripeWrite shard headers
 	dsWrites    []devWrite      // directStripeWrite per-device write list
-	foldShards  [][]byte        // foldStripes serial-path shard headers
+	foldShards  [][]byte        // foldStripes shard headers
 	dirtyOrder  []int64         // commitAt dirty-stripe order
-	spanFree    []*device.Span  // recycled spans for the commit path (fanOut's indirect calls make a stack span escape)
 
 	// Flight recorder (flight.go). rec is the shard's causal-span
 	// recorder; curOp is the span that phase children created under mu

@@ -226,7 +226,7 @@ func TestCrossShardGroupSplit(t *testing.T) {
 // concurrent writers mutate different shards; the race detector provides
 // the verdict, and the final aggregate must add up.
 func TestStatsAggregationRace(t *testing.T) {
-	ta := newTestArray(t, 6, 4, Config{Shards: 4, Workers: 2, CommitEvery: 8})
+	ta := newTestArray(t, 6, 4, Config{Shards: 4, CommitEvery: 8})
 	t.Cleanup(func() { ta.e.Close() })
 	e := ta.e
 	const writers = 4

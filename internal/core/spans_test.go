@@ -202,3 +202,109 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 		t.Errorf("expected both manual and every commits, got %v", commitsByCause)
 	}
 }
+
+// TestFoldLeavesOnlyOnSerialEngine pins the I/O-leaf rule: the serial
+// engine (Shards <= 1) records a fold's k reads and m parity writes per
+// stripe as leaves under commit-fold; a sharded engine records the phase
+// only. The leaves are ≈ 8 pooled span nodes per folded stripe held in
+// every shard's tree ring — attached on the served stack (4 shards,
+// 256-tree rings) they raised the benchmark's update_skewed rss_peak_mb
+// 239 → 265 MiB, past its 10 % bound.
+func TestFoldLeavesOnlyOnSerialEngine(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		sink := obs.NewSink(64)
+		sink.EnableSpans(obs.SpanConfig{Trees: 256})
+		e := benchEngine(t, Config{Obs: sink, Shards: shards})
+		t.Cleanup(func() { e.Close() })
+		k, m := int64(e.geo.K), int64(e.geo.M())
+		full := make([]byte, e.geo.K*e.ChunkSize())
+		for s := int64(0); s < e.geo.Stripes; s++ {
+			if _, err := e.WriteChunks(0, e.geo.LBA(s, 0), full); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := int64(0); i < 40; i++ {
+			if _, err := e.WriteChunks(0, (i*13)%e.geo.Chunks(), full[:e.ChunkSize()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var folded int64
+		walkSpans(sink.Spans(), func(s obs.SpanSnapshot) {
+			if s.Kind != "commit-fold" {
+				return
+			}
+			folded += s.N
+			var reads, writes int64
+			for _, c := range s.Children {
+				switch c.Kind {
+				case "io-read":
+					reads++
+				case "io-write":
+					writes++
+				}
+			}
+			wantR, wantW := k*s.N, m*s.N
+			if shards > 1 {
+				wantR, wantW = 0, 0
+			}
+			if reads != wantR || writes != wantW {
+				t.Errorf("shards=%d: fold of %d stripes has %d io-read and %d io-write leaves, want %d and %d",
+					shards, s.N, reads, writes, wantR, wantW)
+			}
+		})
+		if folded == 0 {
+			t.Errorf("shards=%d: no stripe was folded", shards)
+		}
+	}
+}
+
+// TestRebuildSpanCoversReplacementWrites: the writes that restore a failed
+// device go through the rebuild's span like its reads, so the root span and
+// the rebuild event time them and the serial engine records each as a leaf.
+func TestRebuildSpanCoversReplacementWrites(t *testing.T) {
+	sink := obs.NewSink(64)
+	sink.EnableSpans(obs.SpanConfig{Trees: 64})
+	ta := newTestArray(t, 6, 4, Config{Shards: 1, Obs: sink})
+	t.Cleanup(func() { ta.e.Close() })
+	// Committed versions on every device (direct full-stripe writes), then
+	// pending ones: updates of whole stripes, so some land on device 1.
+	ta.mustWrite(t, 0, chunkData(1, int(ta.e.Chunks())))
+	for lba := int64(0); lba < 3*int64(ta.k); lba++ {
+		ta.mustWrite(t, lba, chunkData(int(lba)+2, 1))
+	}
+	ta.main[1].Fail()
+	const writeTime = 1e-3
+	if err := ta.e.Rebuild(1, device.WithLatency(device.NewMem(testDevChunks, testChunk), 0, writeTime)); err != nil {
+		t.Fatal(err)
+	}
+
+	events := sink.Events()
+	ev := events[len(events)-1]
+	if ev.Kind != obs.KindRebuild {
+		t.Fatalf("last event is %v, want the rebuild", ev.Kind)
+	}
+	if ev.N <= testStripes {
+		t.Fatalf("rebuild restored %d chunks; want more than the %d committed ones, i.e. pending versions too", ev.N, testStripes)
+	}
+	// The replacement serves one write at a time.
+	if floor := float64(ev.N) * writeTime; ev.Dur < floor*(1-1e-9) {
+		t.Errorf("rebuild event Dur = %g, want >= %g (%d replacement writes of %g s)", ev.Dur, floor, ev.N, writeTime)
+	}
+	var leaves int64
+	for _, root := range sink.Spans() {
+		if root.Kind != "rebuild" {
+			continue
+		}
+		for _, c := range root.Children {
+			if c.Kind == "io-write" {
+				leaves++
+			}
+		}
+	}
+	if leaves != ev.N {
+		t.Errorf("rebuild root has %d io-write leaves, want %d (one per restored chunk)", leaves, ev.N)
+	}
+}

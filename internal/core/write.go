@@ -485,8 +485,7 @@ func (sh *shard) drainRound(span *device.Span) error {
 // are appended to the log devices, all within the same span. A group with
 // two members destined to the same SSD is rejected: one chunk per device
 // per log stripe is the invariant (DESIGN.md §5) that lets degraded reads
-// and rebuild survive a device failure, and it is what makes the data
-// fan-out below race-free.
+// and rebuild survive a device failure.
 //
 //eplog:hotpath
 func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
@@ -539,8 +538,8 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	span.SetRecorder(ps)
 
 	// The log chunks are encoded from the new data only. Group data is
-	// caller-owned; the log chunks come from the arena (encodeRange
-	// clears its destinations, so dirty buffers are fine). Data to SSDs
+	// caller-owned; the log chunks come from the arena (Encode clears
+	// its destinations, so dirty buffers are fine). Data to SSDs
 	// and log chunks to log devices form one phase; every write targets a
 	// distinct device (members by the invariant above, log devices by
 	// construction), so the span's end is that of the slowest.
@@ -666,6 +665,38 @@ func (sh *shard) flush(span *device.Span) error {
 		if err := sh.drainRound(span); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// devWrite is one chunk write of a phase's per-device write list.
+type devWrite struct {
+	dev   device.Dev
+	chunk int64
+	data  []byte
+}
+
+// writeDevs issues one phase's chunk writes, each to a distinct device,
+// in list order on the caller's span. Like tolerantWrite it touches no
+// engine state, so the phase is data, not code, at its call sites.
+func writeDevs(span *device.Span, writes []devWrite) error {
+	for _, w := range writes {
+		if err := tolerantWrite(span, w.dev, w.chunk, w.data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tolerantWrite issues one chunk write on the span, tolerating a failed
+// device: ErrFailed is cleared because the chunk remains recoverable
+// through its protecting stripe.
+func tolerantWrite(span *device.Span, dev device.Dev, chunk int64, data []byte) error {
+	if err := span.Write(dev, chunk, data); err != nil {
+		if !errors.Is(err, device.ErrFailed) {
+			return err
+		}
+		span.ClearErr()
 	}
 	return nil
 }

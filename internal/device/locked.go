@@ -4,9 +4,9 @@ import "sync"
 
 // Locked wraps a Dev with a mutex, making it safe for concurrent use. The
 // Dev contract lets implementations assume serialized access (the
-// simulators keep internal clocks and mapping state); when EPLog's worker
-// pool fans I/O out across goroutines it wraps every device in Locked so
-// that per-device serialization is preserved no matter how phases overlap.
+// simulators keep internal clocks and mapping state); the sharded EPLog
+// engine, whose shard holders issue I/O from several goroutines, wraps
+// every device in Locked so that per-device serialization is preserved.
 //
 // Geometry accessors (Chunks, ChunkSize) are immutable per the Dev
 // contract and are forwarded without locking.

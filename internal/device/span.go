@@ -13,9 +13,8 @@ import "github.com/eplog/eplog/internal/obs"
 // Read/Write then also appends an I/O leaf — device name, chunk, start,
 // completion — to the attached obs span, giving the flight recorder
 // per-device attribution. The recorder is deliberately not inherited by
-// Next, and fan-out paths never attach one to worker sub-spans: an obs
-// span tree is single-goroutine-owned, so I/O leaves are recorded only on
-// serial paths where the owner issues the I/O itself.
+// Next: an obs span tree is single-goroutine-owned, so I/O leaves are
+// recorded only where the tree's owner issues the I/O itself.
 type Span struct {
 	start float64
 	end   float64

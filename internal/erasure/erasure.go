@@ -18,7 +18,6 @@ import (
 
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/gf"
-	"github.com/eplog/eplog/internal/workpool"
 )
 
 // Construction selects how the generator matrix is built.
@@ -52,9 +51,8 @@ type Code struct {
 	// enabling the pure-XOR fast path (RAID-4/5 parity).
 	xorOnly bool
 
-	// views pools k-entry [][]byte scratch (sub-slice views for ranged
-	// encodes, source rows for reconstruction) so the hot paths stay
-	// allocation-free.
+	// views pools k-entry [][]byte scratch (source rows for
+	// reconstruction) so the hot paths stay allocation-free.
 	views sync.Pool
 
 	// decCache memoizes inverted decode matrices by the present-shard
@@ -124,47 +122,28 @@ func (c *Code) M() int { return c.m }
 // N returns the total number of shards (k + m).
 func (c *Code) N() int { return c.k + c.m }
 
-// Encode computes the parity shards of a stripe. shards must contain k+m
-// slices of identical nonzero length; the first k hold data and the final m
-// are overwritten with parity.
+// Encode computes the parity shards of a stripe with the fused multi-source
+// kernels: one pass over each parity shard for all k sources, so parity
+// write traffic does not scale with k. shards must contain k+m slices of
+// identical nonzero length; the first k hold data and the final m are
+// overwritten with parity.
+//
+//eplog:hotpath
 func (c *Code) Encode(shards [][]byte) error {
-	return c.EncodeParallel(shards, 1)
-}
-
-// encodeParallelMin is the smallest per-worker byte range EncodeParallel
-// will split to; below it the goroutine handoff costs more than the GF
-// arithmetic it saves.
-const encodeParallelMin = 1024
-
-// EncodeParallel is Encode with the column (byte-offset) range of the
-// stripe split across a bounded worker pool. Reed-Solomon parity is
-// byte-wise — parity[j][x] depends only on data[*][x] — so disjoint byte
-// ranges encode independently and the result is bit-identical to the
-// serial Encode for every worker count. workers <= 1, short shards, or a
-// single resulting segment all fall back to the serial path.
-func (c *Code) EncodeParallel(shards [][]byte, workers int) error {
 	if err := c.checkShards(shards, false); err != nil {
 		return err
 	}
-	size := len(shards[0])
-	if workers > size/encodeParallelMin {
-		workers = size / encodeParallelMin
-	}
-	if workers <= 1 {
-		c.encodeRange(shards, 0, size)
+	data, parity := shards[:c.k], shards[c.k:]
+	if c.xorOnly {
+		clear(parity[0])
+		gf.XORSlices(data, parity[0])
 		return nil
 	}
-	tasks := make([]func() error, workers)
-	per := (size + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, size)
-		tasks[w] = func() error {
-			c.encodeRange(shards, lo, hi)
-			return nil
-		}
+	for j, out := range parity {
+		clear(out)
+		gf.MulAddSlices(c.parity[j], data, out)
 	}
-	return workpool.Run(workers, tasks)
+	return nil
 }
 
 // getViews borrows a k-entry [][]byte scratch from the per-code pool.
@@ -173,38 +152,6 @@ func (c *Code) getViews() *[][]byte { return c.views.Get().(*[][]byte) }
 func (c *Code) putViews(v *[][]byte) {
 	clear(*v) // drop references so pooled headers don't pin shard data
 	c.views.Put(v)
-}
-
-// encodeRange computes parity for the byte range [lo, hi) of every shard
-// using the fused multi-source kernels: one pass over each parity range for
-// all k sources, so parity write traffic does not scale with k.
-//
-//eplog:hotpath
-func (c *Code) encodeRange(shards [][]byte, lo, hi int) {
-	data, parity := shards[:c.k], shards[c.k:]
-	full := lo == 0 && hi == len(shards[0])
-	var vp *[][]byte
-	if !full {
-		vp = c.getViews()
-		for i, d := range data {
-			(*vp)[i] = d[lo:hi]
-		}
-		data = *vp
-	}
-	if c.xorOnly {
-		out := parity[0][lo:hi]
-		clear(out)
-		gf.XORSlices(data, out)
-	} else {
-		for j := 0; j < c.m; j++ {
-			out := parity[j][lo:hi]
-			clear(out)
-			gf.MulAddSlices(c.parity[j], data, out)
-		}
-	}
-	if vp != nil {
-		c.putViews(vp)
-	}
 }
 
 // UpdateParity applies an incremental parity update for a single data shard

@@ -453,52 +453,3 @@ func BenchmarkReconstruct6x2_4K(b *testing.B) {
 		}
 	}
 }
-
-func TestEncodeParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, km := range [][2]int{{1, 1}, {4, 1}, {6, 2}, {10, 4}} {
-		k, m := km[0], km[1]
-		c, err := New(k, m, Cauchy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sizes straddling the split threshold, including one that does
-		// not divide evenly across workers.
-		for _, size := range []int{1, 100, encodeParallelMin, 4096, 4096 + 513} {
-			want := makeShards(k+m, size)
-			fillRandom(r, want[:k])
-			if err := c.Encode(want); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{0, 2, 3, 8, 64} {
-				got := makeShards(k+m, size)
-				for i := 0; i < k; i++ {
-					copy(got[i], want[i])
-				}
-				if err := c.EncodeParallel(got, workers); err != nil {
-					t.Fatalf("k=%d m=%d size=%d workers=%d: %v", k, m, size, workers, err)
-				}
-				for j := 0; j < m; j++ {
-					if !bytes.Equal(got[k+j], want[k+j]) {
-						t.Fatalf("k=%d m=%d size=%d workers=%d: parity %d differs from serial encode", k, m, size, workers, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestEncodeParallelErrors(t *testing.T) {
-	c, err := New(4, 2, Cauchy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EncodeParallel(makeShards(3, 16), 4); err == nil {
-		t.Error("want shard-count error, got nil")
-	}
-	shards := makeShards(6, 16)
-	shards[2] = nil
-	if err := c.EncodeParallel(shards, 4); err == nil {
-		t.Error("want nil-shard error, got nil")
-	}
-}

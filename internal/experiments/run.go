@@ -95,8 +95,6 @@ type RunConfig struct {
 	// the shard count: a workload skewed onto one shard must still fit in
 	// that shard's partition.
 	Shards int
-	// Workers bounds EPLog's worker pool (core.Config.Workers).
-	Workers int
 
 	// UseSSDSim replaces RAM devices with the FTL simulator so GC
 	// statistics are collected (Exps 2 and 4) and, together with the HDD
@@ -305,7 +303,6 @@ func build(cfg RunConfig) (*arrayBundle, int64, error) {
 			CommitEvery:        cfg.CommitEvery,
 			TrimOnCommit:       cfg.TrimOnCommit,
 			CommitGuardChunks:  commitGuard,
-			Workers:            cfg.Workers,
 			Shards:             cfg.Shards,
 			Obs:                cfg.Obs,
 		})

@@ -16,12 +16,11 @@ import (
 // wall-clock time of the write phase (which should shrink as shards grow
 // on a multi-core machine).
 type ScalingResult struct {
-	// Shards is the engine's stripe-group count; Workers its worker-pool
-	// bound; Writers the number of concurrent writer goroutines driving
-	// the array (one per shard, floored at 1, so requests to different
-	// shards are always in flight together).
+	// Shards is the engine's stripe-group count; Writers the number of
+	// concurrent writer goroutines driving the array (one per shard,
+	// floored at 1, so requests to different shards are always in flight
+	// together).
 	Shards  int
-	Workers int
 	Writers int
 	// Requests is the total single-chunk update requests issued.
 	Requests int64
@@ -52,8 +51,7 @@ type ScalingResult struct {
 
 // Scaling drives one EPLog array with a writer goroutine per shard and
 // returns traffic counters that are byte-identical for every shard count.
-// The workload extends the Concurrency experiment's construction to
-// sharding:
+// The workload is built so that no schedule can change what is written:
 //
 //   - every request is a single-chunk update, so it forms exactly one
 //     k'=1 log stripe and lands wholly inside one shard — the elastic
@@ -78,7 +76,7 @@ type ScalingResult struct {
 // Wall-clock time is the one number allowed to vary: with GOMAXPROCS
 // cores available, S shards should approach an S-fold speedup of both
 // phases until the core count saturates.
-func Scaling(scale int64, shards, workers int) (*ScalingResult, error) {
+func Scaling(scale int64, shards int) (*ScalingResult, error) {
 	if scale < 1 {
 		return nil, fmt.Errorf("experiments: scale must be >= 1, got %d", scale)
 	}
@@ -125,7 +123,6 @@ func Scaling(scale int64, shards, workers int) (*ScalingResult, error) {
 		K:                 k,
 		Stripes:           stripes,
 		CommitGuardChunks: 1, // explicit: the default (capacity/16) could fire mid-run
-		Workers:           workers,
 		Shards:            shards,
 	})
 	if err != nil {
@@ -226,7 +223,6 @@ func Scaling(scale int64, shards, workers int) (*ScalingResult, error) {
 
 	res := &ScalingResult{
 		Shards:       shards,
-		Workers:      workers,
 		Writers:      writers,
 		Requests:     total,
 		Elapsed:      elapsed,
@@ -268,8 +264,8 @@ func FormatScaling(results []*ScalingResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scaling: %d single-chunk updates, (6+2)-RAID-6, byte counts must not vary with shards\n",
 		results[0].Requests)
-	fmt.Fprintf(&b, "%-8s %-8s %-8s %-14s %-14s %-9s %-12s %-10s %-8s %-12s %s\n",
-		"shards", "workers", "writers", "ssd_wr_bytes", "log_wr_bytes", "commits", "elapsed", "lock_wait", "speedup", "rd_elapsed", "rd_speedup")
+	fmt.Fprintf(&b, "%-8s %-8s %-14s %-14s %-9s %-12s %-10s %-8s %-12s %s\n",
+		"shards", "writers", "ssd_wr_bytes", "log_wr_bytes", "commits", "elapsed", "lock_wait", "speedup", "rd_elapsed", "rd_speedup")
 	base := results[0].Elapsed.Seconds()
 	readBase := results[0].ReadElapsed.Seconds()
 	for _, r := range results {
@@ -280,8 +276,8 @@ func FormatScaling(results []*ScalingResult) string {
 		if r.ReadElapsed > 0 {
 			readSpeedup = readBase / r.ReadElapsed.Seconds()
 		}
-		fmt.Fprintf(&b, "%-8d %-8d %-8d %-14d %-14d %-9d %-12v %-10v %-8s %-12v %.2fx\n",
-			r.Shards, r.Workers, r.Writers, r.SSDWriteBytes, r.LogWriteBytes,
+		fmt.Fprintf(&b, "%-8d %-8d %-14d %-14d %-9d %-12v %-10v %-8s %-12v %.2fx\n",
+			r.Shards, r.Writers, r.SSDWriteBytes, r.LogWriteBytes,
 			r.EPLogStats.Commits, r.Elapsed.Round(time.Millisecond),
 			time.Duration(r.LockWaitSeconds*float64(time.Second)).Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", speedup), r.ReadElapsed.Round(time.Millisecond), readSpeedup)

@@ -15,7 +15,7 @@ import (
 // the final Commit folds once per shard by construction).
 func TestScalingByteCountsShardIndependent(t *testing.T) {
 	const scale = 64
-	base, err := Scaling(scale, 1, 1)
+	base, err := Scaling(scale, 1)
 	if err != nil {
 		t.Fatalf("Scaling(shards=1): %v", err)
 	}
@@ -23,7 +23,7 @@ func TestScalingByteCountsShardIndependent(t *testing.T) {
 		t.Fatalf("baseline run wrote nothing: ssd=%d log=%d", base.SSDWriteBytes, base.LogWriteBytes)
 	}
 	for _, s := range []int{2, 4, 8} {
-		r, err := Scaling(scale, s, 1)
+		r, err := Scaling(scale, s)
 		if err != nil {
 			t.Fatalf("Scaling(shards=%d): %v", s, err)
 		}
@@ -209,7 +209,7 @@ func TestTraceSerialShardedVirtualTimeIdentity(t *testing.T) {
 
 // TestScalingFormat smoke-tests the table renderer.
 func TestScalingFormat(t *testing.T) {
-	r, err := Scaling(64, 2, 1)
+	r, err := Scaling(64, 2)
 	if err != nil {
 		t.Fatalf("Scaling: %v", err)
 	}

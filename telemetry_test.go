@@ -23,7 +23,6 @@ func TestServeTelemetryConcurrentSoak(t *testing.T) {
 		TraceEvents: 256,
 		Spans:       128,
 		Shards:      2,
-		Workers:     2,
 	})
 	defer a.Close()
 	srv, err := a.ServeTelemetry("127.0.0.1:0")
