@@ -9,9 +9,10 @@ import (
 // BlockServer is a running network block service over an Array; see
 // Array.ServeBlocks. It speaks the wire protocol (internal/wire): READ,
 // WRITE, FLUSH, and STAT frames with per-request IDs, pipelined per
-// connection with out-of-order completion, writes batched across
-// connections before entering the engine, and parity folds started per
-// shard in the background as its log fills.
+// connection with out-of-order completion, each connection's reads run as
+// batches on its own goroutine, writes batched across connections before
+// entering the engine, and parity folds started per shard in the
+// background as its log fills.
 type BlockServer = server.Server
 
 // BlockServeOptions tunes ServeBlocks. The zero value selects the
@@ -19,28 +20,27 @@ type BlockServer = server.Server
 type BlockServeOptions struct {
 	// MaxPayload bounds per-frame payloads in bytes (0 selects 1 MiB).
 	MaxPayload int
-	// BatchMax bounds how many write/flush requests coalesce into one
-	// engine batch (0 selects 64).
+	// BatchMax bounds how many requests coalesce into one engine batch —
+	// writes and flushes across connections, reads per connection (0
+	// selects 64).
 	BatchMax int
 	// QueueDepth bounds in-flight requests per connection (0 selects 128).
 	QueueDepth int
-	// ReadWorkers sizes the read-batch executor pool (0 selects 4).
-	ReadWorkers int
+	// ReadWorkers, ReadQueue and ReadBatchQueue are accepted and ignored
+	// since PR 22: they sized the read dispatcher and executor pool this
+	// server no longer has (a connection's reads run on its own goroutine),
+	// and stay declared only until benchmark/stack_test.go stops setting
+	// them.
+	ReadWorkers, ReadQueue, ReadBatchQueue int
 	// WriteQueue is the capacity of the write/flush dispatch queue
 	// between connection readers and the write dispatcher (0 selects
 	// 1024).
 	WriteQueue int
-	// ReadQueue is the capacity of the read/stats dispatch queue between
-	// connection readers and the read dispatcher (0 selects 1024).
-	ReadQueue int
-	// ReadBatchQueue is the capacity of the batch hand-off queue between
-	// the read dispatcher and the executor pool (0 selects ReadWorkers).
-	ReadBatchQueue int
 	// WritevMax bounds how many completed response frames one connection
 	// writer coalesces into a single vectored write (0 selects 64).
 	WritevMax int
-	// BatchAge bounds the dispatchers' adaptive batch linger: with more
-	// requests in flight than a batch holds, collection continues up to
+	// BatchAge bounds the write dispatcher's adaptive batch linger: with
+	// more writes in flight than a batch holds, collection continues up to
 	// BatchAge before entering the engine (0 selects 200µs; negative
 	// disables lingering).
 	BatchAge time.Duration
@@ -65,19 +65,16 @@ type BlockServeOptions struct {
 // server never closes the store itself.
 func (a *Array) ServeBlocks(addr string, opts BlockServeOptions) (*BlockServer, error) {
 	return server.Listen(addr, a.e, server.Options{
-		MaxPayload:     opts.MaxPayload,
-		BatchMax:       opts.BatchMax,
-		QueueDepth:     opts.QueueDepth,
-		ReadWorkers:    opts.ReadWorkers,
-		WriteQueue:     opts.WriteQueue,
-		ReadQueue:      opts.ReadQueue,
-		ReadBatchQueue: opts.ReadBatchQueue,
-		WritevMax:      opts.WritevMax,
-		BatchAge:       opts.BatchAge,
-		HighWater:      opts.HighWater,
-		LowWater:       opts.LowWater,
-		DrainTimeout:   opts.DrainTimeout,
-		Sink:           a.sink,
-		SpanShard:      a.e.NumShards(),
+		MaxPayload:   opts.MaxPayload,
+		BatchMax:     opts.BatchMax,
+		QueueDepth:   opts.QueueDepth,
+		WriteQueue:   opts.WriteQueue,
+		WritevMax:    opts.WritevMax,
+		BatchAge:     opts.BatchAge,
+		HighWater:    opts.HighWater,
+		LowWater:     opts.LowWater,
+		DrainTimeout: opts.DrainTimeout,
+		Sink:         a.sink,
+		SpanShard:    a.e.NumShards(),
 	})
 }

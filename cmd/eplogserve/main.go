@@ -41,14 +41,14 @@ func main() {
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")
 		writeBehind = flag.Bool("write-behind", true, "acknowledge writes at the dirty window, fold in the background")
 		dirtyWindow = flag.Int("dirty-window", 128, "dirty-window bound in stripes (0 = unbounded)")
-		batchMax    = flag.Int("batch-max", 64, "max write/flush frames coalesced into one engine batch")
+		batchMax    = flag.Int("batch-max", 64, "max frames coalesced into one engine batch (writes/flushes across connections, reads per connection)")
 		queueDepth  = flag.Int("queue-depth", 128, "max in-flight requests per connection")
-		readWorkers = flag.Int("read-workers", 4, "read-batch executor pool size")
+		_           = flag.Int("read-workers", 4, "Deprecated: ignored since PR 22 (reads run on their connection's goroutine); kept for benchmark/ until ROADMAP item 3")
 		writeQueue  = flag.Int("write-queue", 1024, "write/flush dispatch queue capacity")
-		readQueue   = flag.Int("read-queue", 1024, "read/stats dispatch queue capacity")
-		rbatchQueue = flag.Int("read-batch-queue", 0, "read batch hand-off queue capacity (0 = read-workers)")
+		_           = flag.Int("read-queue", 1024, "Deprecated: ignored since PR 22; kept for benchmark/ until ROADMAP item 3")
+		_           = flag.Int("read-batch-queue", 0, "Deprecated: ignored since PR 22; kept for benchmark/ until ROADMAP item 3")
 		writevMax   = flag.Int("writev-max", 64, "max response frames per vectored write")
-		batchAge    = flag.Duration("batch-age", 200*time.Microsecond, "adaptive batch linger bound for both dispatchers (negative disables)")
+		batchAge    = flag.Duration("batch-age", 200*time.Microsecond, "adaptive batch linger bound of the write dispatcher (negative disables)")
 		highWater   = flag.Float64("high-water", 0.85, "shard fill (log region or dirty window) at which that shard's background parity fold starts")
 		lowWater    = flag.Float64("low-water", 0.70, "ignored: reopen mark of the removed socket-read gate, kept until benchmark/stack_test.go stops reading it")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful drain bound at shutdown")
@@ -56,8 +56,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *telemetry, *k, *m, *stripes, *shards, *commitEvery,
-		*writeBehind, *dirtyWindow, *batchMax, *queueDepth, *readWorkers, *writeQueue, *readQueue,
-		*rbatchQueue, *writevMax, *batchAge,
+		*writeBehind, *dirtyWindow, *batchMax, *queueDepth, *writeQueue, *writevMax, *batchAge,
 		*highWater, *lowWater, *drain, *spans); err != nil {
 		fmt.Fprintln(os.Stderr, "eplogserve:", err)
 		os.Exit(1)
@@ -65,7 +64,7 @@ func main() {
 }
 
 func run(addr, telemetry string, k, m int, stripes int64, shards, commitEvery int,
-	writeBehind bool, dirtyWindow, batchMax, queueDepth, readWorkers, writeQueue, readQueue, rbatchQueue, writevMax int,
+	writeBehind bool, dirtyWindow, batchMax, queueDepth, writeQueue, writevMax int,
 	batchAge time.Duration, highWater, lowWater float64, drain time.Duration, spans int) error {
 	if k < 2 || m < 1 {
 		return fmt.Errorf("need k >= 2 and m >= 1, got k=%d m=%d", k, m)
@@ -108,17 +107,14 @@ func run(addr, telemetry string, k, m int, stripes int64, shards, commitEvery in
 	defer a.Close()
 
 	srv, err := a.ServeBlocks(addr, eplog.BlockServeOptions{
-		BatchMax:       batchMax,
-		QueueDepth:     queueDepth,
-		ReadWorkers:    readWorkers,
-		WriteQueue:     writeQueue,
-		ReadQueue:      readQueue,
-		ReadBatchQueue: rbatchQueue,
-		WritevMax:      writevMax,
-		BatchAge:       batchAge,
-		HighWater:      highWater,
-		LowWater:       lowWater,
-		DrainTimeout:   drain,
+		BatchMax:     batchMax,
+		QueueDepth:   queueDepth,
+		WriteQueue:   writeQueue,
+		WritevMax:    writevMax,
+		BatchAge:     batchAge,
+		HighWater:    highWater,
+		LowWater:     lowWater,
+		DrainTimeout: drain,
 	})
 	if err != nil {
 		return err

@@ -15,15 +15,15 @@ import (
 //
 // Every read and write takes the same route: entry → classify → per-shard
 // executor → completion envelope. The entries are WriteBatch/ReadBatch
-// (the network server coalesces requests from many connections into one
-// batch, so unrelated clients share one shard-lock hold or one seqlock
-// sample instead of paying one each) and WriteChunks/ReadChunks, which
-// are batches of one on the caller's stack. classify is the one range
-// check and the one shard router. The executors are writeStep (write.go;
-// driven by writeGroup for a batch group and by writeOp for a group of
-// one) and readGroup (read.go); each op leaves through finishWrite or
-// finishRead, so spans, latency observations, and trace events cannot tell
-// a batched op from a single one.
+// (the network server coalesces the writes of many connections into one
+// batch and each connection's burst of reads into another, so requests
+// share one shard-lock hold or one seqlock sample instead of paying one
+// each) and WriteChunks/ReadChunks, which are batches of one on the
+// caller's stack. classify is the one range check and the one shard router.
+// The executors are writeStep (write.go; driven by writeGroup for a batch
+// group and by writeOp for a group of one) and readGroup (read.go); each op
+// leaves through finishWrite or finishRead, so spans, latency observations,
+// and trace events cannot tell a batched op from a single one.
 //
 // The write executor's unit is the shard group, not the op: the update
 // chunks of every op in the group form one update set and one updatePath
@@ -38,11 +38,13 @@ import (
 // count fired it — and the log-region mark is evaluated once per group.
 //
 // Ordering: ops local to one shard land on it in batch order (reads in
-// ascending LBA order, under one snapshot), but shard groups run in
-// parallel, so there is no ordering across shards and two ops of one batch
-// on the same LBA have unspecified relative order — the contract the wire
-// protocol gives pipelined requests. Callers needing order await
-// completion before issuing a dependent op.
+// ascending LBA order, under one snapshot). Write groups run in parallel,
+// so writes have no ordering across shards; read groups run on the caller
+// in ascending shard order, then the spanning ops in batch order, so a
+// ReadBatch starts no goroutine and its virtual-time order is
+// deterministic. Two ops of one batch on the same LBA have unspecified
+// relative order — the contract the wire protocol gives pipelined
+// requests; callers needing order await completion first.
 
 // BatchOp is one write in a batch. Start is the op's virtual start time;
 // End and Err carry the per-op result back (End is the virtual completion
@@ -96,13 +98,13 @@ func (e *EPLog) classify(lba int64, payload int) (int64, shardSet, error) {
 
 // batchPlan is classify's output for one batch: per shard, the indices of
 // the ops local to it, plus the ops spanning several shards. Pooled — the
-// batch entries may run concurrently (the server's read executors) — so a
-// warmed-up engine plans a batch without allocating.
+// batch entries run concurrently (one ReadBatch per served connection) — so
+// a warmed-up engine plans a batch without allocating.
 type batchPlan struct {
 	groups   [][]int
 	spanning []spanningOp
-	spans    []device.Span // ReadBatch: per-op device spans
-	wg       sync.WaitGroup
+	spans    []device.Span  // ReadBatch: per-op device spans
+	wg       sync.WaitGroup // WriteBatch: the spawned shard groups
 }
 
 type spanningOp struct {
@@ -135,62 +137,14 @@ func (p *batchPlan) add(set shardSet, i int) {
 	}
 }
 
-// groupRunner executes one shard's group of a batch.
-type groupRunner interface {
-	runGroup(sh *shard, idxs []int)
-}
-
-// runGroups executes every populated group of the plan and waits for them:
-// the last on the caller's goroutine, the others on goroutines of their
-// own — so a batch confined to one shard spawns and allocates nothing.
-// The runner is a type parameter rather than an interface value or a
-// closure so that handing it over does not allocate either.
-func runGroups[R groupRunner](e *EPLog, p *batchPlan, r R) {
-	last := -1
-	for si, g := range p.groups {
-		if len(g) == 0 {
-			continue
-		}
-		if last >= 0 {
-			sh, idxs := e.shards[last], p.groups[last]
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				r.runGroup(sh, idxs)
-			}()
-		}
-		last = si
-	}
-	if last >= 0 {
-		r.runGroup(e.shards[last], p.groups[last])
-	}
-	p.wg.Wait()
-}
-
-type writeRunner struct {
-	e   *EPLog
-	ops []BatchOp
-}
-
-func (r writeRunner) runGroup(sh *shard, idxs []int) { r.e.writeGroup(sh, r.ops, idxs) }
-
-type readRunner struct {
-	e     *EPLog
-	ops   []ReadOp
-	spans []device.Span
-}
-
-func (r readRunner) runGroup(sh *shard, idxs []int) {
-	// Ascending-LBA order turns adjacent ops into one contiguous scan.
-	slices.SortFunc(idxs, func(a, b int) int { return cmp.Compare(r.ops[a].LBA, r.ops[b].LBA) })
-	r.e.readGroup(shardSet{first: sh.idx, n: 1}, r.ops, idxs, r.spans)
-}
-
 // WriteBatch applies every op, filling each op's End and Err in place.
 // Ops local to one shard (all chunks in one stripe, or a single-shard
 // engine) are grouped per shard and each group lands as one elastic unit
 // under one exclusive lock hold; an op spanning several shards runs on the
-// caller's goroutine, one hold per touched shard. Failures are per-op,
+// caller's goroutine, one hold per touched shard. The last populated
+// group runs on the caller too and the others on goroutines of their own
+// (the single write dispatcher's only multi-core lever), so a batch
+// confined to one shard spawns and allocates nothing. Failures are per-op,
 // except that the ops sharing a failed log-stripe flush fail together (see
 // the pipeline comment above); a bad op never prevents the rest of the
 // batch from running.
@@ -207,7 +161,25 @@ func (e *EPLog) WriteBatch(ops []BatchOp) {
 			p.add(set, i)
 		}
 	}
-	runGroups(e, p, writeRunner{e, ops})
+	last := -1
+	for si, g := range p.groups {
+		if len(g) == 0 {
+			continue
+		}
+		if last >= 0 {
+			sh, idxs := e.shards[last], p.groups[last]
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				e.writeGroup(sh, ops, idxs)
+			}()
+		}
+		last = si
+	}
+	if last >= 0 {
+		e.writeGroup(e.shards[last], ops, p.groups[last])
+	}
+	p.wg.Wait()
 	for _, s := range p.spanning {
 		e.writeOp(ops, s.i, s.set)
 	}
@@ -218,9 +190,10 @@ func (e *EPLog) WriteBatch(ops []BatchOp) {
 // Ops local to one shard are grouped per shard and each group is served
 // under one snapshot — one epoch-validated lock-free pass, or one lock
 // hold when that pass is unavailable or fails; an op spanning several
-// shards is a group of its own over every shard it touches. Failures are
-// per-op: a bad or failed op never prevents the rest of the batch from
-// running.
+// shards is a group of its own over every shard it touches. All of it runs
+// on the caller's goroutine, in the order the pipeline comment gives.
+// Failures are per-op: a bad or failed op never prevents the rest of the
+// batch from running.
 func (e *EPLog) ReadBatch(ops []ReadOp) {
 	if len(ops) == 0 {
 		return
@@ -237,7 +210,14 @@ func (e *EPLog) ReadBatch(ops []ReadOp) {
 			p.add(set, i)
 		}
 	}
-	runGroups(e, p, readRunner{e, ops, p.spans})
+	for si, idxs := range p.groups {
+		if len(idxs) == 0 {
+			continue
+		}
+		// Ascending-LBA order turns adjacent ops into one contiguous scan.
+		slices.SortFunc(idxs, func(a, b int) int { return cmp.Compare(ops[a].LBA, ops[b].LBA) })
+		e.readGroup(shardSet{first: si, n: 1}, ops, idxs, p.spans)
+	}
 	for _, s := range p.spanning {
 		e.readGroup(s.set, ops, []int{s.i}, p.spans)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -420,8 +422,11 @@ func TestReadBatchMatchesSerialSoak(t *testing.T) {
 // the sharded entry points next to the serial pin of
 // TestSteadyStateUpdateAllocFree, with the flight recorder at full tilt:
 // a single-group ReadBatch and WriteBatch (plan pooling, in-place sort,
-// span reuse, the inline group path the server's per-shard traffic takes)
-// and a single-op ReadChunks (a batch of one on the caller's stack).
+// span reuse, the inline group path the server's per-shard traffic takes),
+// a single-op ReadChunks (a batch of one on the caller's stack), and the
+// served read shape — 64 ops over all four shards of a write-behind engine,
+// which would cost a closure per spawned group if any group left the
+// caller's goroutine.
 func TestReadBatchAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race runs")
@@ -442,13 +447,20 @@ func TestReadBatchAllocFree(t *testing.T) {
 		rops[i] = ReadOp{LBA: lba, Buf: buf}
 		wops[i] = BatchOp{LBA: lba, Data: buf}
 	}
+	// One op per stripe, round-robin: 16 ops on each of the four shards.
+	served := make([]ReadOp, stripes)
+	for i := range served {
+		served[i] = ReadOp{LBA: int64(i)*k + int64(i)%k, Buf: make([]byte, testChunk)}
+	}
 	for _, tc := range []struct {
-		name string
-		step func(e *EPLog)
+		name        string
+		writeBehind bool
+		step        func(e *EPLog)
 	}{
-		{"ReadBatch/one-group", func(e *EPLog) { e.ReadBatch(rops) }},
-		{"ReadChunks", func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
-		{"WriteBatch/one-group", func(e *EPLog) { e.WriteBatch(wops) }},
+		{"ReadBatch/one-group", false, func(e *EPLog) { e.ReadBatch(rops) }},
+		{"ReadBatch/served-64-ops-4-shards", true, func(e *EPLog) { e.ReadBatch(served) }},
+		{"ReadChunks", false, func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
+		{"WriteBatch/one-group", false, func(e *EPLog) { e.WriteBatch(wops) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := obs.NewSink(256)
@@ -461,7 +473,7 @@ func TestReadBatchAllocFree(t *testing.T) {
 			// CommitEvery plus a bounded dirty window keep the written
 			// shard's log-stripe freelist recycling.
 			e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards,
-				CommitEvery: 8, DirtyWindowStripes: 16, Obs: sink})
+				CommitEvery: 8, DirtyWindowStripes: 16, WriteBehind: tc.writeBehind, Obs: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,5 +486,90 @@ func TestReadBatchAllocFree(t *testing.T) {
 				t.Errorf("steady state allocates %.2f objects/call, want 0", avg)
 			}
 		})
+	}
+}
+
+// readOrderDev records, for every chunk read, the destination it was handed
+// and whether the test function is on the reading goroutine's stack.
+type readOrderDev struct {
+	device.Dev
+	mu   *sync.Mutex
+	dsts *[]*byte
+	off  *int // reads issued from any goroutine but the test's
+}
+
+func (d readOrderDev) ReadChunkAt(start float64, idx int64, p []byte) (float64, error) {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
+	onCaller := false
+	for more := true; more && !onCaller; {
+		var fr runtime.Frame
+		fr, more = frames.Next()
+		onCaller = strings.HasSuffix(fr.Function, ".TestReadBatchShardOrderOnCaller")
+	}
+	d.mu.Lock()
+	*d.dsts = append(*d.dsts, &p[0])
+	if !onCaller {
+		*d.off++
+	}
+	d.mu.Unlock()
+	return d.Dev.ReadChunkAt(start, idx, p)
+}
+
+// TestReadBatchShardOrderOnCaller states ReadBatch's concurrency contract:
+// every device read of a batch spread over all shards is issued from the
+// caller's goroutine, shard groups in ascending shard order and each group
+// in ascending LBA order — the deterministic virtual-time order.
+func TestReadBatchShardOrderOnCaller(t *testing.T) {
+	const k, n, stripes, shards = 4, 5, 64, 4
+	var mu sync.Mutex
+	var dsts []*byte
+	var off int
+	devs := make([]device.Dev, n)
+	for i := range devs {
+		devs[i] = readOrderDev{device.NewMem(stripes*4, testChunk), &mu, &dsts, &off}
+	}
+	logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
+	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards, WriteBehind: true, DirtyWindowStripes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	fillEngine(t, e, 7)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	ops := readBatchOps(e, 64) // batch order interleaves the shards
+	opOf := make(map[*byte]int, len(ops))
+	for i := range ops {
+		opOf[&ops[i].Buf[0]] = i
+	}
+	mu.Lock()
+	dsts, off = dsts[:0], 0
+	mu.Unlock()
+	e.ReadBatch(ops)
+
+	if off != 0 {
+		t.Fatalf("%d of %d device reads were issued off the caller's goroutine", off, len(dsts))
+	}
+	if len(dsts) != len(ops) {
+		t.Fatalf("%d device reads for %d clean 1-chunk ops", len(dsts), len(ops))
+	}
+	prevShard, prevLBA := -1, int64(-1)
+	for _, dst := range dsts {
+		op, ok := opOf[dst]
+		if !ok {
+			t.Fatal("a device read landed outside every op's buffer")
+		}
+		if ops[op].Err != nil {
+			t.Fatalf("op %d: %v", op, ops[op].Err)
+		}
+		lba := ops[op].LBA
+		shard := int(lba / k % shards)
+		if shard < prevShard || (shard == prevShard && lba <= prevLBA) {
+			t.Fatalf("read of lba %d (shard %d) after lba %d (shard %d): want ascending shards, ascending LBAs within one", lba, shard, prevLBA, prevShard)
+		}
+		prevShard, prevLBA = shard, lba
 	}
 }

@@ -4,78 +4,11 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/obs"
 	"github.com/eplog/eplog/internal/wire"
 )
-
-// TestCrossConnectionReadBatching parks the engine's first ReadBatch and
-// piles reads from two connections behind it: when the executor frees up,
-// the dispatcher must hand the backlog over as shared batches — strictly
-// fewer engine calls than ops — and every op must still be answered.
-func TestCrossConnectionReadBatching(t *testing.T) {
-	eng := &stubEngine{
-		readStall:  make(chan struct{}),
-		stallEntry: make(chan struct{}),
-	}
-	s, err := Listen("127.0.0.1:0", eng, Options{
-		ReadWorkers: 1,
-		BatchAge:    50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	c1, err := Dial(s.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(s.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	// First read enters the (sole) executor and parks inside the engine.
-	done := make(chan *Call, 64)
-	calls := []*Call{c1.Go(wire.Frame{Type: wire.TRead, Arg: 0, Count: 1}, done)}
-	<-eng.stallEntry
-
-	// Backlog: reads from both connections pile up at the dispatcher while
-	// the executor is parked.
-	const backlog = 16
-	for i := 0; i < backlog; i++ {
-		c := c1
-		if i%2 == 1 {
-			c = c2
-		}
-		calls = append(calls, c.Go(wire.Frame{Type: wire.TRead, Arg: int64(i), Count: 1}, done))
-	}
-	// Let the backlog reach the dispatcher before releasing the engine;
-	// polling the stub's op counter would be racy, so give the sockets a
-	// moment and rely on the dispatcher's linger to mop up stragglers.
-	time.Sleep(20 * time.Millisecond)
-	close(eng.readStall)
-
-	for range calls {
-		call := <-done
-		if call.Err != nil {
-			t.Fatalf("read failed: %v", call.Err)
-		}
-		wire.PutPayload(&call.Resp)
-	}
-	ops, batches := eng.readOps.Load(), eng.readCalls.Load()
-	if ops != int64(len(calls)) {
-		t.Fatalf("engine saw %d ops, want %d", ops, len(calls))
-	}
-	if batches >= ops {
-		t.Fatalf("engine saw %d batches for %d ops: no cross-connection coalescing", batches, ops)
-	}
-}
 
 // TestVectoredWriterCoalesces drives a connection writer directly over a
 // pipe with a pre-filled response queue: every frame must arrive intact

@@ -49,12 +49,16 @@ func (c *countConn) counts() (writes, flusherWrites int) {
 }
 
 // onFlusher reports whether the calling goroutine is a Client's flusher.
-func onFlusher() bool {
+func onFlusher() bool { return calledFrom(".(*Client).flusher") }
+
+// calledFrom reports whether a function whose name ends in suffix is on the
+// calling goroutine's stack.
+func calledFrom(suffix string) bool {
 	var pcs [32]uintptr
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
 	for {
 		fr, more := frames.Next()
-		if strings.HasSuffix(fr.Function, ".(*Client).flusher") {
+		if strings.HasSuffix(fr.Function, suffix) {
 			return true
 		}
 		if !more {

@@ -6,27 +6,40 @@ import (
 	"sync"
 	"time"
 
+	"github.com/eplog/eplog/internal/bufpool"
+	"github.com/eplog/eplog/internal/core"
+	"github.com/eplog/eplog/internal/obs"
 	"github.com/eplog/eplog/internal/wire"
 )
 
-// conn is one client connection: a reader goroutine decoding requests and
-// a writer goroutine encoding responses, joined by the out channel.
+// conn is one client connection: a reader goroutine decoding requests —
+// and executing the READs among them — and a writer goroutine encoding
+// responses, joined by the out channel.
 //
 // Flow-control invariant: the reader takes a sem slot before a request
 // enters the server and the writer frees it only after dequeuing the
 // response, so at most QueueDepth responses can ever be queued on out —
-// out has QueueDepth capacity, so response enqueues (server.respond)
-// never block, and executors can't deadlock against a slow client. A
-// client that pipelines deeper than QueueDepth just stops being read.
+// out has QueueDepth capacity, so response enqueues never block, and
+// neither the reader nor the dispatcher can deadlock against a slow client.
+// A client that pipelines deeper than QueueDepth just stops being read.
 type conn struct {
 	s   *Server
 	nc  net.Conn
 	out chan *wire.Frame
 	sem chan struct{}
-	// wg tracks accepted requests until their responses are enqueued; the
-	// closer goroutine closes out once the reader is done and wg drains.
+	// wg tracks the writes and flushes handed to the dispatcher until their
+	// responses are enqueued; the closer goroutine closes out once the
+	// reader is done and wg drains.
 	wg  sync.WaitGroup
 	ops int64
+
+	// Reader-owned: the READs of the burst being decoded, the engine-op and
+	// span scratch their execution reuses, and the burst's frame and byte
+	// counts — all settled by flush.
+	reads         []wire.Frame
+	rops          []core.ReadOp
+	spans         []*obs.Span
+	frames, bytes int64
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -35,6 +48,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc:  nc,
 		out: make(chan *wire.Frame, s.opts.QueueDepth),
 		sem: make(chan struct{}, s.opts.QueueDepth),
+
+		reads: make([]wire.Frame, 0, s.opts.BatchMax),
 	}
 	s.cConns.Add(1)
 	s.gConns.Add(1)
@@ -50,8 +65,8 @@ func (s *Server) serveConn(nc net.Conn) {
 
 	go func() {
 		c.reader()
-		// All accepted requests respond before out closes; the writer then
-		// drains out and exits.
+		// The reader has answered its own READs; once the dispatcher has
+		// answered the writes out closes, and the writer drains it and exits.
 		c.wg.Wait()
 		close(c.out)
 	}()
@@ -73,43 +88,114 @@ func (c *conn) kick() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
-// reader decodes frames off the socket and routes them: writes and
-// flushes to the dispatcher queue, reads and stats to the worker pool,
-// protocol violations straight back as StatusBadRequest. It blocks only on
-// its own connection's QueueDepth (the sem slot) and exits on any decode
-// error (the decoder latches, including the kicked deadline at shutdown).
+// reader decodes frames off the socket and serves them: READs collect into
+// the burst and run on this goroutine (flush), a STAT is answered on the
+// spot, writes and flushes go to the dispatcher queue, protocol violations
+// straight back as StatusBadRequest. Before anything that can block it — a
+// frame the socket has not delivered whole, its own connection's QueueDepth
+// (the sem slot), a full dispatcher queue — it flushes, so it never parks
+// holding answers; BatchMax bounds the burst. It exits on any decode error
+// (the decoder latches, including the kicked deadline at shutdown), the
+// frames already buffered decoded and answered first.
 func (c *conn) reader() {
-	dec := wire.NewDecoder(bufio.NewReaderSize(c.nc, 64<<10), c.s.opts.MaxPayload)
+	s := c.s
+	br := bufio.NewReaderSize(c.nc, 64<<10)
+	dec := wire.NewDecoder(br, s.opts.MaxPayload)
+	var f wire.Frame // escapes through the decoder: one per connection, not per frame
 	for {
-		var f wire.Frame
+		if !wire.FrameBuffered(br) {
+			c.flush()
+		}
 		if err := dec.ReadFrame(&f); err != nil {
+			c.flush()
 			return
 		}
-		c.s.cFramesIn.Add(1)
-		c.s.cBytesIn.Add(int64(wire.HeaderSize + len(f.Payload)))
-		c.ops++
-		c.sem <- struct{}{}
-		c.wg.Add(1)
-		// Occupancy gauges drive the adaptive batch linger; every admitted
-		// request ticks one up here and down in server.respond.
-		if t := f.ReqType(); t == wire.TWrite || t == wire.TFlush {
-			c.s.gWriteInflight.Add(1)
-		} else {
-			c.s.gReadInflight.Add(1)
+		c.frames++
+		c.bytes += int64(wire.HeaderSize + len(f.Payload))
+		select {
+		case c.sem <- struct{}{}:
+		default:
+			c.flush() // the free slot may be one this burst's responses give back
+			c.sem <- struct{}{}
 		}
-		r := &request{c: c, f: f}
-		if msg := c.s.validate(&r.f); msg != "" {
-			wire.PutPayload(&r.f)
-			c.s.respondErr(r, wire.StatusBadRequest, msg)
+		if msg := s.validate(&f); msg != "" {
+			wire.PutPayload(&f)
+			c.out <- s.errFrame(&f, wire.StatusBadRequest, msg)
 			continue
 		}
-		switch r.f.ReqType() {
-		case wire.TWrite, wire.TFlush:
-			c.s.writeQ <- r
-		default:
-			c.s.readQ <- r
+		switch f.ReqType() {
+		case wire.TRead:
+			if c.reads = append(c.reads, f); len(c.reads) == s.opts.BatchMax {
+				c.flush()
+			}
+		case wire.TStat:
+			c.out <- s.statFrame(f.ReqID)
+		default: // TWrite, TFlush
+			c.wg.Add(1)
+			// The occupancy gauge drives the dispatcher's batch linger; every
+			// queued request ticks it up here and down in server.respond.
+			s.gWriteInflight.Add(1)
+			r := &request{c: c, f: f}
+			select {
+			case s.writeQ <- r:
+			default:
+				c.flush()
+				s.writeQ <- r
+			}
 		}
 	}
+}
+
+// flush settles the burst decoded so far: it publishes the frame and byte
+// counts and pushes the READs through the engine as a single core.ReadBatch
+// on this goroutine, responding per op. Response payloads come from the
+// arena here and are released by the writer once the vectored write lands
+// (or recycled immediately on a per-op error).
+func (c *conn) flush() {
+	s := c.s
+	if c.frames > 0 {
+		s.cFramesIn.Add(c.frames)
+		s.cBytesIn.Add(c.bytes)
+		c.ops += c.frames
+		c.frames, c.bytes = 0, 0
+	}
+	batch := c.reads
+	if len(batch) == 0 {
+		return
+	}
+	n := int64(len(batch))
+	s.gReadInflight.Add(float64(n))
+	s.cReads.Add(n)
+	s.cReadBatches.Add(1)
+	s.hReadBatchOps.Observe(float64(n))
+	ops, spans := c.rops[:0], c.spans[:0]
+	root := s.rec.Start(obs.SpanNetReadBatch, s.opts.SpanShard, s.now(), 0, n)
+	for i := range batch {
+		f := &batch[i]
+		ops = append(ops, core.ReadOp{LBA: f.Arg, Buf: bufpool.Default.Get(int(f.Count) * s.csize)})
+		sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), f.Arg, int64(f.Count))
+		sp.SetCause("read")
+		spans = append(spans, sp) //eplog:span-handoff closed in the response loop below
+	}
+	s.eng.ReadBatch(ops)
+	end := s.now()
+	for i := range batch {
+		f := &batch[i]
+		spans[i].Close(end)
+		if err := ops[i].Err; err != nil {
+			bufpool.Default.Put(ops[i].Buf)
+			c.out <- s.errFrame(f, wire.StatusErr, err.Error())
+			continue
+		}
+		c.out <- &wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: f.ReqID,
+			Arg: f.Arg, Count: uint32(len(ops[i].Buf)), Payload: ops[i].Buf}
+	}
+	s.rec.Finish(root, end)
+	s.gReadInflight.Add(-float64(n))
+	// Keep the grown arrays, but no payload or span past its batch.
+	clear(ops)
+	clear(spans)
+	c.reads, c.rops, c.spans = batch[:0], ops, spans
 }
 
 // writer ships responses in completion order with vectored zero-copy
@@ -120,7 +206,8 @@ func (c *conn) reader() {
 // syscall carries many frames. Payloads are recycled only after the
 // write lands, so the kernel never reads from a reused pool buffer. On a
 // write error it keeps draining out — recycling frames and freeing sem
-// slots — so in-flight executors never block on a dead connection.
+// slots — so neither the reader nor the dispatcher blocks on a dead
+// connection.
 func (c *conn) writer() {
 	max := c.s.opts.WritevMax
 	frames := make([]*wire.Frame, 0, max)
@@ -129,6 +216,7 @@ func (c *conn) writer() {
 	// segments already queued.
 	hdrs := make([]byte, 0, max*wire.HeaderSize)
 	iov := make(net.Buffers, 0, 2*max)
+	var bufs net.Buffers // WriteTo's receiver escapes: one per connection, not per write
 	var werr error
 	for f := range c.out {
 		frames = append(frames[:0], f)
@@ -162,7 +250,7 @@ func (c *conn) writer() {
 				// WriteTo consumes the slice it is given; hand it a copy of
 				// the header so iov's backing array (and capacity) survive
 				// for the next batch.
-				bufs := iov
+				bufs = iov
 				var nb int64
 				nb, werr = (&bufs).WriteTo(c.nc)
 				c.s.cBytesOut.Add(nb)

@@ -2,24 +2,12 @@ package server
 
 import "testing"
 
-// TestQueueOptionDefaults pins the validated defaults for the dispatch
-// queue capacities, including ReadBatchQueue tracking ReadWorkers.
+// TestQueueOptionDefaults pins the validated default for the one dispatch
+// queue capacity the server has.
 func TestQueueOptionDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.WriteQueue != 1024 || o.ReadQueue != 1024 {
-		t.Errorf("default queues = %d/%d, want 1024/1024", o.WriteQueue, o.ReadQueue)
-	}
-	if o.ReadBatchQueue != o.ReadWorkers {
-		t.Errorf("default ReadBatchQueue = %d, want ReadWorkers (%d)", o.ReadBatchQueue, o.ReadWorkers)
-	}
-
-	o = Options{ReadWorkers: 7, WriteQueue: 32, ReadQueue: 16, ReadBatchQueue: 3}.withDefaults()
-	if o.WriteQueue != 32 || o.ReadQueue != 16 || o.ReadBatchQueue != 3 {
-		t.Errorf("explicit queues = %d/%d/%d, want 32/16/3", o.WriteQueue, o.ReadQueue, o.ReadBatchQueue)
-	}
-
-	o = Options{ReadWorkers: 7, WriteQueue: -5, ReadQueue: -5, ReadBatchQueue: -5}.withDefaults()
-	if o.WriteQueue != 1024 || o.ReadQueue != 1024 || o.ReadBatchQueue != 7 {
-		t.Errorf("negative queues = %d/%d/%d, want 1024/1024/7", o.WriteQueue, o.ReadQueue, o.ReadBatchQueue)
+	for in, want := range map[int]int{0: 1024, 32: 32, -5: 1024} {
+		if o := (Options{WriteQueue: in}).withDefaults(); o.WriteQueue != want {
+			t.Errorf("WriteQueue %d defaults to %d, want %d", in, o.WriteQueue, want)
+		}
 	}
 }

@@ -3,12 +3,16 @@
 //
 // Each connection gets a goroutine pair — a reader decoding frames and a
 // writer encoding responses — and requests pipeline freely: many request
-// IDs in flight per connection, responses completing out of order (reads
-// run on a worker pool while writes batch). Writes and flushes from ALL
+// IDs in flight per connection, responses completing out of order. A
+// connection's READs run to completion on its reader goroutine, one
+// core.ReadBatch per burst the socket delivered, in arrival order; read
+// parallelism comes from connections. Writes and flushes from ALL
 // connections funnel through one dispatcher that coalesces them into
 // engine batches (core.WriteBatch), so unrelated clients share a shard
-// lock acquisition; a FLUSH frame is a batch barrier covering every write
-// the server read before it.
+// lock acquisition and a log stripe; reads overtake queued writes, and a
+// FLUSH frame is a batch barrier covering every write the server read
+// before it. After Listen the server runs the accept loop and the write
+// dispatcher, nothing else; no goroutine is started per request or batch.
 //
 // Parity commits stay off the write path: after each dispatcher batch the
 // server calls core.FoldPressured(HighWater), which hands the shards whose
@@ -31,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/core"
 	"github.com/eplog/eplog/internal/obs"
 	"github.com/eplog/eplog/internal/store"
@@ -60,38 +63,30 @@ type Options struct {
 	// wire.DefaultMaxPayload). It caps both decode allocation and the
 	// largest READ a client may ask for.
 	MaxPayload int
-	// BatchMax bounds how many write/flush frames one engine batch
-	// coalesces (<= 0 selects 64).
+	// BatchMax bounds how many frames one engine batch coalesces — the
+	// dispatcher's write/flush frames, a connection's READs (<= 0 selects
+	// 64).
 	BatchMax int
 	// QueueDepth bounds in-flight requests per connection; a client
 	// pipelining deeper stops being read until responses drain (<= 0
 	// selects 128).
 	QueueDepth int
-	// ReadWorkers sizes the read-batch executor pool (<= 0 selects 4).
-	ReadWorkers int
 	// WriteQueue is the capacity of the write/flush dispatch queue
 	// between connection readers and the write dispatcher (<= 0 selects
 	// 1024). Soak and bench sweep it to trade arrival buffering against
 	// memory.
 	WriteQueue int
-	// ReadQueue is the capacity of the read/stats dispatch queue between
-	// connection readers and the read dispatcher (<= 0 selects 1024).
-	ReadQueue int
-	// ReadBatchQueue is the capacity of the batch hand-off queue between
-	// the read dispatcher and the executor pool (<= 0 selects
-	// ReadWorkers, one batch buffered per worker).
-	ReadBatchQueue int
 	// WritevMax bounds how many completed response frames one connection
 	// writer coalesces into a single vectored write (net.Buffers/writev);
 	// <= 0 selects 64. 1 degenerates to one write per frame.
 	WritevMax int
-	// BatchAge is the adaptive flush policy's linger bound for both
-	// dispatchers: once a batch has its first op and the queue goes empty,
-	// the dispatcher keeps collecting up to BatchAge — but only while the
-	// occupancy gauges say more requests are in flight than it holds;
-	// an idle server flushes immediately. 0 selects 200µs; negative
-	// disables lingering (flush as soon as the queue is empty, the
-	// pre-adaptive behavior).
+	// BatchAge is the write dispatcher's adaptive flush linger bound: once
+	// a batch has its first op and the queue goes empty, the dispatcher
+	// keeps collecting up to BatchAge — but only while the occupancy gauge
+	// says more writes are in flight than it holds; an idle server flushes
+	// immediately. Reads never linger: a burst is what the socket held. 0
+	// selects 200µs; negative disables lingering (flush as soon as the
+	// queue is empty).
 	BatchAge time.Duration
 	// HighWater is the shard fill (the per-shard term of
 	// core.WritePressure) at which that shard's background parity fold
@@ -125,17 +120,8 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 128
 	}
-	if o.ReadWorkers <= 0 {
-		o.ReadWorkers = 4
-	}
 	if o.WriteQueue <= 0 {
 		o.WriteQueue = 1024
-	}
-	if o.ReadQueue <= 0 {
-		o.ReadQueue = 1024
-	}
-	if o.ReadBatchQueue <= 0 {
-		o.ReadBatchQueue = o.ReadWorkers
 	}
 	if o.WritevMax <= 0 {
 		o.WritevMax = 64
@@ -152,8 +138,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// request is one accepted frame awaiting execution, still owning its
-// decoded payload.
+// request is one accepted write or flush frame on its way through the
+// dispatcher, still owning its decoded payload.
 type request struct {
 	c *conn
 	f wire.Frame
@@ -171,17 +157,9 @@ type Server struct {
 	acceptDone chan struct{}
 
 	// writeQ carries writes and flushes in socket-arrival order to the
-	// write dispatcher; readQ carries reads and stats to the read
-	// dispatcher, which answers stats inline and ships read batches to the
-	// executor pool over rbatchQ; the executors hand the batch slices back,
-	// cleared, over rbatchFree.
-	writeQ           chan *request
-	readQ            chan *request
-	rbatchQ          chan []*request
-	rbatchFree       chan []*request
-	dispatchDone     chan struct{}
-	readDispatchDone chan struct{}
-	workersWG        sync.WaitGroup
+	// write dispatcher.
+	writeQ       chan *request
+	dispatchDone chan struct{}
 
 	// Dispatcher-owned scratch for runWrites, cleared after each run.
 	writeOps   []core.BatchOp
@@ -214,8 +192,8 @@ type Server struct {
 	hConnOps   *obs.Histogram
 	// Read-batching and vectored-writer telemetry: read batches entering
 	// the engine, their op counts, vectored writes issued, and the two
-	// occupancy gauges (requests admitted but not yet responded, split by
-	// dispatcher) that drive the adaptive flush policy.
+	// occupancy gauges — writes queued or in the dispatcher (which drives
+	// its adaptive flush policy) and reads inside the engine.
 	cReadBatches   *obs.Counter
 	hReadBatchOps  *obs.Histogram
 	cWritev        *obs.Counter
@@ -237,20 +215,16 @@ func Listen(addr string, eng Engine, opts Options) (*Server, error) {
 func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:             opts,
-		eng:              eng,
-		csize:            eng.ChunkSize(),
-		chunks:           eng.Chunks(),
-		ln:               ln,
-		quit:             make(chan struct{}),
-		acceptDone:       make(chan struct{}),
-		writeQ:           make(chan *request, opts.WriteQueue),
-		readQ:            make(chan *request, opts.ReadQueue),
-		rbatchQ:          make(chan []*request, opts.ReadBatchQueue),
-		rbatchFree:       make(chan []*request, opts.ReadBatchQueue+opts.ReadWorkers), // every slice but the one being filled: queued or executing
-		dispatchDone:     make(chan struct{}),
-		readDispatchDone: make(chan struct{}),
-		conns:            make(map[*conn]struct{}),
+		opts:         opts,
+		eng:          eng,
+		csize:        eng.ChunkSize(),
+		chunks:       eng.Chunks(),
+		ln:           ln,
+		quit:         make(chan struct{}),
+		acceptDone:   make(chan struct{}),
+		writeQ:       make(chan *request, opts.WriteQueue),
+		dispatchDone: make(chan struct{}),
+		conns:        make(map[*conn]struct{}),
 	}
 	sink := opts.Sink
 	s.rec = sink.SpanRecorder(opts.SpanShard)
@@ -276,11 +250,6 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 	s.gReadInflight = sink.Gauge("net.read_inflight")
 
 	go s.dispatch()
-	go s.readDispatch()
-	s.workersWG.Add(opts.ReadWorkers)
-	for i := 0; i < opts.ReadWorkers; i++ {
-		go s.readExec()
-	}
 	go s.acceptLoop()
 	return s
 }
@@ -291,8 +260,8 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Close drains the server: stop accepting, kick every connection's reader,
 // finish in-flight requests and flush their responses (bounded by
 // DrainTimeout, after which surviving connections are force-closed), stop
-// the dispatcher and workers, then Close the engine when CloseStore is
-// set. Idempotent; every call returns the same error.
+// the dispatcher, then Close the engine when CloseStore is set.
+// Idempotent; every call returns the same error.
 //
 //eplog:wallclock the drain deadline and the reader kick are real-time by nature
 func (s *Server) Close() error {
@@ -325,16 +294,13 @@ func (s *Server) Close() error {
 				c.nc.Close()
 			}
 			s.connMu.Unlock()
-			<-done // dispatcher/workers still run, so queued work finishes
+			<-done // the dispatcher still runs, so queued work finishes
 		}
 
-		// All producers are gone; draining the queues shuts the
-		// dispatchers and executors down in dependency order.
+		// All producers are gone; draining the queue shuts the dispatcher
+		// down.
 		close(s.writeQ)
 		<-s.dispatchDone
-		close(s.readQ)
-		<-s.readDispatchDone // closes rbatchQ after the last batch ships
-		s.workersWG.Wait()
 		if s.opts.CloseStore {
 			s.closeErr = s.eng.Close()
 		}
@@ -373,24 +339,23 @@ func (s *Server) dispatch() {
 	defer close(s.dispatchDone)
 	batch := make([]*request, 0, s.opts.BatchMax)
 	for r := range s.writeQ {
-		batch = append(batch[:0], r)
-		batch = s.fillAdaptive(s.writeQ, batch, s.gWriteInflight)
+		batch = s.fillAdaptive(append(batch[:0], r))
 		s.runBatch(batch)
 		s.eng.FoldPressured(s.opts.HighWater)
 	}
 }
 
-// fillAdaptive grows a batch whose first op the caller already holds,
-// implementing the adaptive flush policy shared by both dispatchers. A
-// batch flushes on the first of: batch-size (BatchMax reached), first-op
-// age (BatchAge since filling began), or idle — the queue is empty and the
-// dispatcher's occupancy gauge says nothing beyond the batch in hand is in
-// flight, so there is nothing to linger for. Whatever is immediately
-// available is always taken without waiting; the linger only ever trades
-// bounded latency on a *busy* server for larger batches.
+// fillAdaptive grows a batch whose first op the dispatcher already holds,
+// implementing its adaptive flush policy. A batch flushes on the first of:
+// batch-size (BatchMax reached), first-op age (BatchAge since filling
+// began), or idle — the queue is empty and the occupancy gauge says no
+// write beyond the batch in hand is in flight, so there is nothing to
+// linger for. Whatever is immediately available is always taken without
+// waiting; the linger only ever trades bounded latency on a *busy* server
+// for larger batches.
 //
 //eplog:wallclock the first-op age bound is a real-time linger
-func (s *Server) fillAdaptive(q <-chan *request, batch []*request, occ *obs.Gauge) []*request {
+func (s *Server) fillAdaptive(batch []*request) []*request {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -399,7 +364,7 @@ func (s *Server) fillAdaptive(q <-chan *request, batch []*request, occ *obs.Gaug
 	}()
 	for len(batch) < s.opts.BatchMax {
 		select {
-		case r, ok := <-q:
+		case r, ok := <-s.writeQ:
 			if !ok {
 				return batch
 			}
@@ -409,16 +374,16 @@ func (s *Server) fillAdaptive(q <-chan *request, batch []*request, occ *obs.Gaug
 		}
 		// Queue empty: flush when lingering is disabled, the age budget is
 		// already ticking down to zero, or the server is idle (the gauge
-		// counts admitted-but-unresponded requests, including the batch in
+		// counts admitted-but-unresponded writes, including the batch in
 		// hand — nothing beyond it means nothing left to wait for).
-		if s.opts.BatchAge <= 0 || int(occ.Value()) <= len(batch) {
+		if s.opts.BatchAge <= 0 || int(s.gWriteInflight.Value()) <= len(batch) {
 			return batch
 		}
 		if timer == nil {
 			timer = time.NewTimer(s.opts.BatchAge)
 		}
 		select {
-		case r, ok := <-q:
+		case r, ok := <-s.writeQ:
 			if !ok {
 				return batch
 			}
@@ -449,7 +414,7 @@ func (s *Server) runBatch(batch []*request) {
 			err := s.eng.Flush()
 			sp.Close(s.now())
 			if err != nil {
-				s.respondErr(r, wire.StatusErr, err.Error())
+				s.respond(r, s.errFrame(&r.f, wire.StatusErr, err.Error()))
 				continue
 			}
 			s.respond(r, &wire.Frame{Type: wire.TFlush | wire.RespFlag, ReqID: r.f.ReqID})
@@ -483,7 +448,7 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 		s.cWrites.Add(1)
 		if err := ops[i].Err; err != nil {
 			wire.PutPayload(&r.f)
-			s.respondErr(r, wire.StatusErr, err.Error())
+			s.respond(r, s.errFrame(&r.f, wire.StatusErr, err.Error()))
 			continue
 		}
 		count := uint32(len(r.f.Payload))
@@ -496,100 +461,9 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 	s.writeOps, s.writeSpans = ops, spans
 }
 
-// readDispatch is the single read dispatcher: it drains the
-// cross-connection read queue into batches with the same adaptive flush
-// policy as the write dispatcher, answers STAT frames inline (cheap
-// metadata snapshots that must not wait on the engine), and ships each
-// READ batch to the executor pool — so concurrent connections share one
-// core.ReadBatch, and reads still overtake queued writes. The batch slice
-// itself is what ships: the dispatcher goes on with one an executor has
-// handed back.
-func (s *Server) readDispatch() {
-	defer close(s.readDispatchDone)
-	defer close(s.rbatchQ)
-	batch := make([]*request, 0, s.opts.BatchMax)
-	for r := range s.readQ {
-		batch = append(batch[:0], r)
-		batch = s.fillAdaptive(s.readQ, batch, s.gReadInflight)
-		n := 0
-		for _, r2 := range batch {
-			if r2.f.ReqType() == wire.TStat {
-				s.runStat(r2)
-			} else {
-				batch[n] = r2
-				n++
-			}
-		}
-		clear(batch[n:])
-		if n == 0 {
-			continue
-		}
-		s.rbatchQ <- batch[:n]
-		select {
-		case batch = <-s.rbatchFree:
-		default:
-			batch = make([]*request, 0, s.opts.BatchMax)
-		}
-	}
-}
-
-// readExec runs read batches from the dispatcher. Several executors keep
-// batches from distinct fills in flight at once, preserving the
-// out-of-order completion pipelining promises. Each owns its engine-op and
-// span scratch, and returns the batch slice to the dispatcher once no
-// request in it is referenced any more.
-func (s *Server) readExec() {
-	defer s.workersWG.Done()
-	var ops []core.ReadOp
-	var spans []*obs.Span
-	for rb := range s.rbatchQ {
-		ops, spans = s.runReadBatch(rb, ops[:0], spans[:0])
-		clear(rb)
-		select {
-		case s.rbatchFree <- rb:
-		default:
-		}
-	}
-}
-
-// runReadBatch pushes one batch of READ frames through the engine as a
-// single core.ReadBatch and responds per op. Response payloads come from
-// the arena here and are released by the connection writer once the
-// vectored write lands (or recycled immediately on a per-op error). ops and
-// spans are the executor's scratch, handed back grown and cleared.
-func (s *Server) runReadBatch(batch []*request, ops []core.ReadOp, spans []*obs.Span) ([]core.ReadOp, []*obs.Span) {
-	s.cReadBatches.Add(1)
-	s.hReadBatchOps.Observe(float64(len(batch)))
-	start := s.now()
-	root := s.rec.Start(obs.SpanNetReadBatch, s.opts.SpanShard, start, 0, int64(len(batch)))
-	for _, r := range batch {
-		ops = append(ops, core.ReadOp{LBA: r.f.Arg, Buf: bufpool.Default.Get(int(r.f.Count) * s.csize)})
-		sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), r.f.Arg, int64(r.f.Count))
-		sp.SetCause("read")
-		spans = append(spans, sp) //eplog:span-handoff closed in the response loop below
-	}
-	s.eng.ReadBatch(ops)
-	end := s.now()
-	for i, r := range batch {
-		spans[i].Close(end)
-		s.cReads.Add(1)
-		if err := ops[i].Err; err != nil {
-			bufpool.Default.Put(ops[i].Buf)
-			s.respondErr(r, wire.StatusErr, err.Error())
-			continue
-		}
-		s.respond(r, &wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: r.f.ReqID,
-			Arg: r.f.Arg, Count: uint32(len(ops[i].Buf)), Payload: ops[i].Buf})
-	}
-	s.rec.Finish(root, end)
-	// Keep the grown arrays, but no payload or span past its batch.
-	clear(ops)
-	clear(spans)
-	return ops, spans
-}
-
-// runStat answers one STAT frame from live engine metadata.
-func (s *Server) runStat(r *request) {
+// statFrame answers one STAT frame from live engine metadata — lock-free
+// snapshots, so a STAT never waits on the engine.
+func (s *Server) statFrame(reqID uint64) *wire.Frame {
 	s.cStats.Add(1)
 	geo := s.eng.Geometry()
 	st := wire.Stat{
@@ -603,33 +477,29 @@ func (s *Server) runStat(r *request) {
 		WritePressure:     s.eng.WritePressure(),
 	}
 	p := wire.AppendStat(nil, &st)
-	s.respond(r, &wire.Frame{Type: wire.TStat | wire.RespFlag, ReqID: r.f.ReqID,
-		Count: uint32(len(p)), Payload: p})
+	return &wire.Frame{Type: wire.TStat | wire.RespFlag, ReqID: reqID,
+		Count: uint32(len(p)), Payload: p}
 }
 
-// respond enqueues a response on the request's connection. Never blocks
-// indefinitely: the per-conn in-flight bound guarantees buffer space.
-// Every admitted request passes through here exactly once, so this is
-// where the dispatcher occupancy gauges tick down.
+// respond enqueues the dispatcher's response to a write or flush on the
+// request's connection. Never blocks indefinitely: the per-conn in-flight
+// bound guarantees buffer space.
 func (s *Server) respond(r *request, f *wire.Frame) {
-	if t := r.f.ReqType(); t == wire.TWrite || t == wire.TFlush {
-		s.gWriteInflight.Add(-1)
-	} else {
-		s.gReadInflight.Add(-1)
-	}
+	s.gWriteInflight.Add(-1)
 	r.c.out <- f
 	r.c.wg.Done()
 }
 
-// respondErr enqueues an error response carrying the message text.
-func (s *Server) respondErr(r *request, status uint8, msg string) {
+// errFrame counts and builds the error response to request f, carrying the
+// message text.
+func (s *Server) errFrame(f *wire.Frame, status uint8, msg string) *wire.Frame {
 	if status == wire.StatusBadRequest {
 		s.cBadReq.Add(1)
 	} else {
 		s.cErrs.Add(1)
 	}
-	s.respond(r, &wire.Frame{Type: r.f.Type | wire.RespFlag, Status: status,
-		ReqID: r.f.ReqID, Payload: []byte(msg)})
+	return &wire.Frame{Type: f.Type | wire.RespFlag, Status: status,
+		ReqID: f.ReqID, Payload: []byte(msg)}
 }
 
 // validate screens a decoded request before it takes a queue slot,

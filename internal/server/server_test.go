@@ -278,6 +278,7 @@ type stubEngine struct {
 	writes     atomic.Int64
 	readOps    atomic.Int64
 	readCalls  atomic.Int64
+	offReader  atomic.Int64  // ReadBatch calls made off a connection's reader goroutine
 	readStall  chan struct{} // non-nil: ReadBatch blocks until closed
 	stallOnce  sync.Once
 	stallEntry chan struct{} // signaled when the first ReadBatch parks
@@ -305,6 +306,9 @@ func (s *stubEngine) WriteBatch(ops []core.BatchOp) {
 func (s *stubEngine) ReadBatch(ops []core.ReadOp) {
 	s.readCalls.Add(1)
 	s.readOps.Add(int64(len(ops)))
+	if !calledFrom(".(*conn).reader") {
+		s.offReader.Add(1)
+	}
 	if s.readStall != nil {
 		s.stallOnce.Do(func() { close(s.stallEntry) })
 		<-s.readStall

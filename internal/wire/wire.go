@@ -31,6 +31,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -313,6 +314,18 @@ func (d *Decoder) ReadFrame(f *Frame) error {
 	}
 	f.Payload = p
 	return nil
+}
+
+// FrameBuffered reports whether br already holds the next frame whole —
+// header and payload — so that a ReadFrame over it cannot block on the
+// underlying stream. A server asks before each decode and finishes the work
+// it has batched up first when the answer is no.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < HeaderSize {
+		return false
+	}
+	size, _ := br.Peek(4) // buffered: cannot fail
+	return uint64(br.Buffered()-4) >= uint64(binary.BigEndian.Uint32(size))
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a frame, the

@@ -246,3 +246,38 @@ func TestDecoderPayloadAlloc(t *testing.T) {
 	}
 	PutPayload(&f3)
 }
+
+// TestFrameBuffered: the answer is yes exactly when header and payload of
+// the next frame are both in the buffer, so a ReadFrame cannot block.
+func TestFrameBuffered(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 100)
+	frame, err := AppendFrameHeader(nil, &Frame{Type: TWrite, ReqID: 1, Count: 100, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame = append(frame, payload...)
+	for n := 0; n <= len(frame); n++ {
+		br := bufio.NewReader(bytes.NewReader(frame[:n]))
+		br.Peek(1) // pull what the stream has into the buffer, as a socket read would
+		if got, want := FrameBuffered(br), n == len(frame); got != want {
+			t.Fatalf("%d of %d bytes buffered: FrameBuffered = %v, want %v", n, len(frame), got, want)
+		}
+	}
+	// Two frames back to back: true for each in turn, false once drained.
+	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), frame...), frame...)))
+	br.Peek(1)
+	dec := NewDecoder(br, 0)
+	for i := 0; i < 2; i++ {
+		if !FrameBuffered(br) {
+			t.Fatalf("frame %d of 2 is buffered whole, FrameBuffered = false", i+1)
+		}
+		var f Frame
+		if err := dec.ReadFrame(&f); err != nil {
+			t.Fatal(err)
+		}
+		PutPayload(&f)
+	}
+	if FrameBuffered(br) {
+		t.Fatal("FrameBuffered = true on a drained buffer")
+	}
+}
