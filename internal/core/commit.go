@@ -112,6 +112,12 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	}
 	var span device.Span
 	span.Reset(flushSpan.End())
+	if pre := sh.pre; pre != nil {
+		// Ran before the lock was taken; the parity writes wait on its reads.
+		pf := op.Child(obs.SpanCommitPrefold, sh.idx, spanStart, 0, int64(pre.n))
+		pf.Close(max(pre.span.End(), spanStart))
+		span.Reset(max(flushSpan.End(), pre.span.End()))
+	}
 	parityBefore := sh.stats.ParityWriteChunks
 
 	// Deterministic stripe order keeps runs reproducible. The order slice
@@ -205,58 +211,155 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 // foldStripes is the commit's fold phase: for every dirty stripe it reads
 // the k latest data chunks, re-encodes the parity, and writes it to the
 // stripe's home locations, in stripe order on the caller's span with the
-// shard's scratch shard table — a commit allocates nothing.
+// shard's scratch shard table — a commit allocates nothing. A stripe whose
+// entry in the committer's prefold (sh.pre) still holds skips the first half.
 //
 //eplog:hotpath
 func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []int64) error {
 	e := sh.e
-	sh.foldShards = grow(sh.foldShards, e.geo.K+e.geo.M())
+	k, m := e.geo.K, e.geo.M()
+	sh.foldShards = grow(sh.foldShards, k+m)
+	shards := bufpool.Default.GetSlices(sh.foldShards, e.csize)
+	defer bufpool.Default.PutSlices(shards)
+	pre, next := sh.pre, 0
+	if pre != nil {
+		sh.stats.CommitReadChunks += pre.reads // used or wasted, the SSDs served them
+		if pre.commits != sh.stats.Commits || !slices.Equal(pre.devs, e.devs) {
+			next = pre.n // chunks were released, or a device swapped, under the reads
+			e.cPrefoldStale.Add(int64(pre.n))
+		}
+	}
 	for _, s := range stripes {
-		clear(sh.foldShards)
-		reads, parity, err := e.foldStripe(span, code, s, sh.foldShards)
-		sh.stats.CommitReadChunks += reads
-		sh.stats.ParityWriteChunks += parity
-		sh.stats.CommitWriteChunks += parity
-		if err != nil {
-			return err
+		parity, hit := shards[k:], false
+		// No commit since the snapshot, so dirty only grew: the table's
+		// stripes are a subsequence of stripes and one cursor pairs them.
+		if pre != nil && next < pre.n && pre.stripes[next] == s {
+			hit = true
+			for j, loc := range pre.locs[next*k : (next+1)*k] {
+				hit = hit && e.loadLatest(e.geo.LBA(s, j)) == loc
+			}
+			if hit {
+				parity = pre.parity[next*m : (next+1)*m]
+				e.cPrefoldStripes.Inc()
+			} else {
+				e.cPrefoldStale.Inc()
+			}
+			next++
+		}
+		if !hit {
+			reads, err := e.foldEncode(span, code, s, shards, nil, nil)
+			sh.stats.CommitReadChunks += reads
+			if err != nil {
+				return err
+			}
+		}
+		for p, buf := range parity {
+			if err := tolerantWrite(span, e.devs[e.geo.ParityDev(s, p)], e.geo.HomeChunk(s), buf); err != nil {
+				return err // a failed parity device is restored later by Rebuild
+			}
+			sh.stats.ParityWriteChunks++
+			sh.stats.CommitWriteChunks++
 		}
 	}
 	return nil
 }
 
-// foldStripe folds one stripe: read the k latest data chunks into arena
-// buffers, re-encode the parity, write it home. shards is a caller-owned
-// table of k+m nil entries; every buffer placed in it is returned to the
-// arena before foldStripe returns, so the table itself is reusable.
-// The partial I/O counts come back even on error so the caller's stats
-// match the device work actually issued.
+// foldEncode is the read-and-encode half of one stripe's fold: the k latest
+// data chunks into shards[:k], their parity into shards[k:]. With locs and
+// devs nil the shard lock is held and the reads go through readLBA. The
+// prefold holds none: it records the locations it loads in locs, reads them
+// from devs (its copy of e.devs) and stops at any device error. reads is
+// the count issued, even on error.
 //
 //eplog:hotpath
-func (e *EPLog) foldStripe(sp *device.Span, code *erasure.Code, s int64, shards [][]byte) (reads, parity int64, err error) {
-	k, m := e.geo.K, e.geo.M()
-	home := e.geo.HomeChunk(s)
-	defer bufpool.Default.PutSlices(shards)
-	for j := 0; j < k; j++ {
-		buf := bufpool.Default.Get(e.csize)
-		shards[j] = buf
-		if err := e.readLBA(sp, e.geo.LBA(s, j), buf); err != nil {
-			return reads, parity, err
+func (e *EPLog) foldEncode(sp *device.Span, code *erasure.Code, s int64, shards [][]byte, locs []Loc, devs []device.Dev) (reads int64, err error) {
+	for j := 0; j < e.geo.K; j++ {
+		lba := e.geo.LBA(s, j)
+		if locs == nil {
+			err = e.readLBA(sp, lba, shards[j])
+		} else {
+			locs[j] = e.loadLatest(lba)
+			err = sp.Read(devs[locs[j].Dev], locs[j].Chunk, shards[j])
+		}
+		if err != nil {
+			return reads, err
 		}
 		reads++
 	}
-	for p := 0; p < m; p++ {
-		shards[k+p] = bufpool.Default.Get(e.csize)
+	return reads, code.Encode(shards)
+}
+
+// prefoldCap bounds the stripes one prefold covers, and so the table's
+// memory; a shard with more dirty stripes folds the rest under its lock.
+const prefoldCap = 256
+
+// prefold is the group committer's parity table: the read-and-encode half
+// of one shard's fold, run before the committer takes that shard's lock
+// (DESIGN.md §9). foldStripes publishes entry i if the shard has not
+// committed since the snapshot and the stripe's k latest locations are the
+// ones read: no-overwrite means a location's bytes change only after a
+// commit releases it. Allocated once — the served process runs no GC cycle
+// in a benchmark window, so per-commit buffers would all stay resident.
+type prefold struct {
+	commits int64        // the shard's stats.Commits at the snapshot
+	devs    []device.Dev // e.devs at the snapshot: what the reads went to
+	stripes []int64      // the shard's dirty stripes at the snapshot, ascending
+	n       int          // stripes[:n] were read and encoded
+	locs    []Loc        // the k locations read, per stripe
+	parity  [][]byte     // the m parity chunks, per stripe (then the k read buffers)
+	shards  [][]byte     // the read buffers and the m headers of the stripe being encoded
+	reads   int64        // chunk reads issued
+	span    device.Span  // their virtual time
+}
+
+func newPrefold(e *EPLog) *prefold {
+	k, m, ns := e.geo.K, e.geo.M(), int64(e.nShards)
+	n := int(min((e.geo.Stripes+ns-1)/ns, prefoldCap))
+	p := &prefold{
+		devs:    make([]device.Dev, len(e.devs)),
+		stripes: make([]int64, 0, n),
+		locs:    make([]Loc, n*k),
+		parity:  make([][]byte, n*m+k),
+		shards:  make([][]byte, k+m),
 	}
-	if err := code.Encode(shards); err != nil {
-		return reads, parity, err
+	buf := make([]byte, len(p.parity)*e.csize)
+	for i := range p.parity {
+		p.parity[i] = buf[i*e.csize : (i+1)*e.csize]
 	}
-	for p := 0; p < m; p++ {
-		if err := tolerantWrite(sp, e.devs[e.geo.ParityDev(s, p)], home, shards[k+p]); err != nil {
-			return reads, parity, err // a failed parity device is restored later by Rebuild
+	copy(p.shards, p.parity[n*m:])
+	return p
+}
+
+// run fills the table for sh; only the snapshot takes its lock, shared.
+//
+//eplog:hotpath
+func (p *prefold) run(sh *shard) {
+	e := sh.e
+	k, m := e.geo.K, e.geo.M()
+	p.n, p.reads = 0, 0
+	p.span.Reset(0)
+	sh.mu.RLock()
+	p.commits = sh.stats.Commits
+	copy(p.devs, e.devs)
+	p.stripes = p.stripes[:0]
+	for s := range sh.dirty {
+		if len(p.stripes) == cap(p.stripes) {
+			break
 		}
-		parity++
+		p.stripes = append(p.stripes, s)
 	}
-	return reads, parity, nil
+	sh.mu.RUnlock()
+	slices.Sort(p.stripes)
+	code, err := e.code(k)
+	for i := 0; err == nil && i < len(p.stripes); i++ {
+		var reads int64
+		copy(p.shards[k:], p.parity[i*m:(i+1)*m])
+		reads, err = e.foldEncode(&p.span, code, p.stripes[i], p.shards, p.locs[i*k:(i+1)*k], p.devs)
+		p.reads += reads
+		if err == nil {
+			p.n++
+		}
+	}
 }
 
 // releaseLoc returns a superseded chunk to its device's free pool,

@@ -283,6 +283,8 @@ type EPLog struct {
 	cReadBatchOps    *obs.Counter
 	cReadBatchLocked *obs.Counter
 	cReadLocks       *obs.Counter
+	cPrefoldStripes  *obs.Counter // prefolded stripes published from the table
+	cPrefoldStale    *obs.Counter // prefolded stripes folded again under the lock
 	// vnowBits is the high-water completion time seen so far (float64
 	// bits, CAS-maxed). It anchors the latency metrics of commits invoked
 	// untimed (start 0) from inside the write path, whose spans would
@@ -434,6 +436,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e.cReadBatchOps = cfg.Obs.Counter("core.read_batch_ops")
 	e.cReadBatchLocked = cfg.Obs.Counter("core.read_batch_locked_groups")
 	e.cReadLocks = cfg.Obs.Counter("core.read_lock_acquisitions")
+	e.cPrefoldStripes = cfg.Obs.Counter("core.prefold_stripes")
+	e.cPrefoldStale = cfg.Obs.Counter("core.prefold_stale")
 	for _, sh := range e.shards {
 		sh.initFlight(cfg.Obs)
 	}

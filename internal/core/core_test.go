@@ -598,3 +598,22 @@ func TestStatsRequestCounting(t *testing.T) {
 		t.Errorf("requests = %d, want 2", got)
 	}
 }
+
+// TestGrowAmortises: a length that creeps up one at a time reallocates a
+// logarithmic number of times, not once per new maximum.
+func TestGrowAmortises(t *testing.T) {
+	var s []int64
+	reallocs := 0
+	for n := 1; n <= 1024; n++ {
+		before := cap(s)
+		if s = grow(s, n); len(s) != n {
+			t.Fatalf("grow(_, %d) has length %d", n, len(s))
+		}
+		if cap(s) != before {
+			reallocs++
+		}
+	}
+	if reallocs > 16 {
+		t.Errorf("%d reallocations for lengths 1..1024, want O(log n)", reallocs)
+	}
+}

@@ -20,17 +20,17 @@ const (
 // filled to pressureMark of its dirty window and every other shard holding
 // one pending log stripe.
 type pressureArray struct {
-	e      *EPLog
-	devs   []*brokenReadDev
-	sink   *obs.Sink
-	wrote  map[int64][]byte // latest payload per updated LBA
-	hotLBA int64            // an LBA of hotShard
+	e          *EPLog
+	devs, logs []*brokenReadDev
+	sink       *obs.Sink
+	wrote      map[int64][]byte // latest payload per updated LBA
+	hotLBA     int64            // the first LBA of hotShard's first stripe
 }
 
 func newPressureArray(t *testing.T) *pressureArray {
 	t.Helper()
 	pa := &pressureArray{sink: obs.NewSink(64), wrote: make(map[int64][]byte)}
-	pa.e, pa.devs = newShutdownArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
+	pa.e, pa.devs, pa.logs = newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
 	t.Cleanup(func() { pa.e.Close() })
 	e := pa.e
 	full := chunkData(1, e.geo.K)
@@ -58,25 +58,71 @@ func (pa *pressureArray) update(t *testing.T, lba int64) {
 	pa.wrote[lba] = data
 }
 
-// fillHot spreads single-chunk updates over hotShard's stripes (and so over
-// the SSDs) until its window fill reaches pressureMark.
+// hotStripes are the stripes fillHot dirties, ascending — the order a fold
+// takes them in; lateStripe is hotShard's fourth and last, left clean.
+var hotStripes = [3]int64{hotShard, hotShard + 4, hotShard + 8}
+
+const lateStripe = hotShard + 12
+
+// fillHot spreads single-chunk updates over hotStripes (and so over the
+// SSDs) until hotShard's window fill reaches pressureMark: every chunk of
+// the three stripes once.
 func (pa *pressureArray) fillHot(t *testing.T) {
 	t.Helper()
 	e := pa.e
-	for i := int64(0); e.shards[hotShard].fill() < pressureMark; i++ {
-		stripe := hotShard + int64(e.nShards)*(i%4)
-		pa.update(t, e.geo.LBA(stripe, int(i/4)%e.geo.K))
+	for i := 0; e.shards[hotShard].fill() < pressureMark; i++ {
+		pa.update(t, e.geo.LBA(hotStripes[i%3], i/3%e.geo.K))
 	}
 }
 
-// holdFold makes the fold of hotShard park at its first device read — with
-// the shard lock held — and returns the hold and the SSD it parks on.
-func (pa *pressureArray) holdFold() (*readHold, int) {
-	h := &readHold{entered: make(chan struct{}), release: make(chan struct{})}
-	dev := pa.e.loadLatest(pa.hotLBA).Dev
+// holdRead makes the committer's prefold of hotShard park at its second
+// device read — hotLBA's location recorded and read, no lock held — and
+// returns the hold and the SSD it parks on (under that device's own mutex:
+// nothing else gets through to it meanwhile).
+func (pa *pressureArray) holdRead() (*ioHold, int) {
+	h := newIOHold()
+	dev := pa.e.loadLatest(pa.e.geo.LBA(hotShard, 1)).Dev
 	pa.devs[dev].hold.Store(h)
 	return h, dev
 }
+
+// holdWrite makes the fold of hotShard park at its first parity write —
+// its first stripe's, with the shard lock held and the prefold over — and
+// returns the hold and the SSD it parks on.
+func (pa *pressureArray) holdWrite() (*ioHold, int) {
+	h := newIOHold()
+	dev := pa.e.geo.ParityDev(hotShard, 0)
+	pa.devs[dev].wHold.Store(h)
+	return h, dev
+}
+
+// lbaOff returns an LBA of stripe whose latest version is not on dev.
+func (pa *pressureArray) lbaOff(t *testing.T, stripe int64, dev int) int64 {
+	t.Helper()
+	for j := 0; j < pa.e.geo.K; j++ {
+		if lba := pa.e.geo.LBA(stripe, j); pa.e.loadLatest(lba).Dev != dev {
+			return lba
+		}
+	}
+	t.Fatalf("setup: every chunk of stripe %d sits on SSD %d", stripe, dev)
+	return -1
+}
+
+// checkClean reads every updated LBA back and scrubs the array.
+func (pa *pressureArray) checkClean(t *testing.T) {
+	t.Helper()
+	got := make([]byte, testChunk)
+	for lba, want := range pa.wrote {
+		if _, err := pa.e.ReadChunks(0, lba, got); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("LBA %d: err %v, match %v", lba, err, bytes.Equal(got, want))
+		}
+	}
+	if rep, err := pa.e.Verify(); err != nil || !rep.OK() {
+		t.Errorf("scrub: %+v, %v", rep, err)
+	}
+}
+
+func (pa *pressureArray) counter(name string) int64 { return pa.sink.Counter(name).Value() }
 
 func (pa *pressureArray) commits(shard int) int64 {
 	sh := pa.e.shards[shard]
@@ -106,13 +152,15 @@ func within(t *testing.T, what string, f func()) {
 }
 
 // TestFoldPressuredFoldsOnlyThePressuredShard: the one shard at the mark is
-// folded, in the background, attributed to pressure; the other shards' log
-// stripes stay; and while that fold holds its shard lock, the lock-free
-// pressure accessors and a read of another shard complete.
+// folded, in the background, attributed to pressure, its parity published
+// from the prefold's table; the other shards' log stripes stay; and while
+// that fold holds its shard lock, the lock-free pressure accessors and a
+// read of another shard complete.
 func TestFoldPressuredFoldsOnlyThePressuredShard(t *testing.T) {
 	pa := newPressureArray(t)
 	e := pa.e
-	h, heldDev := pa.holdFold()
+	before := e.Stats()
+	h, heldDev := pa.holdWrite()
 	e.FoldPressured(pressureMark)
 	within(t, "the committer reaching the fold", func() { <-h.entered })
 
@@ -169,12 +217,16 @@ func TestFoldPressuredFoldsOnlyThePressuredShard(t *testing.T) {
 	if n := pa.sink.Histogram("core.window_wait_seconds").Snapshot().Count; n != 0 {
 		t.Errorf("core.window_wait_seconds has %d observations; no writer met a full window", n)
 	}
-	got := make([]byte, testChunk)
-	for lba, want := range pa.wrote {
-		if _, err := e.ReadChunks(0, lba, got); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("LBA %d after the fold: err %v, match %v", lba, err, bytes.Equal(got, want))
-		}
+	// Nothing wrote to the shard during the fold: every stripe is read once,
+	// by the prefold, and published from the table.
+	hot := int64(len(hotStripes))
+	if hit, stale := pa.counter("core.prefold_stripes"), pa.counter("core.prefold_stale"); hit != hot || stale != 0 {
+		t.Errorf("core.prefold_stripes = %d, core.prefold_stale = %d, want %d and 0", hit, stale, hot)
 	}
+	if d := e.Stats().CommitReadChunks - before.CommitReadChunks; d != hot*int64(e.geo.K) {
+		t.Errorf("the fold read %d chunks, want %d (k per dirty stripe)", d, hot*int64(e.geo.K))
+	}
+	pa.checkClean(t)
 }
 
 // TestFoldPressuredErrorSurfaces: a background fold that fails reaches the
@@ -182,9 +234,15 @@ func TestFoldPressuredFoldsOnlyThePressuredShard(t *testing.T) {
 func TestFoldPressuredErrorSurfaces(t *testing.T) {
 	failFold := func(t *testing.T) *pressureArray {
 		pa := newPressureArray(t)
-		h, _ := pa.holdFold()
+		rd, held := pa.holdRead()
 		pa.e.FoldPressured(pressureMark)
-		within(t, "the committer reaching the fold", func() { <-h.entered })
+		within(t, "the committer reaching the prefold", func() { <-rd.entered })
+		// A stripe dirtied after the snapshot is not in the table: the fold
+		// reads it under the lock, after the table's stripes have published.
+		pa.update(t, pa.lbaOff(t, lateStripe, held))
+		h, _ := pa.holdWrite()
+		close(rd.release)
+		within(t, "the committer reaching the publish", func() { <-h.entered })
 		for _, d := range pa.devs {
 			d.broken.Store(true)
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/eplog/eplog/internal/bufpool"
+import (
+	"slices"
+
+	"github.com/eplog/eplog/internal/bufpool"
+)
 
 // Shard-owned scratch. The write and commit hot paths used to allocate
 // their grouping slices, shard-header tables and device-membership sets on
@@ -113,11 +117,10 @@ func (sh *shard) putLogStripe(ls *logStripe) {
 	sh.lsFree = append(sh.lsFree, ls)
 }
 
-// grow returns s resized to n entries, reallocating only when capacity is
-// short; contents are unspecified.
+// grow returns s resized to n entries; contents are unspecified. A short
+// capacity grows as append does, not to exactly n: these maxima creep (ops
+// per group, p.spans), and the served process runs no GC cycle inside a
+// benchmark window, so every exact-n step left its dead copy resident.
 func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	return slices.Grow(s[:0], n)[:n]
 }

@@ -110,6 +110,7 @@ type shard struct {
 	dsWrites    []devWrite      // directStripeWrite per-device write list
 	foldShards  [][]byte        // foldStripes shard headers
 	dirtyOrder  []int64         // commitAt dirty-stripe order
+	pre         *prefold        // set by sweep for the committer's own commitAt only
 
 	// Flight recorder (flight.go). rec is the shard's causal-span
 	// recorder; curOp is the span that phase children created under mu
@@ -267,6 +268,7 @@ type groupCommitter struct {
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
+	pre  *prefold // filled off the lock ahead of each fold; nil unless fastReads
 }
 
 func newGroupCommitter(e *EPLog) *groupCommitter {
@@ -275,6 +277,9 @@ func newGroupCommitter(e *EPLog) *groupCommitter {
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
+	}
+	if e.fastReads {
+		gc.pre = newPrefold(e)
 	}
 	go gc.run()
 	return gc
@@ -309,11 +314,14 @@ func (gc *groupCommitter) run() {
 	}
 }
 
-// sweep folds every queued shard once, under that shard's lock only.
+// sweep folds every queued shard once: prefold, then publish under its lock.
 func (gc *groupCommitter) sweep() {
 	for _, sh := range gc.e.shards {
 		if !sh.queued.CompareAndSwap(true, false) {
 			continue
+		}
+		if gc.pre != nil {
+			gc.pre.run(sh)
 		}
 		t0 := sh.lockClock()
 		sh.mu.Lock()
@@ -321,11 +329,13 @@ func (gc *groupCommitter) sweep() {
 		if sh.cause == causeManual { // unlatched: enqueued by FoldPressured
 			sh.cause = causePressure
 		}
+		sh.pre = gc.pre
 		if _, err := sh.commitAt(0); err != nil {
 			// Surfaced to the next write touching this shard (or to
 			// Flush/Close if no write comes).
 			sh.asyncErr = err
 		}
+		sh.pre = nil
 		sh.lockReleasing()
 		sh.mu.Unlock()
 	}

@@ -17,39 +17,61 @@ import (
 var errInjected = errors.New("injected device read failure")
 
 // brokenReadDev passes everything through until armed, then fails every
-// read with errInjected. The flag is atomic so tests can arm it while the
-// background committer is running. A readHold stored in hold parks the next
-// read (one shot, before the broken check), so a test can keep a fold open
-// under its shard lock and knows when it got there.
+// read with errInjected — or, failed, every read and write with
+// device.ErrFailed, a device.Faulty that a test can fail while other
+// goroutines use the array. The flags are atomic so tests can arm them while
+// the background committer is running. An ioHold stored in hold parks the
+// next read, one stored in wHold the next write (one shot, before the flag
+// checks), so a test can keep a fold open in its lock-free read phase or,
+// under its shard lock, in its parity writes, and knows when it got there.
 type brokenReadDev struct {
 	device.Dev
-	broken atomic.Bool
-	hold   atomic.Pointer[readHold]
+	broken, failed atomic.Bool
+	hold, wHold    atomic.Pointer[ioHold]
+	reads          atomic.Int64 // reads that reached the device
 }
 
-type readHold struct{ entered, release chan struct{} }
+type ioHold struct{ entered, release chan struct{} }
 
-func (d *brokenReadDev) park() {
-	if h := d.hold.Swap(nil); h != nil {
+func newIOHold() *ioHold {
+	return &ioHold{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func park(hold *atomic.Pointer[ioHold]) {
+	if h := hold.Swap(nil); h != nil {
 		close(h.entered)
 		<-h.release
 	}
 }
 
 func (d *brokenReadDev) ReadChunk(idx int64, p []byte) error {
-	d.park()
-	if d.broken.Load() {
-		return errInjected
-	}
-	return d.Dev.ReadChunk(idx, p)
+	_, err := d.ReadChunkAt(0, idx, p)
+	return err
 }
 
 func (d *brokenReadDev) ReadChunkAt(start float64, idx int64, p []byte) (float64, error) {
-	d.park()
-	if d.broken.Load() {
+	park(&d.hold)
+	switch {
+	case d.failed.Load():
+		return start, device.ErrFailed
+	case d.broken.Load():
 		return start, errInjected
 	}
+	d.reads.Add(1)
 	return d.Dev.ReadChunkAt(start, idx, p)
+}
+
+func (d *brokenReadDev) WriteChunk(idx int64, p []byte) error {
+	_, err := d.WriteChunkAt(0, idx, p)
+	return err
+}
+
+func (d *brokenReadDev) WriteChunkAt(start float64, idx int64, p []byte) (float64, error) {
+	park(&d.wHold)
+	if d.failed.Load() {
+		return start, device.ErrFailed
+	}
+	return d.Dev.WriteChunkAt(start, idx, p)
 }
 
 // newBrokenArray builds a write-behind engine whose main devices can be
@@ -57,27 +79,33 @@ func (d *brokenReadDev) ReadChunkAt(start float64, idx int64, p []byte) (float64
 // elastic-logging path.
 func newShutdownArray(t *testing.T, cfg Config) (*EPLog, []*brokenReadDev) {
 	t.Helper()
+	e, broken, _ := newHoldArray(t, cfg)
+	return e, broken
+}
+
+// newHoldArray is newShutdownArray with the log devices wrapped too.
+func newHoldArray(t *testing.T, cfg Config) (e *EPLog, main, logs []*brokenReadDev) {
+	t.Helper()
 	const n, k = 6, 4
 	cfg.K = k
 	if cfg.Stripes == 0 {
 		cfg.Stripes = testStripes
 	}
-	devs := make([]device.Dev, n)
-	broken := make([]*brokenReadDev, n)
-	for i := range devs {
-		b := &brokenReadDev{Dev: device.NewMem(testDevChunks, testChunk)}
-		broken[i] = b
-		devs[i] = b
+	wrap := func(n int, chunks int64) ([]device.Dev, []*brokenReadDev) {
+		devs, broken := make([]device.Dev, n), make([]*brokenReadDev, n)
+		for i := range devs {
+			broken[i] = &brokenReadDev{Dev: device.NewMem(chunks, testChunk)}
+			devs[i] = broken[i]
+		}
+		return devs, broken
 	}
-	logs := make([]device.Dev, n-k)
-	for i := range logs {
-		logs[i] = device.NewMem(testLogChunks, testChunk)
-	}
-	e, err := New(devs, logs, cfg)
+	devs, main := wrap(n, testDevChunks)
+	logDevs, logs := wrap(n-k, testLogChunks)
+	e, err := New(devs, logDevs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, broken
+	return e, main, logs
 }
 
 // primeAndDirty fills every stripe (write path only — elastic logging

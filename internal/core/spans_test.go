@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
@@ -200,6 +201,82 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 	}
 	if commitsByCause["manual"] == 0 || commitsByCause["every"] == 0 {
 		t.Errorf("expected both manual and every commits, got %v", commitsByCause)
+	}
+}
+
+// TestPrefoldSpanReconciliation is the sharded half of the reconciliation:
+// every fold the group committer ran carries one commit-prefold phase, the
+// stripes those phases encoded are exactly the ones the hit and fallback
+// counters account for, and Stats.CommitReadChunks counts the prefold's
+// reads — used or wasted — beside the fold's own, so the SSD read counters
+// stay explainable from the trees. Updates keep landing while the folds
+// run, so some entries can go stale; the identities hold either way.
+func TestPrefoldSpanReconciliation(t *testing.T) {
+	sink := obs.NewSink(64)
+	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
+	e := benchEngine(t, Config{Shards: 4, Obs: sink})
+	k, m := int64(e.geo.K), int64(e.geo.M())
+	full := make([]byte, e.geo.K*e.ChunkSize())
+	for s := int64(0); s < e.geo.Stripes; s++ {
+		if _, err := e.WriteChunks(0, e.geo.LBA(s, 0), full); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 400; i++ {
+		if _, err := e.WriteChunks(0, (i*13)%e.geo.Chunks(), full[:e.ChunkSize()]); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i == 19:
+			if err := e.Commit(); err != nil { // under the locks: no prefold phase
+				t.Fatal(err)
+			}
+		case i%40 == 39:
+			e.FoldPressured(0) // every shard, in the background
+		}
+	}
+	if err := e.Close(); err != nil { // waits for the committer
+		t.Fatal(err)
+	}
+	if d := sink.SpansDropped(); d != 0 {
+		t.Fatalf("ring evicted %d trees; the reconciliation needs all of them", d)
+	}
+	var commits, folds, prefolds, folded, prefolded int64
+	walkSpans(sink.Spans(), func(s obs.SpanSnapshot) {
+		switch s.Kind {
+		case "commit":
+			commits++
+		case "commit-fold":
+			folds++
+			folded += s.N
+		case "commit-prefold":
+			prefolds++
+			prefolded += s.N
+			if s.Dur < 0 {
+				t.Errorf("commit-prefold span %d has negative duration %g", s.ID, s.Dur)
+			}
+		}
+	})
+	stats, counters := e.Stats(), sink.Snapshot().Counters
+	hit, stale := counters["core.prefold_stripes"], counters["core.prefold_stale"]
+	var background int64
+	for sh := 0; sh < e.nShards; sh++ {
+		background += counters[fmt.Sprintf("core.shard%d.commit_trigger.pressure", sh)]
+	}
+	if commits != stats.Commits || folds != commits {
+		t.Errorf("commit roots = %d, commit-fold phases = %d, Stats.Commits = %d; all must agree", commits, folds, stats.Commits)
+	}
+	if prefolds != background || prefolds == 0 || prefolds == commits {
+		t.Errorf("commit-prefold phases = %d, want one per background fold (%d) and none on Commit's (%d commits in all)", prefolds, background, commits)
+	}
+	if prefolded != hit+stale || hit == 0 {
+		t.Errorf("sum of commit-prefold N = %d, core.prefold_stripes + core.prefold_stale = %d + %d", prefolded, hit, stale)
+	}
+	if want := k * (folded + stale); stats.CommitReadChunks != want {
+		t.Errorf("Stats.CommitReadChunks = %d, want %d: k per folded stripe (%d) and per wasted prefold (%d)", stats.CommitReadChunks, want, folded, stale)
+	}
+	if want := m * folded; stats.CommitWriteChunks != want {
+		t.Errorf("Stats.CommitWriteChunks = %d, want %d (m per folded stripe)", stats.CommitWriteChunks, want)
 	}
 }
 

@@ -64,6 +64,9 @@ const (
 	SpanCommitFlush
 	// SpanCommitFold is a commit's parity-fold phase (N = stripes).
 	SpanCommitFold
+	// SpanCommitPrefold is the read-and-encode pass the group committer ran
+	// off the shard lock before the commit took it (N = stripes encoded).
+	SpanCommitPrefold
 	// SpanIORead is one device chunk read (Dev = device name, LBA =
 	// device-local chunk).
 	SpanIORead
@@ -83,19 +86,20 @@ const (
 )
 
 var spanKindNames = map[SpanKind]string{
-	SpanWrite:        "write",
-	SpanRead:         "read",
-	SpanCommit:       "commit",
-	SpanRebuild:      "rebuild",
-	SpanDirect:       "direct-stripe",
-	SpanLogAppend:    "log-append",
-	SpanCommitFlush:  "commit-flush",
-	SpanCommitFold:   "commit-fold",
-	SpanIORead:       "io-read",
-	SpanIOWrite:      "io-write",
-	SpanNetBatch:     "net-batch",
-	SpanNet:          "net",
-	SpanNetReadBatch: "net-read-batch",
+	SpanWrite:         "write",
+	SpanRead:          "read",
+	SpanCommit:        "commit",
+	SpanRebuild:       "rebuild",
+	SpanDirect:        "direct-stripe",
+	SpanLogAppend:     "log-append",
+	SpanCommitFlush:   "commit-flush",
+	SpanCommitFold:    "commit-fold",
+	SpanCommitPrefold: "commit-prefold",
+	SpanIORead:        "io-read",
+	SpanIOWrite:       "io-write",
+	SpanNetBatch:      "net-batch",
+	SpanNet:           "net",
+	SpanNetReadBatch:  "net-read-batch",
 }
 
 // String implements fmt.Stringer.

@@ -10,7 +10,7 @@ package reliability
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 )
 
 // ErrSingular is returned when the transient system cannot be solved.
@@ -18,16 +18,16 @@ var ErrSingular = errors.New("reliability: singular transient system")
 
 // chain is an absorbing CTMC over transient states only: rates[i][j] is
 // the transition rate from transient state i to transient state j, and
-// exit[i] is the total rate out of state i (including into absorption).
+// absorb[i] is the rate from state i into absorption.
 type chain struct {
-	rates [][]float64
-	exit  []float64
+	rates  [][]float64
+	absorb []float64
 }
 
 func newChain(nStates int) *chain {
 	c := &chain{
-		rates: make([][]float64, nStates),
-		exit:  make([]float64, nStates),
+		rates:  make([][]float64, nStates),
+		absorb: make([]float64, nStates),
 	}
 	for i := range c.rates {
 		c.rates[i] = make([]float64, nStates)
@@ -38,65 +38,61 @@ func newChain(nStates int) *chain {
 // addTransition adds a transition between transient states.
 func (c *chain) addTransition(from, to int, rate float64) {
 	c.rates[from][to] += rate
-	c.exit[from] += rate
 }
 
 // addAbsorption adds a transition from a transient state into absorption.
 func (c *chain) addAbsorption(from int, rate float64) {
-	c.exit[from] += rate
+	c.absorb[from] += rate
 }
 
-// absorptionTime returns the expected time to absorption from state 0: it
-// solves (-Q_TT) t = 1 where Q_TT is the transient generator.
+// absorptionTime returns the expected time to absorption from state 0: the
+// t[0] of d[i]·t[i] = h[i] + Σ_j rates[i][j]·t[j], with h = 1 and d[i] the
+// total rate out of state i. It eliminates the states from the last down
+// to state 1 the way the Grassmann–Taksar–Heyman algorithm does: folding
+// state k into the rest only adds products of non-negative rates, and the
+// diagonal is never stored — each pivot d[k] is re-summed from the
+// off-diagonal rates left in row k. Nothing is subtracted, so every
+// intermediate keeps full relative precision. Gaussian elimination on
+// (-Q_TT) t = 1 does not: with repair rates ≈ 1e6 times the failure rates
+// its pivots are differences of nearly equal numbers, and it returned
+// -2.13e17 years for (N 4, M 3, λ 0.016, α 0.12, λh 0.0704, µ 1e4).
 func (c *chain) absorptionTime() (float64, error) {
 	n := len(c.rates)
-	// Build A = -Q_TT and b = 1.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				a[i][j] = c.exit[i]
-			} else {
-				a[i][j] = -c.rates[i][j]
-			}
-		}
-		b[i] = 1
+	r := make([][]float64, n)
+	for i := range r {
+		r[i] = slices.Clone(c.rates[i])
 	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
+	absorb := slices.Clone(c.absorb)
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = 1
+	}
+	for k := n - 1; k > 0; k-- {
+		d := absorb[k]
+		for j := 0; j < k; j++ {
+			d += r[k][j]
 		}
-		if math.Abs(a[pivot][col]) < 1e-300 {
-			return 0, ErrSingular
+		if d <= 0 {
+			return 0, ErrSingular // state k never leaves
 		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
+		for i := 0; i < k; i++ {
+			f := r[i][k] / d
 			if f == 0 {
 				continue
 			}
-			for cc := col; cc < n; cc++ {
-				a[r][cc] -= f * a[col][cc]
+			for j := 0; j < k; j++ {
+				if j != i {
+					r[i][j] += f * r[k][j]
+				}
 			}
-			b[r] -= f * b[col]
+			absorb[i] += f * absorb[k]
+			h[i] += f * h[k]
 		}
 	}
-	t := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for j := i + 1; j < n; j++ {
-			sum -= a[i][j] * t[j]
-		}
-		t[i] = sum / a[i][i]
+	if absorb[0] <= 0 {
+		return 0, ErrSingular
 	}
-	return t[0], nil
+	return h[0] / absorb[0], nil
 }
 
 // Params configures an MTTDL computation. Rates are per year.

@@ -233,3 +233,62 @@ func TestQuickChainSanity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStiffChainsStayPositive pins the inputs on which Gaussian elimination
+// cancelled catastrophically: the testing/quick draw (0x2b, 0x20, 0x791b,
+// 0x6def, 0x6f5b) of TestQuickChainSanity, for which ConventionalMTTDL
+// returned -2.13e17, and a sweep of µ/λ up to 1e12 for every m. With no
+// repair after the first failure the array is lost no sooner than with it,
+// so the no-repair MTTDL Σ_f 1/((n-f)λ) is a floor; the conventional chain is
+// also checked against the closed forms, whose terms are all positive.
+func TestStiffChainsStayPositive(t *testing.T) {
+	cases := []Params{
+		{N: 4, M: 3, LambdaSSD: 0.016, Alpha: 0.12, LambdaHDD: 0.0704, MuSSD: 1e4, MuHDD: 1e4},
+	}
+	for _, m := range []int{1, 2, 3} {
+		for _, lambda := range []float64{2, 0.25, 0.01, 1e-4} {
+			for _, mu := range []float64{1, 1e2, 1e4, 1e6, 1e8} {
+				cases = append(cases, Params{N: m + 1, M: m, LambdaSSD: lambda, Alpha: 0.05, LambdaHDD: 10 * lambda, MuSSD: mu, MuHDD: mu},
+					Params{N: paperN, M: m, LambdaSSD: lambda, Alpha: 0.5, LambdaHDD: lambda, MuSSD: mu, MuHDD: mu})
+			}
+		}
+	}
+	for _, p := range cases {
+		conv, err := ConventionalMTTDL(p)
+		if err != nil {
+			t.Fatalf("%+v: conventional: %v", p, err)
+		}
+		ep, err := EPLogMTTDL(p)
+		if err != nil {
+			t.Fatalf("%+v: EPLog: %v", p, err)
+		}
+		var convFloor, epFloor float64
+		for f := 0; f <= p.M; f++ {
+			convFloor += 1 / (float64(p.N-f) * p.LambdaSSD)
+			// EPLog's fastest route to loss fails the most failure-prone
+			// devices first; total failure rate only falls as devices fail.
+			epFloor += 1 / (float64(p.N)*p.Alpha*p.LambdaSSD + float64(p.M)*p.LambdaHDD)
+		}
+		if !(conv >= convFloor*(1-1e-12)) || math.IsInf(conv, 0) {
+			t.Errorf("%+v: conventional MTTDL %g, want finite and >= the no-repair %g", p, conv, convFloor)
+		}
+		if !(ep >= epFloor*(1-1e-12)) || math.IsInf(ep, 0) {
+			t.Errorf("%+v: EPLog MTTDL %g, want finite and >= %g", p, ep, epFloor)
+		}
+		var closed float64
+		switch p.M {
+		case 1:
+			closed = ConventionalRAID5Closed(p.N, p.LambdaSSD, p.MuSSD)
+			if c := EPLogRAID5Closed(p.N, p.Alpha*p.LambdaSSD, p.LambdaHDD, p.MuSSD, p.MuHDD); p.MuSSD/p.LambdaSSD <= 1e6 && !relClose(ep, c, 1e-6) {
+				t.Errorf("%+v: EPLog chain %g != closed form %g", p, ep, c)
+			}
+		case 2:
+			closed = ConventionalRAID6Closed(p.N, p.LambdaSSD, p.MuSSD)
+		default:
+			continue
+		}
+		if !relClose(conv, closed, 1e-9) {
+			t.Errorf("%+v: conventional chain %g != closed form %g", p, conv, closed)
+		}
+	}
+}
