@@ -105,6 +105,24 @@ type batchPlan struct {
 	spanning []spanningOp
 	spans    []device.Span  // ReadBatch: per-op device spans
 	wg       sync.WaitGroup // WriteBatch: the spawned shard groups
+	runners  []*groupRunner // WriteBatch: one per shard, to spawn its group on
+}
+
+// groupRunner starts one shard group of a WriteBatch on a goroutine of its
+// own. fn is the method value r.run, bound once when the plan first meets
+// the shard index, so `go r.fn()` allocates no closure per batch.
+type groupRunner struct {
+	p    *batchPlan
+	sh   *shard
+	ops  []BatchOp
+	idxs []int // p.groups[i], the plan's own
+	fn   func()
+}
+
+func (r *groupRunner) run() {
+	r.sh.e.writeGroup(r.sh, r.ops, r.idxs)
+	r.sh, r.ops = nil, nil // a pooled plan pins no engine and no batch
+	r.p.wg.Done()
 }
 
 type spanningOp struct {
@@ -125,6 +143,11 @@ func (e *EPLog) getPlan() *batchPlan {
 		p.groups[i] = p.groups[i][:0]
 	}
 	p.spanning = p.spanning[:0]
+	for len(p.runners) < e.nShards {
+		r := &groupRunner{p: p}
+		r.fn = r.run
+		p.runners = append(p.runners, r)
+	}
 	return p
 }
 
@@ -143,8 +166,9 @@ func (p *batchPlan) add(set shardSet, i int) {
 // under one exclusive lock hold; an op spanning several shards runs on the
 // caller's goroutine, one hold per touched shard. The last populated
 // group runs on the caller too and the others on goroutines of their own
-// (the single write dispatcher's only multi-core lever), so a batch
-// confined to one shard spawns and allocates nothing. Failures are per-op,
+// (the single write dispatcher's only multi-core lever), each started
+// through its plan slot's groupRunner, so no batch allocates and one
+// confined to one shard spawns nothing. Failures are per-op,
 // except that the ops sharing a failed log-stripe flush fail together (see
 // the pipeline comment above); a bad op never prevents the rest of the
 // batch from running.
@@ -167,12 +191,10 @@ func (e *EPLog) WriteBatch(ops []BatchOp) {
 			continue
 		}
 		if last >= 0 {
-			sh, idxs := e.shards[last], p.groups[last]
+			r := p.runners[last]
+			r.sh, r.ops, r.idxs = e.shards[last], ops, p.groups[last]
 			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				e.writeGroup(sh, ops, idxs)
-			}()
+			go r.fn()
 		}
 		last = si
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
@@ -391,5 +392,86 @@ func BenchmarkBatchLockAcquisitions(b *testing.B) {
 			acq := e.ShardLockAcquisitions() - base
 			b.ReportMetric(float64(acq)/float64(nOps), "locks/op")
 		})
+	}
+}
+
+// groupSpyDev counts, while armed, the chunk writes issued with and without
+// the named test function on the writing goroutine's stack.
+type groupSpyDev struct {
+	device.Dev
+	test    string
+	armed   *atomic.Bool
+	on, off *atomic.Int64
+}
+
+func (d groupSpyDev) WriteChunkAt(start float64, idx int64, p []byte) (float64, error) {
+	if d.armed.Load() {
+		if calledFrom(d.test) {
+			d.on.Add(1)
+		} else {
+			d.off.Add(1)
+		}
+	}
+	return d.Dev.WriteChunkAt(start, idx, p)
+}
+
+// TestWriteBatchGroupsAllocFree pins the dispatcher's batch shape — 64
+// one-chunk updates over all four shards of a write-behind engine with spans
+// on — at zero allocations per batch, with the shard groups still parallel:
+// three of the four run on goroutines of their own, started without a
+// closure (batchPlan's groupRunner).
+func TestWriteBatchGroupsAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race runs")
+	}
+	if raceEnabled {
+		t.Skip("race mode drops sync.Pool puts at random, so the plan pool cannot stay warm")
+	}
+	const k, n, stripes, shards = 4, 5, 64, 4
+	var armed atomic.Bool
+	var on, off atomic.Int64
+	sink := obs.NewSink(256)
+	sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
+	devs := make([]device.Dev, n)
+	for i := range devs {
+		devs[i] = groupSpyDev{device.NewMem(stripes*4, testChunk), ".TestWriteBatchGroupsAllocFree", &armed, &on, &off}
+	}
+	logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
+	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: shards,
+		CommitEvery: 8, DirtyWindowStripes: 16, WriteBehind: true, Obs: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	fillEngine(t, e, 17)
+
+	// One op per stripe, round-robin: 16 ops on each of the four shards.
+	ops := make([]BatchOp, stripes)
+	for i := range ops {
+		ops[i] = BatchOp{LBA: int64(i)*k + int64(i)%k, Data: chunkData(200+i, 1)}
+	}
+	step := func() {
+		e.WriteBatch(ops)
+		for i := range ops {
+			if ops[i].Err != nil {
+				t.Fatalf("op %d: %v", i, ops[i].Err)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if avg := steadyAllocs(step); avg != 0 {
+		t.Errorf("a 64-op batch over 4 shards allocates %.2f objects, want 0", avg)
+	}
+
+	if err := e.Flush(); err != nil { // no fold's parity writes among the counted
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	step()
+	armed.Store(false)
+	if on.Load() == 0 || off.Load() < 2*on.Load() {
+		t.Errorf("%d chunk writes on the caller's goroutine and %d off it, want one group of four on the caller and three spawned", on.Load(), off.Load())
 	}
 }

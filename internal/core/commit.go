@@ -221,10 +221,11 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 	sh.foldShards = grow(sh.foldShards, k+m)
 	shards := bufpool.Default.GetSlices(sh.foldShards, e.csize)
 	defer bufpool.Default.PutSlices(shards)
-	pre, next := sh.pre, 0
+	pre, next, tab := sh.pre, 0, e.devTab.Load()
+	devs := *tab
 	if pre != nil {
 		sh.stats.CommitReadChunks += pre.reads // used or wasted, the SSDs served them
-		if pre.commits != sh.stats.Commits || !slices.Equal(pre.devs, e.devs) {
+		if pre.commits != sh.stats.Commits || pre.devs != tab {
 			next = pre.n // chunks were released, or a device swapped, under the reads
 			e.cPrefoldStale.Add(int64(pre.n))
 		}
@@ -254,7 +255,7 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 			}
 		}
 		for p, buf := range parity {
-			if err := tolerantWrite(span, e.devs[e.geo.ParityDev(s, p)], e.geo.HomeChunk(s), buf); err != nil {
+			if err := tolerantWrite(span, devs[e.geo.ParityDev(s, p)], e.geo.HomeChunk(s), buf); err != nil {
 				return err // a failed parity device is restored later by Rebuild
 			}
 			sh.stats.ParityWriteChunks++
@@ -268,7 +269,7 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 // data chunks into shards[:k], their parity into shards[k:]. With locs and
 // devs nil the shard lock is held and the reads go through readLBA. The
 // prefold holds none: it records the locations it loads in locs, reads them
-// from devs (its copy of e.devs) and stops at any device error. reads is
+// from devs (the table it snapshotted) and stops at any device error. reads is
 // the count issued, even on error.
 //
 //eplog:hotpath
@@ -301,22 +302,21 @@ const prefoldCap = 256
 // commit releases it. Allocated once — the served process runs no GC cycle
 // in a benchmark window, so per-commit buffers would all stay resident.
 type prefold struct {
-	commits int64        // the shard's stats.Commits at the snapshot
-	devs    []device.Dev // e.devs at the snapshot: what the reads went to
-	stripes []int64      // the shard's dirty stripes at the snapshot, ascending
-	n       int          // stripes[:n] were read and encoded
-	locs    []Loc        // the k locations read, per stripe
-	parity  [][]byte     // the m parity chunks, per stripe (then the k read buffers)
-	shards  [][]byte     // the read buffers and the m headers of the stripe being encoded
-	reads   int64        // chunk reads issued
-	span    device.Span  // their virtual time
+	commits int64         // the shard's stats.Commits at the snapshot
+	devs    *[]device.Dev // the device table at the snapshot: what the reads went to
+	stripes []int64       // the shard's dirty stripes at the snapshot, ascending
+	n       int           // stripes[:n] were read and encoded
+	locs    []Loc         // the k locations read, per stripe
+	parity  [][]byte      // the m parity chunks, per stripe (then the k read buffers)
+	shards  [][]byte      // the read buffers and the m headers of the stripe being encoded
+	reads   int64         // chunk reads issued
+	span    device.Span   // their virtual time
 }
 
 func newPrefold(e *EPLog) *prefold {
 	k, m, ns := e.geo.K, e.geo.M(), int64(e.nShards)
 	n := int(min((e.geo.Stripes+ns-1)/ns, prefoldCap))
 	p := &prefold{
-		devs:    make([]device.Dev, len(e.devs)),
 		stripes: make([]int64, 0, n),
 		locs:    make([]Loc, n*k),
 		parity:  make([][]byte, n*m+k),
@@ -340,7 +340,7 @@ func (p *prefold) run(sh *shard) {
 	p.span.Reset(0)
 	sh.mu.RLock()
 	p.commits = sh.stats.Commits
-	copy(p.devs, e.devs)
+	p.devs = e.devTab.Load()
 	p.stripes = p.stripes[:0]
 	for s := range sh.dirty {
 		if len(p.stripes) == cap(p.stripes) {
@@ -354,7 +354,7 @@ func (p *prefold) run(sh *shard) {
 	for i := 0; err == nil && i < len(p.stripes); i++ {
 		var reads int64
 		copy(p.shards[k:], p.parity[i*m:(i+1)*m])
-		reads, err = e.foldEncode(&p.span, code, p.stripes[i], p.shards, p.locs[i*k:(i+1)*k], p.devs)
+		reads, err = e.foldEncode(&p.span, code, p.stripes[i], p.shards, p.locs[i*k:(i+1)*k], *p.devs)
 		p.reads += reads
 		if err == nil {
 			p.n++
@@ -371,6 +371,6 @@ func (sh *shard) releaseLoc(l Loc) {
 	if sh.e.cfg.TrimOnCommit {
 		// Best effort: a failed device cannot be trimmed, which is fine
 		// because its contents are rebuilt wholesale.
-		_ = sh.e.devs[l.Dev].Trim(l.Chunk, 1)
+		_ = sh.e.devs()[l.Dev].Trim(l.Chunk, 1)
 	}
 }

@@ -69,6 +69,12 @@ func (e *EPLog) storeLatest(lba int64, l Loc) {
 	e.latest[lba].Store(uint64(l.Dev)<<locChunkBits | uint64(l.Chunk))
 }
 
+// devs returns the current main-array device table; safe without any lock.
+// One load serves a whole group or op, so Rebuild cannot switch tables under it.
+//
+//eplog:hotpath
+func (e *EPLog) devs() []device.Dev { return *e.devTab.Load() }
+
 // Config parameterizes an EPLog array.
 type Config struct {
 	// K is the number of data chunks per stripe; the array tolerates
@@ -223,9 +229,14 @@ type EPLog struct {
 	// consulted without the shard lock. See readGroupFast.
 	fastReads bool
 
-	geo     store.Geometry
-	codes   *erasure.Cache
-	devs    []device.Dev // main array (SSDs)
+	geo   store.Geometry
+	codes *erasure.Cache
+	// devTab is the main array (SSDs), published copy-on-write: the
+	// lock-free read pass and the prefold look devices up with no shard lock
+	// while Rebuild swaps one in, and an interface value is two words — a
+	// torn read would be a crash, not a stale result an epoch check could
+	// discard. Readers load it once per group or op through devs().
+	devTab  atomic.Pointer[[]device.Dev]
 	logDevs []device.Dev // log devices (HDDs), one per parity dimension
 	csize   int
 	cfg     Config
@@ -363,7 +374,6 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		fastReads:  shared && cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
 		geo:        geo,
 		codes:      erasure.NewCache(erasure.Cauchy),
-		devs:       devs,
 		logDevs:    logDevs,
 		csize:      csize,
 		cfg:        cfg,
@@ -372,6 +382,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		commLoc:    make([]Loc, geo.Chunks()),
 		virgin:     make([]bool, cfg.Stripes),
 	}
+	e.devTab.Store(&devs)
 	for lba := int64(0); lba < geo.Chunks(); lba++ {
 		s, j := geo.Stripe(lba)
 		home := Loc{Dev: geo.DataDev(s, j), Chunk: geo.HomeChunk(s)}

@@ -120,10 +120,10 @@ func TestPrefoldDiscardedByCommit(t *testing.T) {
 	pa.checkClean(t)
 }
 
-// TestPrefoldDiscardedByRebuild: the prefold reads through its own copy of
-// the device table, taken with the snapshot; Rebuild swapping a device in
-// between means later writes went to a device the prefold never saw, so the
-// table is discarded, whatever the locations say. (The committer is idle —
+// TestPrefoldDiscardedByRebuild: the prefold reads through the device table
+// it loaded with the snapshot; Rebuild publishing a new one in between means
+// later writes went to a device the prefold never saw, so the parity table
+// is discarded, whatever the locations say. (The committer is idle —
 // nothing is queued — so the test can run its prefold and publish by hand.)
 func TestPrefoldDiscardedByRebuild(t *testing.T) {
 	pa := newPressureArray(t)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
@@ -101,12 +102,13 @@ func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []de
 			break
 		}
 	}
+	devs := e.devs()
 	for _, i := range idxs {
 		op, sp := &ops[i], &spans[i]
 		sp.Reset(op.Start)
 		for off := 0; off < len(op.Buf); off += e.csize {
 			loc := e.loadLatest(op.LBA + int64(off/e.csize))
-			if sp.Read(e.devs[loc.Dev], loc.Chunk, op.Buf[off:off+e.csize]) != nil {
+			if sp.Read(devs[loc.Dev], loc.Chunk, op.Buf[off:off+e.csize]) != nil {
 				return false
 			}
 		}
@@ -198,7 +200,7 @@ func (e *EPLog) readLBA(span *device.Span, lba int64, out []byte) error {
 	}
 
 	loc := e.loadLatest(lba)
-	err := span.Read(e.devs[loc.Dev], loc.Chunk, out)
+	err := span.Read(e.devs()[loc.Dev], loc.Chunk, out)
 	if err == nil {
 		return nil
 	}
@@ -227,13 +229,34 @@ func (e *EPLog) degradedRead(span *device.Span, lba int64, out []byte) error {
 		return nil
 	}
 	s, slot := e.geo.Stripe(lba)
-	shards, err := e.decodeCommitted(span, s)
+	t, err := e.decodeCommitted(span, s)
 	if err != nil {
 		return err
 	}
-	copy(out, shards[slot])
-	bufpool.Default.PutSlices(shards)
+	copy(out, t.shards[slot])
+	t.put()
 	return nil
+}
+
+// decodeTable is a decode's k+m shard-header table. Pooled, not shard
+// scratch: degraded reads decode under the shared lock, several at once.
+type decodeTable struct{ shards [][]byte }
+
+var decodePool = sync.Pool{New: func() any { return new(decodeTable) }}
+
+// getDecodeTable returns a table of n nil headers.
+func getDecodeTable(n int) *decodeTable {
+	t := decodePool.Get().(*decodeTable)
+	t.shards = grow(t.shards, n)
+	clear(t.shards)
+	return t
+}
+
+// put returns every buffer still in the table to the arena (which nils the
+// entries) and the table to the pool.
+func (t *decodeTable) put() {
+	bufpool.Default.PutSlices(t.shards)
+	decodePool.Put(t)
 }
 
 // readSurvivor reads one chunk of a stripe being decoded into an arena
@@ -260,44 +283,35 @@ func (e *EPLog) readSurvivor(span *device.Span, shards [][]byte, i int, dev devi
 // returned internally.
 func (e *EPLog) decodeLogStripe(span *device.Span, ls *logStripe, wantLBA int64) ([]byte, error) {
 	kPrime, m := len(ls.members), e.geo.M()
-	shards := make([][]byte, kPrime+m)
+	t := getDecodeTable(kPrime + m)
+	defer t.put()
+	shards, devs := t.shards, e.devs()
 	want := -1
 	for i, mb := range ls.members {
 		if mb.lba == wantLBA {
 			want = i
 		}
-		if err := e.readSurvivor(span, shards, i, e.devs[mb.loc.Dev], mb.loc.Chunk); err != nil {
-			bufpool.Default.PutSlices(shards)
+		if err := e.readSurvivor(span, shards, i, devs[mb.loc.Dev], mb.loc.Chunk); err != nil {
 			return nil, err
 		}
 	}
 	if want < 0 {
-		bufpool.Default.PutSlices(shards)
 		return nil, fmt.Errorf("core: lba %d not a member of log stripe %d", wantLBA, ls.id)
 	}
 	for i := 0; i < m; i++ {
 		if err := e.readSurvivor(span, shards, kPrime+i, e.logDevs[i], ls.logPos); err != nil {
-			bufpool.Default.PutSlices(shards)
 			return nil, err
 		}
 	}
-	err := func() error {
-		code, err := e.code(kPrime)
-		if err != nil {
-			return err
-		}
-		if err := code.ReconstructData(shards); err != nil {
-			return fmt.Errorf("%w: log stripe %d: %v", ErrTooManyFailures, ls.id, err)
-		}
-		return nil
-	}()
+	code, err := e.code(kPrime)
 	if err != nil {
-		bufpool.Default.PutSlices(shards)
 		return nil, err
+	}
+	if err := code.ReconstructData(shards); err != nil {
+		return nil, fmt.Errorf("%w: log stripe %d: %v", ErrTooManyFailures, ls.id, err)
 	}
 	out := shards[want]
 	shards[want] = nil
-	bufpool.Default.PutSlices(shards)
 	return out, nil
 }
 
@@ -305,25 +319,25 @@ func (e *EPLog) decodeLogStripe(span *device.Span, ls *logStripe, wantLBA int64)
 // of a stripe from the surviving committed chunks and parity. It returns
 // the full k+m shard table: the data slots [0,k) are all populated with
 // arena buffers, the parity slots hold whatever parity was read (possibly
-// nil). The caller owns every buffer and returns them with PutSlices.
-func (e *EPLog) decodeCommitted(span *device.Span, stripe int64) ([][]byte, error) {
+// nil). The caller owns the table and every buffer in it, and returns them
+// with put.
+func (e *EPLog) decodeCommitted(span *device.Span, stripe int64) (*decodeTable, error) {
 	k, m := e.geo.K, e.geo.M()
 	home := e.geo.HomeChunk(stripe)
-	shards := make([][]byte, k+m)
-	for j := 0; j < k; j++ {
-		loc := e.commLoc[e.geo.LBA(stripe, j)]
-		if err := e.readSurvivor(span, shards, j, e.devs[loc.Dev], loc.Chunk); err != nil {
-			bufpool.Default.PutSlices(shards)
-			return nil, err
-		}
-	}
-	for i := 0; i < m; i++ {
-		if err := e.readSurvivor(span, shards, k+i, e.devs[e.geo.ParityDev(stripe, i)], home); err != nil {
-			bufpool.Default.PutSlices(shards)
-			return nil, err
-		}
-	}
+	t := getDecodeTable(k + m)
+	shards, devs := t.shards, e.devs()
 	err := func() error {
+		for j := 0; j < k; j++ {
+			loc := e.commLoc[e.geo.LBA(stripe, j)]
+			if err := e.readSurvivor(span, shards, j, devs[loc.Dev], loc.Chunk); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < m; i++ {
+			if err := e.readSurvivor(span, shards, k+i, devs[e.geo.ParityDev(stripe, i)], home); err != nil {
+				return err
+			}
+		}
 		code, err := e.code(k)
 		if err != nil {
 			return err
@@ -334,8 +348,8 @@ func (e *EPLog) decodeCommitted(span *device.Span, stripe int64) ([][]byte, erro
 		return nil
 	}()
 	if err != nil {
-		bufpool.Default.PutSlices(shards)
+		t.put()
 		return nil, err
 	}
-	return shards, nil
+	return t, nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/eplog/eplog/internal/device"
@@ -498,15 +499,24 @@ type readOrderDev struct {
 	off  *int // reads issued from any goroutine but the test's
 }
 
-func (d readOrderDev) ReadChunkAt(start float64, idx int64, p []byte) (float64, error) {
+// calledFrom reports whether a function whose name ends in suffix is on the
+// calling goroutine's stack.
+func calledFrom(suffix string) bool {
 	var pcs [32]uintptr
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs[:])])
-	onCaller := false
-	for more := true; more && !onCaller; {
-		var fr runtime.Frame
-		fr, more = frames.Next()
-		onCaller = strings.HasSuffix(fr.Function, ".TestReadBatchShardOrderOnCaller")
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	for {
+		fr, more := frames.Next()
+		if strings.HasSuffix(fr.Function, suffix) {
+			return true
+		}
+		if !more {
+			return false
+		}
 	}
+}
+
+func (d readOrderDev) ReadChunkAt(start float64, idx int64, p []byte) (float64, error) {
+	onCaller := calledFrom(".TestReadBatchShardOrderOnCaller")
 	d.mu.Lock()
 	*d.dsts = append(*d.dsts, &p[0])
 	if !onCaller {
@@ -571,5 +581,87 @@ func TestReadBatchShardOrderOnCaller(t *testing.T) {
 			t.Fatalf("read of lba %d (shard %d) after lba %d (shard %d): want ascending shards, ascending LBAs within one", lba, shard, prevLBA, prevShard)
 		}
 		prevShard, prevLBA = shard, lba
+	}
+}
+
+// TestFastReadsRaceRebuild runs lock-free ReadBatches against Rebuilds of
+// a failed device. The fast path looks devices up with no shard lock, so the
+// device table is published copy-on-write through an atomic pointer: under
+// -race an element assigned in place by Rebuild is reported here (an
+// interface is two words, so a torn read would be a crash, not a stale
+// result the epoch check discards). Every read returns the acknowledged
+// image before, during and after each swap.
+func TestFastReadsRaceRebuild(t *testing.T) {
+	e, main, _ := newHoldArray(t, Config{Shards: 4})
+	defer e.Close()
+	if !e.fastReads {
+		t.Fatal("engine has no lock-free read pass")
+	}
+	// One written stripe with one pending update, the rest virgin: every
+	// stripe a Rebuild decodes takes the device mutexes the readers take, and
+	// so orders their earlier lookups before the swap.
+	k := e.geo.K
+	want := make([]byte, e.Chunks()*testChunk)
+	copy(want, chunkData(30, k))
+	if _, err := e.WriteChunks(0, 0, want[:k*testChunk]); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[testChunk:], chunkData(40, 1))
+	if _, err := e.WriteChunks(0, 1, want[testChunk:2*testChunk]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each reader's batch is one op spanning every shard: one epoch sample,
+	// then a device lookup per chunk of the array — the longest lock-free
+	// pass there is.
+	const readers = 3
+	stop := make(chan struct{})
+	var passes atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops := []ReadOp{{Buf: make([]byte, len(want))}}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if e.ReadBatch(ops); ops[0].Err != nil {
+					t.Errorf("read: %v", ops[0].Err)
+					return
+				}
+				if !bytes.Equal(ops[0].Buf, want) {
+					t.Error("read returned stale or torn data")
+					return
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < 64 && !t.Failed(); i++ {
+		dev := i % len(main)
+		replacement := &brokenReadDev{Dev: device.NewMem(testDevChunks, testChunk)}
+		// Let the readers the last swap sent to the locked path get back to
+		// lock-free passes, so this one lands inside some.
+		for target := passes.Load() + 2*readers; passes.Load() < target; {
+			runtime.Gosched()
+		}
+		main[dev].failed.Store(true)
+		if err := e.Rebuild(dev, replacement); err != nil {
+			t.Fatal(err)
+		}
+		main[dev] = replacement
+	}
+	close(stop)
+	wg.Wait()
+
+	// The replacements serve the fast path: an idle array reads lock-free.
+	locked := e.ReadLockAcquisitions()
+	e.ReadBatch(readBatchOps(e, int(e.Chunks())))
+	if got := e.ReadLockAcquisitions(); got != locked {
+		t.Errorf("%d locked read groups on an idle rebuilt array, want none", got-locked)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
@@ -22,11 +23,11 @@ func (e *EPLog) Rebuild(devIdx int, replacement device.Dev) error {
 	if devIdx < 0 || devIdx >= e.geo.N {
 		return fmt.Errorf("core: device index %d out of range", devIdx)
 	}
-	if replacement.ChunkSize() != e.csize || replacement.Chunks() < e.devs[devIdx].Chunks() {
+	if replacement.ChunkSize() != e.csize || replacement.Chunks() < e.devs()[devIdx].Chunks() {
 		return fmt.Errorf("core: replacement geometry mismatch")
 	}
 	if e.shared {
-		// The replacement stays in e.devs afterwards, where the sharded
+		// The replacement stays in the device table afterwards, where the sharded
 		// engine requires lock-wrapped devices.
 		replacement = device.NewLocked(replacement)
 	}
@@ -81,7 +82,11 @@ func (e *EPLog) Rebuild(devIdx int, replacement device.Dev) error {
 		}
 	}
 
-	e.devs[devIdx] = replacement
+	// Copy-on-write: lock-free readers and a running prefold keep the table
+	// they loaded.
+	devs := slices.Clone(e.devs())
+	devs[devIdx] = replacement
+	e.devTab.Store(&devs)
 	e.obs.Emit(obs.Event{Kind: obs.KindRebuild, Dur: span.End(), Dev: devIdx, N: written})
 	return nil
 }
@@ -107,11 +112,12 @@ func (e *EPLog) rebuildStripe(span *device.Span, code *erasure.Code, s int64, de
 	if dataSlot < 0 && paritySlot < 0 {
 		return 0, nil
 	}
-	decoded, err := e.decodeCommitted(span, s)
+	t, err := e.decodeCommitted(span, s)
 	if err != nil {
 		return 0, err
 	}
-	defer bufpool.Default.PutSlices(decoded)
+	defer t.put()
+	decoded := t.shards
 	var written int64
 	if dataSlot >= 0 {
 		loc := e.commLoc[e.geo.LBA(s, dataSlot)]

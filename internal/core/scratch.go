@@ -47,7 +47,7 @@ func (sh *shard) getScratch() *opScratch {
 		sh.scratchFree = sh.scratchFree[:n-1]
 		return s
 	}
-	return &opScratch{taken: make([]bool, len(sh.e.devs))}
+	return &opScratch{taken: make([]bool, sh.e.geo.N)}
 }
 
 // putScratch returns a frame, dropping buffer references so pooled headers

@@ -62,7 +62,7 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Rebuild(1, device.NewMem(e.devs[1].Chunks(), chunk)); err != nil {
+	if err := e.Rebuild(1, device.NewMem(e.devs()[1].Chunks(), chunk)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -44,6 +44,7 @@ func (e *EPLog) Verify() (*VerifyReport, error) {
 	// One arena-backed shard table serves the whole scrub: every stripe
 	// reads fully overwrite the buffers, and log stripes (k' <= n members)
 	// never need more headers than a data stripe has devices.
+	devs := e.devs()
 	table := make([][]byte, 0, e.geo.N+m)
 	table = bufpool.Default.GetSlices(table[:e.geo.N+m], e.csize)
 	defer bufpool.Default.PutSlices(table)
@@ -56,12 +57,12 @@ func (e *EPLog) Verify() (*VerifyReport, error) {
 		shards := table[:k+m]
 		for j := 0; j < k; j++ {
 			loc := e.commLoc[e.geo.LBA(s, j)]
-			if err := span.Read(e.devs[loc.Dev], loc.Chunk, shards[j]); err != nil {
+			if err := span.Read(devs[loc.Dev], loc.Chunk, shards[j]); err != nil {
 				return nil, fmt.Errorf("core: verify stripe %d slot %d: %w", s, j, err)
 			}
 		}
 		for i := 0; i < m; i++ {
-			if err := span.Read(e.devs[e.geo.ParityDev(s, i)], e.geo.HomeChunk(s), shards[k+i]); err != nil {
+			if err := span.Read(devs[e.geo.ParityDev(s, i)], e.geo.HomeChunk(s), shards[k+i]); err != nil {
 				return nil, fmt.Errorf("core: verify stripe %d parity %d: %w", s, i, err)
 			}
 		}
@@ -84,7 +85,7 @@ func (e *EPLog) Verify() (*VerifyReport, error) {
 			}
 			shards := table[:kPrime+m]
 			for i, mb := range ls.members {
-				if err := span.Read(e.devs[mb.loc.Dev], mb.loc.Chunk, shards[i]); err != nil {
+				if err := span.Read(devs[mb.loc.Dev], mb.loc.Chunk, shards[i]); err != nil {
 					return nil, fmt.Errorf("core: verify log stripe %d member %d: %w", id, i, err)
 				}
 			}

@@ -47,7 +47,7 @@ func TestVerifyDetectsSilentCorruption(t *testing.T) {
 	// Corrupt a committed chunk behind EPLog's back.
 	loc := ta.e.commLoc[2]
 	evil := chunkData(5, 1)
-	if err := ta.e.devs[loc.Dev].WriteChunk(loc.Chunk, evil); err != nil {
+	if err := ta.e.devs()[loc.Dev].WriteChunk(loc.Chunk, evil); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ta.e.Verify()
@@ -60,7 +60,7 @@ func TestVerifyDetectsSilentCorruption(t *testing.T) {
 
 	// Corrupt a pending version too.
 	mloc := ta.e.loadLatest(5)
-	if err := ta.e.devs[mloc.Dev].WriteChunk(mloc.Chunk, evil); err != nil {
+	if err := ta.e.devs()[mloc.Dev].WriteChunk(mloc.Chunk, evil); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = ta.e.Verify()

@@ -279,15 +279,15 @@ func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendin
 	sh.dsShards = grow(sh.dsShards, k+m)
 	shards := sh.dsShards
 	clear(shards)
-	writes := sh.dsWrites[:0]
+	writes, devs := sh.dsWrites[:0], e.devs()
 	for _, c := range seg {
 		_, slot := e.geo.Stripe(c.lba)
 		shards[slot] = c.data
-		writes = append(writes, devWrite{e.devs[e.geo.DataDev(stripe, slot)], home, c.data})
+		writes = append(writes, devWrite{devs[e.geo.DataDev(stripe, slot)], home, c.data})
 	}
 	parity := bufpool.Default.GetSlices(shards[k:], e.csize)
 	for i, p := range parity {
-		writes = append(writes, devWrite{e.devs[e.geo.ParityDev(stripe, i)], home, p})
+		writes = append(writes, devWrite{devs[e.geo.ParityDev(stripe, i)], home, p})
 	}
 	// Phase span: the direct full-stripe write; each chunk's device write
 	// is recorded under it as an I/O leaf.
@@ -544,10 +544,10 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	// distinct device (members by the invariant above, log devices by
 	// construction), so the span's end is that of the slowest.
 	shards := sc.shardTable(kPrime + m)
-	writes := sc.writes[:0]
+	writes, devs := sc.writes[:0], e.devs()
 	for i, mb := range ls.members {
 		shards[i] = group[i].data
-		writes = append(writes, devWrite{e.devs[mb.loc.Dev], mb.loc.Chunk, group[i].data})
+		writes = append(writes, devWrite{devs[mb.loc.Dev], mb.loc.Chunk, group[i].data})
 	}
 	logChunks := bufpool.Default.GetSlices(shards[kPrime:], e.csize)
 	for i, data := range logChunks {

@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // DefBuckets are the default histogram bounds: a base-4 exponential ladder
 // from 1µs to ~268s of virtual time, wide enough to span a flash page
@@ -18,15 +21,17 @@ func defBuckets() []float64 {
 
 // Histogram is a fixed-bucket distribution of non-negative observations.
 // An observation larger than the last bound lands in an implicit overflow
-// bucket that only the count, sum, and max describe.
+// bucket that only the count, sum, and max describe. Observe takes no lock
+// (one is made per device I/O, from every shard at once): the buckets are
+// atomic counters and sum and max are float64 bits advanced by CAS. A
+// reader racing an Observe may see its bucket before its sum; the count is
+// always the buckets' total.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // ascending upper bounds
-	counts []int64   // one per bound
-	over   int64     // observations beyond the last bound
-	count  int64
-	sum    float64
-	max    float64
+	bounds []float64      // ascending upper bounds; immutable
+	counts []atomic.Int64 // one per bound
+	over   atomic.Int64   // observations beyond the last bound
+	sum    atomic.Uint64  // float64 bits
+	max    atomic.Uint64  // float64 bits
 }
 
 // NewHistogram returns a histogram with the given ascending upper bounds;
@@ -37,7 +42,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
-		counts: make([]int64, len(bounds)),
+		counts: make([]atomic.Int64, len(bounds)),
 	}
 }
 
@@ -46,12 +51,17 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
+	for {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
 	}
 	// Binary search for the first bound >= v.
 	lo, hi := 0, len(h.bounds)
@@ -64,10 +74,22 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	if lo == len(h.bounds) {
-		h.over++
+		h.over.Add(1)
 		return
 	}
-	h.counts[lo]++
+	h.counts[lo].Add(1)
+}
+
+// load copies the bucket counters out and returns them with their total
+// (overflow included) and the maximum seen.
+func (h *Histogram) load() (counts []int64, count int64, max float64) {
+	counts = make([]int64, len(h.counts))
+	count = h.over.Load()
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		count += counts[i]
+	}
+	return counts, count, math.Float64frombits(h.max.Load())
 }
 
 // Count returns the number of observations; zero on a nil receiver.
@@ -75,9 +97,11 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	count := h.over.Load()
+	for i := range h.counts {
+		count += h.counts[i].Load()
+	}
+	return count
 }
 
 // Bucket is one histogram bucket: the count of observations at or below
@@ -115,22 +139,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	counts, count, max := h.load()
 	s := HistogramSnapshot{
-		Count:  h.count,
-		Sum:    h.sum,
-		Max:    h.max,
+		Count:  count,
+		Sum:    math.Float64frombits(h.sum.Load()),
+		Max:    max,
 		Bounds: append([]float64(nil), h.bounds...),
 	}
-	for i, c := range h.counts {
+	for i, c := range counts {
 		if c > 0 {
 			s.Buckets = append(s.Buckets, Bucket{UpperBound: h.bounds[i], Count: c})
 		}
 	}
-	s.P50 = h.quantileLocked(0.50)
-	s.P95 = h.quantileLocked(0.95)
-	s.P99 = h.quantileLocked(0.99)
+	s.P50 = quantile(0.50, h.bounds, counts, count, max)
+	s.P95 = quantile(0.95, h.bounds, counts, count, max)
+	s.P99 = quantile(0.99, h.bounds, counts, count, max)
 	return s
 }
 
@@ -141,21 +164,21 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
+	counts, count, max := h.load()
+	return quantile(q, h.bounds, counts, count, max)
 }
 
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 || q <= 0 {
+// quantile is Quantile over one loaded copy of the counters.
+func quantile(q float64, bounds []float64, counts []int64, count int64, max float64) float64 {
+	if count == 0 || q <= 0 {
 		return 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(h.count)
+	rank := q * float64(count)
 	cum := int64(0)
-	for i, c := range h.counts {
+	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
@@ -165,18 +188,18 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		}
 		lower := 0.0
 		if i > 0 {
-			lower = h.bounds[i-1]
+			lower = bounds[i-1]
 		}
-		upper := h.bounds[i]
+		upper := bounds[i]
 		// Interpolate between the bucket's bounds by the rank's position
 		// within the bucket's own observations.
 		frac := (rank - float64(cum-c)) / float64(c)
 		v := lower + frac*(upper-lower)
-		if v > h.max {
-			v = h.max
+		if v > max {
+			v = max
 		}
 		return v
 	}
 	// The rank lives in the overflow bucket.
-	return h.max
+	return max
 }

@@ -205,6 +205,37 @@ func TestRingConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrentObserve: Observe takes no lock, so four observers
+// at once must lose no count, no part of the sum (powers of two add
+// exactly in any order) and not the maximum, while a reader snapshots.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Observe(float64(int(1) << (i % 4))) // 1, 2, 4, 8 (overflow)
+				if s := h.Snapshot(); s.Max > 8 || s.Count < int64(i+1) {
+					t.Errorf("snapshot mid-run: count %d after %d of this observer's, max %v", s.Count, i+1, s.Max)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Count != 4000 || s.Sum != 1000*(1+2+4+8) || s.Max != 8 {
+		t.Errorf("count %d sum %v max %v, want 4000, 15000, 8", s.Count, s.Sum, s.Max)
+	}
+	for _, b := range s.Buckets {
+		if b.Count != 1000 {
+			t.Errorf("bucket le=%v holds %d, want 1000", b.UpperBound, b.Count)
+		}
+	}
+}
+
 func TestSnapshotIsValueCopy(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("writes").Add(7)

@@ -25,11 +25,11 @@ func TestVectoredWriterCoalesces(t *testing.T) {
 	c := &conn{
 		s:   s,
 		nc:  left,
-		out: make(chan *wire.Frame, 16),
+		out: make(chan wire.Frame, 16),
 		sem: make(chan struct{}, 16),
 	}
 	const n = 6
-	want := make([]*wire.Frame, n)
+	want := make([]wire.Frame, n)
 	bytesWanted := 0
 	for i := 0; i < n; i++ {
 		var p []byte
@@ -39,7 +39,7 @@ func TestVectoredWriterCoalesces(t *testing.T) {
 				p[j] = byte(i + j)
 			}
 		}
-		want[i] = &wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: uint64(i + 1),
+		want[i] = wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: uint64(i + 1),
 			Arg: int64(i), Count: uint32(len(p)), Payload: p}
 		c.out <- want[i]
 		c.sem <- struct{}{}
@@ -60,7 +60,7 @@ func TestVectoredWriterCoalesces(t *testing.T) {
 		}
 		w := want[i]
 		if f.ReqID != w.ReqID || f.Arg != w.Arg || f.Count != w.Count {
-			t.Fatalf("frame %d: got %+v, want %+v", i, f, *w)
+			t.Fatalf("frame %d: got %+v, want %+v", i, f, w)
 		}
 		if w.Count > 0 {
 			exp := make([]byte, w.Count)

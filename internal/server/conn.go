@@ -25,7 +25,7 @@ import (
 type conn struct {
 	s   *Server
 	nc  net.Conn
-	out chan *wire.Frame
+	out chan wire.Frame
 	sem chan struct{}
 	// wg tracks the writes and flushes handed to the dispatcher until their
 	// responses are enqueued; the closer goroutine closes out once the
@@ -46,7 +46,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{
 		s:   s,
 		nc:  nc,
-		out: make(chan *wire.Frame, s.opts.QueueDepth),
+		out: make(chan wire.Frame, s.opts.QueueDepth),
 		sem: make(chan struct{}, s.opts.QueueDepth),
 
 		reads: make([]wire.Frame, 0, s.opts.BatchMax),
@@ -135,7 +135,7 @@ func (c *conn) reader() {
 			// The occupancy gauge drives the dispatcher's batch linger; every
 			// queued request ticks it up here and down in server.respond.
 			s.gWriteInflight.Add(1)
-			r := &request{c: c, f: f}
+			r := request{c: c, f: f}
 			select {
 			case s.writeQ <- r:
 			default:
@@ -187,7 +187,7 @@ func (c *conn) flush() {
 			c.out <- s.errFrame(f, wire.StatusErr, err.Error())
 			continue
 		}
-		c.out <- &wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: f.ReqID,
+		c.out <- wire.Frame{Type: wire.TRead | wire.RespFlag, ReqID: f.ReqID,
 			Arg: f.Arg, Count: uint32(len(ops[i].Buf)), Payload: ops[i].Buf}
 	}
 	s.rec.Finish(root, end)
@@ -210,7 +210,7 @@ func (c *conn) flush() {
 // connection.
 func (c *conn) writer() {
 	max := c.s.opts.WritevMax
-	frames := make([]*wire.Frame, 0, max)
+	frames := make([]wire.Frame, 0, max)
 	// hdrs is sized so appending max headers never reallocates: the iov
 	// entries alias into it, and a mid-batch reallocation would orphan the
 	// segments already queued.
@@ -235,7 +235,8 @@ func (c *conn) writer() {
 		if werr == nil {
 			hdrs = hdrs[:0]
 			iov = iov[:0]
-			for _, fr := range frames {
+			for i := range frames {
+				fr := &frames[i]
 				off := len(hdrs)
 				hdrs, werr = wire.AppendFrameHeader(hdrs, fr)
 				if werr != nil {
@@ -265,9 +266,8 @@ func (c *conn) writer() {
 		}
 		// The batch is on the wire (or the connection is dead): only now do
 		// payloads go back to the pool and sem slots free up.
-		for i, fr := range frames {
-			wire.PutPayload(fr)
-			frames[i] = nil
+		for i := range frames {
+			wire.PutPayload(&frames[i])
 			<-c.sem
 		}
 	}

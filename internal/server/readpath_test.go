@@ -192,18 +192,24 @@ func TestDrainAnswersPendingBurst(t *testing.T) {
 	waitFor(t, "every serving goroutine to exit", func() bool { return runtime.NumGoroutine() <= base })
 }
 
-// TestReadBurstAllocatesNoRequest pins the served read path's per-frame
-// allocations on the stub engine: a 64-READ burst costs its 64 response
-// frames (they cross to the writer goroutine) and no request object, batch
-// slice or goroutine.
-func TestReadBurstAllocatesNoRequest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is noisy under -short race runs")
+// writeBurst appends n one-chunk WRITE frames with request IDs from firstID.
+func writeBurst(b []byte, firstID uint64, n int) []byte {
+	payload := make([]byte, testChunk)
+	for i := 0; i < n; i++ {
+		b, _ = wire.AppendFrameHeader(b, &wire.Frame{Type: wire.TWrite, ReqID: firstID + uint64(i), Arg: int64(i), Count: testChunk, Payload: payload})
+		b = append(b, payload...)
 	}
-	_, rc := serveRaw(t, &stubEngine{}, Options{})
+	return b
+}
 
-	const burst = 64
-	frames := readBurst(nil, 1, burst)
+// burstSlack is what a 64-frame burst may allocate: the test's own result
+// map and deadline and the stub engine's bookkeeping, nothing per frame.
+const burstSlack = 16
+
+// burstAllocs returns the allocations per round trip of one socket write
+// of frames and its burst responses, once warm: the lowest of a few
+// measurements, because the scheduler decides how the pair's queues fill.
+func burstAllocs(rc *rawConn, frames []byte, burst int) float64 {
 	step := func() {
 		rc.write(frames)
 		rc.responses("the burst", burst)
@@ -212,12 +218,48 @@ func TestReadBurstAllocatesNoRequest(t *testing.T) {
 		step()
 	}
 	best := testing.AllocsPerRun(32, step)
-	for i := 0; i < 4 && best > burst+16; i++ {
+	for i := 0; i < 4 && best > burstSlack; i++ {
 		best = min(best, testing.AllocsPerRun(32, step))
 	}
-	// The slack is the test's own: its result map, its deadline, the stub's stack walk.
+	return best
+}
+
+// TestReadBurstAllocatesNoRequest pins the served read path's per-frame
+// allocations on the stub engine: a 64-READ burst costs no request object,
+// no response frame (they cross to the writer goroutine by value), no batch
+// slice and no goroutine.
+func TestReadBurstAllocatesNoRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race runs")
+	}
+	_, rc := serveRaw(t, &stubEngine{}, Options{})
+
+	const burst = 64
+	best := burstAllocs(rc, readBurst(nil, 1, burst), burst)
 	t.Logf("%.1f allocations per %d-READ burst", best, burst)
-	if best > burst+16 {
-		t.Errorf("a %d-READ burst allocates %.1f objects, want its %d response frames and a handful for the test's decoding", burst, best, burst)
+	if best > burstSlack {
+		t.Errorf("a %d-READ burst allocates %.1f objects, want a handful for the test's decoding and none per frame", burst, best)
+	}
+}
+
+// TestWriteBurstAllocatesNothing is the same pin on the write path: 64
+// one-chunk WRITEs in one socket write cross writeQ, the dispatcher's batch
+// and the connection's out queue by value, so the burst costs no request
+// and no response frame.
+func TestWriteBurstAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race runs")
+	}
+	eng := &stubEngine{}
+	_, rc := serveRaw(t, eng, Options{})
+
+	const burst = 64
+	best := burstAllocs(rc, writeBurst(nil, 1, burst), burst)
+	t.Logf("%.1f allocations per %d-WRITE burst", best, burst)
+	if best > burstSlack {
+		t.Errorf("a %d-WRITE burst allocates %.1f objects, want a handful for the test's decoding and none per frame", burst, best)
+	}
+	if eng.writes.Load() == 0 {
+		t.Fatal("no write reached the engine")
 	}
 }

@@ -12,7 +12,9 @@
 // lock acquisition and a log stripe; reads overtake queued writes, and a
 // FLUSH frame is a batch barrier covering every write the server read
 // before it. After Listen the server runs the accept loop and the write
-// dispatcher, nothing else; no goroutine is started per request or batch.
+// dispatcher, nothing else; no goroutine is started per request or batch,
+// and no object is allocated per request: decoded frames and responses
+// cross goroutines by value (DESIGN.md §12.2, §13.3).
 //
 // Parity commits stay off the write path: after each dispatcher batch the
 // server calls core.FoldPressured(HighWater), which hands the shards whose
@@ -139,7 +141,7 @@ func (o Options) withDefaults() Options {
 }
 
 // request is one accepted write or flush frame on its way through the
-// dispatcher, still owning its decoded payload.
+// dispatcher, still owning its decoded payload; it crosses writeQ by value.
 type request struct {
 	c *conn
 	f wire.Frame
@@ -158,7 +160,7 @@ type Server struct {
 
 	// writeQ carries writes and flushes in socket-arrival order to the
 	// write dispatcher.
-	writeQ       chan *request
+	writeQ       chan request
 	dispatchDone chan struct{}
 
 	// Dispatcher-owned scratch for runWrites, cleared after each run.
@@ -222,7 +224,7 @@ func Serve(ln net.Listener, eng Engine, opts Options) *Server {
 		ln:           ln,
 		quit:         make(chan struct{}),
 		acceptDone:   make(chan struct{}),
-		writeQ:       make(chan *request, opts.WriteQueue),
+		writeQ:       make(chan request, opts.WriteQueue),
 		dispatchDone: make(chan struct{}),
 		conns:        make(map[*conn]struct{}),
 	}
@@ -337,10 +339,11 @@ func (s *Server) acceptLoop() {
 // left at or above HighWater to the engine's background committer.
 func (s *Server) dispatch() {
 	defer close(s.dispatchDone)
-	batch := make([]*request, 0, s.opts.BatchMax)
+	batch := make([]request, 0, s.opts.BatchMax)
 	for r := range s.writeQ {
 		batch = s.fillAdaptive(append(batch[:0], r))
 		s.runBatch(batch)
+		clear(batch) // pin no connection and no payload past the run
 		s.eng.FoldPressured(s.opts.HighWater)
 	}
 }
@@ -355,7 +358,7 @@ func (s *Server) dispatch() {
 // for larger batches.
 //
 //eplog:wallclock the first-op age bound is a real-time linger
-func (s *Server) fillAdaptive(batch []*request) []*request {
+func (s *Server) fillAdaptive(batch []request) []request {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -399,14 +402,14 @@ func (s *Server) fillAdaptive(batch []*request) []*request {
 // engine batch; a FLUSH is a barrier (everything before it in the batch —
 // and, by queue order, everything read from any socket before it — has
 // entered the engine when Flush runs).
-func (s *Server) runBatch(batch []*request) {
+func (s *Server) runBatch(batch []request) {
 	s.cBatches.Add(1)
 	s.hBatchOps.Observe(float64(len(batch)))
 	start := s.now()
 	root := s.rec.Start(obs.SpanNetBatch, s.opts.SpanShard, start, 0, int64(len(batch)))
 	for i := 0; i < len(batch); {
 		if batch[i].f.ReqType() == wire.TFlush {
-			r := batch[i]
+			r := &batch[i]
 			i++
 			s.cFlushes.Add(1)
 			sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), 0, 0)
@@ -417,7 +420,7 @@ func (s *Server) runBatch(batch []*request) {
 				s.respond(r, s.errFrame(&r.f, wire.StatusErr, err.Error()))
 				continue
 			}
-			s.respond(r, &wire.Frame{Type: wire.TFlush | wire.RespFlag, ReqID: r.f.ReqID})
+			s.respond(r, wire.Frame{Type: wire.TFlush | wire.RespFlag, ReqID: r.f.ReqID})
 			continue
 		}
 		j := i
@@ -432,9 +435,10 @@ func (s *Server) runBatch(batch []*request) {
 
 // runWrites pushes one contiguous run of WRITE frames through the engine
 // as a single batch and responds per op.
-func (s *Server) runWrites(run []*request, root *obs.Span) {
+func (s *Server) runWrites(run []request, root *obs.Span) {
 	ops, spans := s.writeOps[:0], s.writeSpans[:0]
-	for _, r := range run {
+	for i := range run {
+		r := &run[i]
 		n := int64(len(r.f.Payload) / s.csize)
 		ops = append(ops, core.BatchOp{LBA: r.f.Arg, Data: r.f.Payload})
 		sp := root.Child(obs.SpanNet, s.opts.SpanShard, s.now(), r.f.Arg, n)
@@ -443,7 +447,8 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 	}
 	s.eng.WriteBatch(ops)
 	end := s.now()
-	for i, r := range run {
+	for i := range run {
+		r := &run[i]
 		spans[i].Close(end)
 		s.cWrites.Add(1)
 		if err := ops[i].Err; err != nil {
@@ -453,7 +458,7 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 		}
 		count := uint32(len(r.f.Payload))
 		wire.PutPayload(&r.f) // engine has copied the data out
-		s.respond(r, &wire.Frame{Type: wire.TWrite | wire.RespFlag, ReqID: r.f.ReqID, Arg: r.f.Arg, Count: count})
+		s.respond(r, wire.Frame{Type: wire.TWrite | wire.RespFlag, ReqID: r.f.ReqID, Arg: r.f.Arg, Count: count})
 	}
 	// Keep the grown arrays, but no payload or span past its run.
 	clear(ops)
@@ -463,7 +468,7 @@ func (s *Server) runWrites(run []*request, root *obs.Span) {
 
 // statFrame answers one STAT frame from live engine metadata — lock-free
 // snapshots, so a STAT never waits on the engine.
-func (s *Server) statFrame(reqID uint64) *wire.Frame {
+func (s *Server) statFrame(reqID uint64) wire.Frame {
 	s.cStats.Add(1)
 	geo := s.eng.Geometry()
 	st := wire.Stat{
@@ -477,14 +482,14 @@ func (s *Server) statFrame(reqID uint64) *wire.Frame {
 		WritePressure:     s.eng.WritePressure(),
 	}
 	p := wire.AppendStat(nil, &st)
-	return &wire.Frame{Type: wire.TStat | wire.RespFlag, ReqID: reqID,
+	return wire.Frame{Type: wire.TStat | wire.RespFlag, ReqID: reqID,
 		Count: uint32(len(p)), Payload: p}
 }
 
 // respond enqueues the dispatcher's response to a write or flush on the
 // request's connection. Never blocks indefinitely: the per-conn in-flight
 // bound guarantees buffer space.
-func (s *Server) respond(r *request, f *wire.Frame) {
+func (s *Server) respond(r *request, f wire.Frame) {
 	s.gWriteInflight.Add(-1)
 	r.c.out <- f
 	r.c.wg.Done()
@@ -492,13 +497,13 @@ func (s *Server) respond(r *request, f *wire.Frame) {
 
 // errFrame counts and builds the error response to request f, carrying the
 // message text.
-func (s *Server) errFrame(f *wire.Frame, status uint8, msg string) *wire.Frame {
+func (s *Server) errFrame(f *wire.Frame, status uint8, msg string) wire.Frame {
 	if status == wire.StatusBadRequest {
 		s.cBadReq.Add(1)
 	} else {
 		s.cErrs.Add(1)
 	}
-	return &wire.Frame{Type: f.Type | wire.RespFlag, Status: status,
+	return wire.Frame{Type: f.Type | wire.RespFlag, Status: status,
 		ReqID: f.ReqID, Payload: []byte(msg)}
 }
 
