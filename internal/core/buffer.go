@@ -6,6 +6,10 @@ import "github.com/eplog/eplog/internal/bufpool"
 type pendingChunk struct {
 	lba  int64
 	data []byte
+	// whole marks the first chunk of a whole-stripe request segment in an
+	// update set: it and the k−1 chunks after it flush as their own log
+	// stripe (writeStripes, updatePath).
+	whole bool
 }
 
 // deviceBuffer caches pending update chunks destined to one SSD,

@@ -186,6 +186,7 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	sh.logCursor = sh.logStart
 	sh.publishFill()
 	clear(sh.dirty)
+	sh.ready.reset() // chunks were released: no slot's locations may be trusted
 	sh.reqSinceCommit = 0
 	sh.stats.Commits++
 
@@ -212,7 +213,8 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 // the k latest data chunks, re-encodes the parity, and writes it to the
 // stripe's home locations, in stripe order on the caller's span with the
 // shard's scratch shard table — a commit allocates nothing. A stripe whose
-// entry in the committer's prefold (sh.pre) still holds skips the first half.
+// foldReady slot or entry in the committer's prefold (sh.pre) still holds
+// skips the first half.
 //
 //eplog:hotpath
 func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []int64) error {
@@ -231,23 +233,33 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 		}
 	}
 	for _, s := range stripes {
-		parity, hit := shards[k:], false
 		// No commit since the snapshot, so dirty only grew: the table's
 		// stripes are a subsequence of stripes and one cursor pairs them.
+		preAt := -1
 		if pre != nil && next < pre.n && pre.stripes[next] == s {
-			hit = true
-			for j, loc := range pre.locs[next*k : (next+1)*k] {
-				hit = hit && e.loadLatest(e.geo.LBA(s, j)) == loc
+			preAt, next = next, next+1
+		}
+		// Parity sources in order: the write-time slot, the prefold's entry
+		// (uncounted when a slot shadows it), and reading under the lock.
+		var parity [][]byte
+		if slot, ok := sh.ready.slotOf(s); ok {
+			if e.latestAre(s, sh.ready.locs[slot*k:(slot+1)*k]) {
+				parity = sh.ready.parity[slot*m : (slot+1)*m]
+				e.cFoldReadyStripes.Inc()
+			} else {
+				e.cFoldReadyStale.Inc()
 			}
-			if hit {
-				parity = pre.parity[next*m : (next+1)*m]
+		}
+		if parity == nil && preAt >= 0 {
+			if e.latestAre(s, pre.locs[preAt*k:(preAt+1)*k]) {
+				parity = pre.parity[preAt*m : (preAt+1)*m]
 				e.cPrefoldStripes.Inc()
 			} else {
 				e.cPrefoldStale.Inc()
 			}
-			next++
 		}
-		if !hit {
+		if parity == nil {
+			parity = shards[k:]
 			reads, err := e.foldEncode(span, code, s, shards, nil, nil)
 			sh.stats.CommitReadChunks += reads
 			if err != nil {
@@ -263,6 +275,21 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 		}
 	}
 	return nil
+}
+
+// latestAre reports whether locs are still the latest locations of stripe
+// s's k chunks. No-overwrite means a location's bytes change only after a
+// commit releases it, so parity encoded from the chunks at locs — at write
+// time or by the prefold — is then the stripe's parity.
+//
+//eplog:hotpath
+func (e *EPLog) latestAre(s int64, locs []Loc) bool {
+	for j, loc := range locs {
+		if e.loadLatest(e.geo.LBA(s, j)) != loc {
+			return false
+		}
+	}
+	return true
 }
 
 // foldEncode is the read-and-encode half of one stripe's fold: the k latest
@@ -313,9 +340,15 @@ type prefold struct {
 	span    device.Span   // their virtual time
 }
 
+// foldTableCap is the stripes a prefold or foldReady table holds: one
+// shard's stripes, at most prefoldCap.
+func (e *EPLog) foldTableCap() int {
+	ns := int64(e.nShards)
+	return int(min((e.geo.Stripes+ns-1)/ns, prefoldCap))
+}
+
 func newPrefold(e *EPLog) *prefold {
-	k, m, ns := e.geo.K, e.geo.M(), int64(e.nShards)
-	n := int(min((e.geo.Stripes+ns-1)/ns, prefoldCap))
+	k, m, n := e.geo.K, e.geo.M(), e.foldTableCap()
 	p := &prefold{
 		stripes: make([]int64, 0, n),
 		locs:    make([]Loc, n*k),
@@ -346,7 +379,9 @@ func (p *prefold) run(sh *shard) {
 		if len(p.stripes) == cap(p.stripes) {
 			break
 		}
-		p.stripes = append(p.stripes, s)
+		if _, ok := sh.ready.slotOf(s); !ok { // a stale slot folds under the lock
+			p.stripes = append(p.stripes, s)
+		}
 	}
 	sh.mu.RUnlock()
 	slices.Sort(p.stripes)
@@ -359,6 +394,101 @@ func (p *prefold) run(sh *shard) {
 		if err == nil {
 			p.n++
 		}
+	}
+}
+
+// foldReady is a shard's write-time parity table (DESIGN.md §9), the first
+// of the fold's three parity sources. On a prefold engine a whole-stripe
+// request flushes as its own log stripe, k′ = k with its members in slot
+// order, so the log chunks flushGroup encodes are the stripe's new parity:
+// they go straight into a slot here, and the k locations written with
+// them. foldStripes publishes a slot whose locations are all still the
+// latest — the prefold's check — and the prefold skips stripes that have
+// one. The table is dropped at every commit, the only place chunks are
+// released. Allocated on the first whole stripe and a slot's parity on its
+// first use; a shard with more whole stripes pending than slots flushes
+// the rest through the arena, and its fold reads them.
+type foldReady struct {
+	at     map[int64]int // stripe -> its slot
+	n      int           // slots in use
+	locs   []Loc         // the k member locations, per slot
+	parity [][]byte      // the m parity chunks, per slot
+}
+
+func newFoldReady(e *EPLog, slots int) *foldReady {
+	return &foldReady{
+		at:     make(map[int64]int, slots),
+		locs:   make([]Loc, slots*e.geo.K),
+		parity: make([][]byte, slots*e.geo.M()),
+	}
+}
+
+// claimReady returns the foldReady slot a flushing group's log chunks are
+// encoded into — the stripe's own if it has one, else the next free — and
+// its parity buffers, which are nil unless the engine prefolds, the group
+// is a whole stripe in slot order and a slot is free.
+//
+//eplog:hotpath
+func (sh *shard) claimReady(group []pendingChunk) (stripe int64, slot int, parity [][]byte) {
+	e := sh.e
+	k, m := e.geo.K, e.geo.M()
+	stripe, j := e.geo.Stripe(group[0].lba)
+	if !e.fastReads || len(group) != k || j != 0 {
+		return 0, 0, nil
+	}
+	for i, c := range group {
+		if c.lba != group[0].lba+int64(i) {
+			return 0, 0, nil
+		}
+	}
+	if sh.ready == nil {
+		sh.ready = newFoldReady(e, e.foldTableCap())
+	}
+	r := sh.ready
+	slot, ok := r.at[stripe]
+	if !ok {
+		if r.n == len(r.parity)/m {
+			return 0, 0, nil
+		}
+		slot, r.n = r.n, r.n+1
+		r.at[stripe] = slot
+	}
+	return stripe, slot, r.slotParity(slot, m, e.csize)
+}
+
+// slotParity returns a slot's m parity buffers, allocated on its first use.
+func (r *foldReady) slotParity(slot, m, csize int) [][]byte {
+	parity := r.parity[slot*m : (slot+1)*m]
+	if parity[0] == nil {
+		buf := make([]byte, m*csize)
+		for p := range parity {
+			parity[p] = buf[p*csize : (p+1)*csize]
+		}
+	}
+	return parity
+}
+
+// record stores the locations a slot's parity was encoded for.
+func (r *foldReady) record(slot int, members []member) {
+	for j, mb := range members {
+		r.locs[slot*len(members)+j] = mb.loc
+	}
+}
+
+// slotOf returns stripe s's slot, if it has one. Nil-safe.
+func (r *foldReady) slotOf(s int64) (int, bool) {
+	if r == nil {
+		return 0, false
+	}
+	slot, ok := r.at[s]
+	return slot, ok
+}
+
+// reset empties the table, keeping its buffers. Nil-safe.
+func (r *foldReady) reset() {
+	if r != nil {
+		clear(r.at)
+		r.n = 0
 	}
 }
 

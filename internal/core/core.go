@@ -168,7 +168,8 @@ type Stats struct {
 	// shard, so one Commit() call counts once per shard that ran.
 	Commits int64
 	// CommitReadChunks and CommitWriteChunks count parity-commit I/O on
-	// the main array.
+	// the main array. A stripe folded from the parity its whole-stripe
+	// log stripe was encoded with (foldReady) adds no reads.
 	CommitReadChunks  int64
 	CommitWriteChunks int64
 	// Requests counts user write requests.
@@ -296,6 +297,10 @@ type EPLog struct {
 	cReadLocks       *obs.Counter
 	cPrefoldStripes  *obs.Counter // prefolded stripes published from the table
 	cPrefoldStale    *obs.Counter // prefolded stripes folded again under the lock
+	// Whole-stripe parity kept from the log-stripe flush (foldReady):
+	// published as is, or found stale and folded by reading.
+	cFoldReadyStripes *obs.Counter
+	cFoldReadyStale   *obs.Counter
 	// vnowBits is the high-water completion time seen so far (float64
 	// bits, CAS-maxed). It anchors the latency metrics of commits invoked
 	// untimed (start 0) from inside the write path, whose spans would
@@ -449,6 +454,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e.cReadLocks = cfg.Obs.Counter("core.read_lock_acquisitions")
 	e.cPrefoldStripes = cfg.Obs.Counter("core.prefold_stripes")
 	e.cPrefoldStale = cfg.Obs.Counter("core.prefold_stale")
+	e.cFoldReadyStripes = cfg.Obs.Counter("core.fold_ready_stripes")
+	e.cFoldReadyStale = cfg.Obs.Counter("core.fold_ready_stale")
 	for _, sh := range e.shards {
 		sh.initFlight(cfg.Obs)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/eplog/eplog/internal/device"
+	"github.com/eplog/eplog/internal/obs"
 )
 
 // The group committer's prefold (commit.go): what it may publish, what it
@@ -211,17 +212,20 @@ func TestPrefoldStopsAtFailedSSD(t *testing.T) {
 }
 
 // TestPrefoldCampaign is TestWriteGroupSurvivesAnyMFailures with everything
-// moving: seeded writers hammer one shard while FoldPressured keeps its fold
-// going — so every prefold races writes, and the inline commits the small
-// update area forces — and SSDs fail and are rebuilt, log devices fail and
-// are recovered and snapshots are taken in between. The prefold is a second
-// lock-free reader of the device table beside readGroupFast, and Rebuild
-// writes it. Then every acknowledged chunk reads back under each of the 28
-// pairs of failed devices, and the array commits and scrubs clean. Run with
-// -race.
+// moving: seeded writers hammer one shard with single-chunk updates and
+// whole-stripe overwrites while FoldPressured keeps its fold going — so
+// every prefold races writes, every write-time parity slot (foldReady) races
+// the updates that make it stale, and the inline commits the small update
+// area forces drop the table — and SSDs fail and are rebuilt, log devices
+// fail and are recovered and snapshots are taken in between. The prefold is
+// a second lock-free reader of the device table beside readGroupFast, and
+// Rebuild writes it. Then every acknowledged chunk reads back under each of
+// the 28 pairs of failed devices, and the array commits and scrubs clean.
+// Run with -race.
 func TestPrefoldCampaign(t *testing.T) {
 	const writers, batches = 3, 150
-	e, main, logs := newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: 8, CommitEvery: 16})
+	sink := obs.NewSink(64)
+	e, main, logs := newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: 8, CommitEvery: 16, Obs: sink})
 	want := chunkData(1, int(e.Chunks()))
 	if _, err := e.WriteChunks(0, 0, want); err != nil {
 		t.Fatal(err)
@@ -229,11 +233,10 @@ func TestPrefoldCampaign(t *testing.T) {
 	if err := e.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	var hot []int64 // the hot shard's LBAs; writer w owns every writers-th
+	k := e.geo.K
+	var hot []int64 // the hot shard's stripes; writer w owns every writers-th
 	for s := int64(hotShard); s < e.geo.Stripes; s += int64(e.nShards) {
-		for j := 0; j < e.geo.K; j++ {
-			hot = append(hot, e.geo.LBA(s, j))
-		}
+		hot = append(hot, s)
 	}
 
 	stop := make(chan struct{})
@@ -261,8 +264,12 @@ func TestPrefoldCampaign(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				ops := make([]BatchOp, 1+r.Intn(3))
 				for i := range ops {
-					lba := hot[w+writers*r.Intn((len(hot)-w+writers-1)/writers)]
-					ops[i] = BatchOp{LBA: lba, Data: chunkData(1000*w+10*b+i, 1)}
+					s := hot[w+writers*r.Intn((len(hot)-w+writers-1)/writers)]
+					if r.Intn(3) == 0 {
+						ops[i] = BatchOp{LBA: e.geo.LBA(s, 0), Data: chunkData(1000*w+10*b+i, k)}
+					} else {
+						ops[i] = BatchOp{LBA: e.geo.LBA(s, r.Intn(k)), Data: chunkData(1000*w+10*b+i, 1)}
+					}
 				}
 				e.WriteBatch(ops)
 				for i := range ops { // batch order within a shard group: the last op on an LBA wins
@@ -270,7 +277,9 @@ func TestPrefoldCampaign(t *testing.T) {
 						t.Errorf("writer %d batch %d: %v", w, b, ops[i].Err)
 						return
 					}
-					acked[w][ops[i].LBA] = ops[i].Data
+					for c := 0; c < len(ops[i].Data)/testChunk; c++ {
+						acked[w][ops[i].LBA+int64(c)] = ops[i].Data[c*testChunk : (c+1)*testChunk]
+					}
 				}
 			}
 		}(w)
@@ -306,9 +315,18 @@ func TestPrefoldCampaign(t *testing.T) {
 			copy(want[lba*testChunk:], data)
 		}
 	}
+	if sink.Counter("core.fold_ready_stripes").Value() == 0 || sink.Counter("core.fold_ready_stale").Value() == 0 {
+		t.Error("no fold published write-time parity or found it stale: the campaign missed the whole-stripe path")
+	}
 	// With nobody left to fold them, these stay pending: the pairs below
 	// meet log stripes as well as committed stripes.
-	last := updateOps(9000, hot[:6], want)
+	var lbas []int64
+	for _, s := range hot[:2] {
+		for j := 0; j < k; j++ {
+			lbas = append(lbas, e.geo.LBA(s, j))
+		}
+	}
+	last := updateOps(9000, lbas[:6], want)
 	e.WriteBatch(last)
 	mustSucceed(t, last)
 	if e.PendingLogStripes() == 0 {

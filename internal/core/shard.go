@@ -111,6 +111,7 @@ type shard struct {
 	foldShards  [][]byte        // foldStripes shard headers
 	dirtyOrder  []int64         // commitAt dirty-stripe order
 	pre         *prefold        // set by sweep for the committer's own commitAt only
+	ready       *foldReady      // whole stripes' write-time parity; nil until the first one
 
 	// Flight recorder (flight.go). rec is the shard's causal-span
 	// recorder; curOp is the span that phase children created under mu

@@ -217,8 +217,11 @@ func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite) {
 // each stripe's segment takes the direct or stripe-buffer path if it can,
 // and the remaining chunks join the shard-wide update set (wrUpdates) that
 // writeStep flushes, so elastic grouping can span stripes (Fig. 1(b)) and
-// requests. Both slices are shard scratch: a write cannot reenter itself
-// (sh.mu), and the nested paths use their own frames.
+// requests. On a prefold engine a segment that is a whole stripe the set
+// does not touch yet is flagged to flush as its own log stripe instead
+// (updatePath), so its log chunks are the stripe's parity (foldReady).
+// Both slices are shard scratch: a write cannot reenter itself (sh.mu),
+// and the nested paths use their own frames.
 //
 //eplog:hotpath
 func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte) error {
@@ -236,9 +239,27 @@ func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte
 		if err != nil {
 			return err
 		}
+		whole := e.fastReads && int64(len(deferred)) == k && !sh.setTouches(s)
+		n := len(sh.wrUpdates)
 		sh.wrUpdates = append(sh.wrUpdates, deferred...)
+		if whole {
+			sh.wrUpdates[n].whole = true
+		}
 	}
 	return nil
+}
+
+// setTouches reports whether the shard's update set already holds a chunk
+// of stripe.
+//
+//eplog:hotpath
+func (sh *shard) setTouches(stripe int64) bool {
+	for _, c := range sh.wrUpdates {
+		if s, _ := sh.e.geo.Stripe(c.lba); s == stripe {
+			return true
+		}
+	}
+	return false
 }
 
 // writeSegment routes one stripe's worth of a request, returning any
@@ -248,15 +269,10 @@ func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte
 //eplog:hotpath
 func (sh *shard) writeSegment(span *device.Span, stripe int64, seg []pendingChunk) ([]pendingChunk, error) {
 	e := sh.e
-	direct := e.virgin[stripe]
-	for i := 0; direct && i < len(sh.wrUpdates); i++ {
-		// An earlier op of the group left a partial write of this
-		// still-virgin stripe in the update set: the segment follows it
-		// through the set, which keeps the group in batch order.
-		s, _ := e.geo.Stripe(sh.wrUpdates[i].lba)
-		direct = s != stripe
-	}
-	if direct {
+	// An earlier op of the group that left a partial write of this
+	// still-virgin stripe in the update set keeps the segment behind it in
+	// the set, which keeps the group in batch order.
+	if e.virgin[stripe] && !sh.setTouches(stripe) {
 		if len(seg) == e.geo.K {
 			// New full-stripe write: straight to the main array.
 			return nil, sh.directStripeWrite(span, stripe, seg)
@@ -386,22 +402,38 @@ func (sh *shard) updatePath(span *device.Span, chunks []pendingChunk) error {
 	//
 	// Both the round's group and the deferred set live in a scratch
 	// frame; the caller's slice is never reordered (callers keep it to
-	// return arena buffers after the flush). The first round copies
+	// return arena buffers after the flush). The first pass copies
 	// deferred chunks into the frame's rest slice; later rounds compact
 	// it in place, which is safe because the write index always trails
 	// the read index (the first chunk of every round is grouped, never
 	// deferred).
 	sc := sh.getScratch()
 	defer sh.putScratch(sc)
-	pending := chunks
-	for round := 0; len(pending) > 0; round++ {
+	pending, inPlace := chunks, false
+	if e.fastReads {
+		// Whole-stripe requests first, each as its own log stripe in slot
+		// order (k′ = k), so its log chunks are the stripe's parity
+		// (foldReady). writeStripes flags only a stripe no earlier chunk of
+		// the set touches, so flushing it ahead of the rounds keeps every
+		// LBA's versions in batch order.
+		k, rest := e.geo.K, sc.rest[:0]
+		for i := 0; i < len(chunks); i++ {
+			if !chunks[i].whole {
+				rest = append(rest, chunks[i])
+				continue
+			}
+			if err := sh.flushGroup(span, chunks[i:i+k]); err != nil {
+				return err
+			}
+			i += k - 1
+		}
+		sc.rest, pending, inPlace = rest, rest, true
+	}
+	for len(pending) > 0 {
 		sc.resetTaken()
-		group := sc.group[:0]
-		var rest []pendingChunk
-		if round == 0 {
+		group, rest := sc.group[:0], pending[:0]
+		if !inPlace {
 			rest = sc.rest[:0]
-		} else {
-			rest = pending[:0]
 		}
 		for _, c := range pending {
 			dev := e.loadLatest(c.lba).Dev
@@ -413,8 +445,8 @@ func (sh *shard) updatePath(span *device.Span, chunks []pendingChunk) error {
 			group = append(group, c)
 		}
 		sc.group = group
-		if round == 0 {
-			sc.rest = rest
+		if !inPlace {
+			sc.rest, inPlace = rest, true
 		}
 		if err := sh.flushGroup(span, group); err != nil {
 			return err
@@ -538,18 +570,26 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	span.SetRecorder(ps)
 
 	// The log chunks are encoded from the new data only. Group data is
-	// caller-owned; the log chunks come from the arena (Encode clears
-	// its destinations, so dirty buffers are fine). Data to SSDs
-	// and log chunks to log devices form one phase; every write targets a
-	// distinct device (members by the invariant above, log devices by
-	// construction), so the span's end is that of the slowest.
+	// caller-owned; the log chunks come from the arena, or for a whole
+	// stripe in slot order — whose log chunks are its new parity — from
+	// the shard's foldReady slot (Encode clears its destinations, so dirty
+	// buffers are fine). Data to SSDs and log chunks to log devices form
+	// one phase; every write targets a distinct device (members by the
+	// invariant above, log devices by construction), so the span's end is
+	// that of the slowest.
 	shards := sc.shardTable(kPrime + m)
 	writes, devs := sc.writes[:0], e.devs()
 	for i, mb := range ls.members {
 		shards[i] = group[i].data
 		writes = append(writes, devWrite{devs[mb.loc.Dev], mb.loc.Chunk, group[i].data})
 	}
-	logChunks := bufpool.Default.GetSlices(shards[kPrime:], e.csize)
+	stripe, slot, logChunks := sh.claimReady(group)
+	ready := logChunks != nil
+	if ready {
+		copy(shards[kPrime:], logChunks)
+	} else {
+		logChunks = bufpool.Default.GetSlices(shards[kPrime:], e.csize)
+	}
 	for i, data := range logChunks {
 		// A failed log device costs one of m redundancy.
 		writes = append(writes, devWrite{e.logDevs[i], ls.logPos, data})
@@ -564,10 +604,18 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	}
 	span.SetRecorder(prevRec)
 	ps.Close(span.End())
-	bufpool.Default.PutSlices(logChunks)
+	if !ready {
+		bufpool.Default.PutSlices(logChunks)
+	}
 	if err != nil {
+		if ready {
+			delete(sh.ready.at, stripe) // the slot's buffers no longer hold its parity
+		}
 		sh.putLogStripe(ls)
 		return err
+	}
+	if ready {
+		sh.ready.record(slot, ls.members)
 	}
 	sh.stats.DataWriteChunks += int64(kPrime)
 	sh.stats.LogChunkWrites += int64(m)

@@ -118,7 +118,9 @@ type Device struct {
 	params Params
 	chunks int64 // logical pages exposed
 
-	data      []byte  // physical page contents
+	// data holds page contents by logical page: a relocation remaps a
+	// page without copying it, so only l2p says where it sits in flash.
+	data      []byte
 	l2p       []int32 // logical page -> physical page, -1 if unmapped
 	p2l       []int32 // physical page -> logical page, -1 if not valid
 	pageState []int8
@@ -167,7 +169,7 @@ func New(params Params) (*Device, error) {
 		params:      params,
 		chunks:      logical,
 		chanFree:    make([]float64, channels),
-		data:        make([]byte, int64(physPages)*int64(params.PageSize)),
+		data:        make([]byte, logical*int64(params.PageSize)),
 		l2p:         make([]int32, logical),
 		p2l:         make([]int32, physPages),
 		pageState:   make([]int8, physPages),
@@ -267,9 +269,14 @@ func (d *Device) read(idx int64, p []byte) (int32, error) {
 		clear(p)
 		return phys, nil
 	}
-	off := int64(phys) * int64(d.params.PageSize)
-	copy(p, d.data[off:off+int64(d.params.PageSize)])
+	copy(p, d.page(idx))
 	return phys, nil
+}
+
+// page returns the contents of logical page idx.
+func (d *Device) page(idx int64) []byte {
+	off := idx * int64(d.params.PageSize)
+	return d.data[off : off+int64(d.params.PageSize)]
 }
 
 // WriteChunk implements device.Dev.
@@ -310,8 +317,7 @@ func (d *Device) writeTimed(idx int64, p []byte) (float64, error) {
 		return 0, err
 	}
 	cost += gcCost
-	off := int64(phys) * int64(d.params.PageSize)
-	copy(d.data[off:off+int64(d.params.PageSize)], p)
+	copy(d.page(idx), p)
 	d.l2p[idx] = phys
 	d.p2l[phys] = int32(idx)
 	d.pageState[phys] = pageValid
@@ -453,67 +459,74 @@ func (d *Device) collectOne() (float64, error) {
 			}
 		}
 	}
-	if victim < 0 {
+	if victim < 0 || !d.gcFits(victim) {
 		return 0, ErrNoSpace
 	}
-	movedBefore := d.stats.PagesMoved
-	// The relocations must fit in the GC block plus at most one clean
-	// block; erasing the victim afterwards returns a block, so the pool
-	// never shrinks below where it started.
+	moved, cost, err := d.migrate(victim)
+	if err != nil {
+		return cost, err
+	}
+	d.stats.GCInvocations++
+	d.mGCRuns.Inc()
+	d.mMoved.Add(moved)
+	d.obsSink.Emit(obs.Event{Kind: obs.KindGCRun, Dur: cost, Dev: d.obsDev,
+		LBA: int64(victim), N: moved, Aux: 1})
+	return cost, nil
+}
+
+// gcFits reports whether block b's live pages fit in the GC block plus at
+// most one clean block; erasing b afterwards returns a block, so the pool
+// never shrinks below where it started.
+func (d *Device) gcFits(b int32) bool {
 	gcSpace := int32(0)
 	if d.gcBlock >= 0 {
-		gcSpace = ppb - d.blockWPtr[d.gcBlock]
+		gcSpace = int32(d.params.PagesPerBlock) - d.blockWPtr[d.gcBlock]
 	}
-	if bestLive > gcSpace && len(d.freeBlocks) == 0 {
-		return 0, ErrNoSpace
-	}
+	return d.blockLive[b] <= gcSpace || len(d.freeBlocks) > 0
+}
 
+// migrate relocates block b's live pages into the GC stream and erases it,
+// returning the pages moved and the virtual time consumed. Page contents
+// are held by logical page, so a relocation moves only the mapping — as in
+// DiskSim's SSD extension, which models page moves without holding data —
+// while every move is still charged a page read and a page program.
+func (d *Device) migrate(b int32) (int64, float64, error) {
+	ppb := int32(d.params.PagesPerBlock)
+	var moved int64
 	var cost float64
-	for s := int32(0); s < d.blockWPtr[victim]; s++ {
-		phys := victim*ppb + s
+	for s := int32(0); s < d.blockWPtr[b]; s++ {
+		phys := b*ppb + s
 		if d.pageState[phys] != pageValid {
 			continue
 		}
 		logical := d.p2l[phys]
 		dst, err := d.gcAllocPage()
 		if err != nil {
-			return cost, err
+			return moved, cost, err
 		}
-		srcOff := int64(phys) * int64(d.params.PageSize)
-		dstOff := int64(dst) * int64(d.params.PageSize)
-		copy(d.data[dstOff:dstOff+int64(d.params.PageSize)], d.data[srcOff:srcOff+int64(d.params.PageSize)])
 		d.l2p[logical] = dst
 		d.p2l[dst] = logical
 		d.pageState[dst] = pageValid
 		d.blockLive[dst/ppb]++
 		d.pageState[phys] = pageStale
 		d.p2l[phys] = -1
-		d.blockLive[victim]--
+		d.blockLive[b]--
 		d.stats.PagesMoved++
+		moved++
 		cost += d.params.PageReadTime + d.params.PageWriteTime
 	}
-
-	// Erase the victim.
-	base := victim * ppb
+	base := b * ppb
 	for s := int32(0); s < ppb; s++ {
 		d.pageState[base+s] = pageFree
 		d.p2l[base+s] = -1
 	}
-	d.blockWPtr[victim] = 0
-	d.blockLive[victim] = 0
-	d.eraseCnt[victim]++
-	d.freeBlocks = append(d.freeBlocks, victim)
+	d.blockWPtr[b] = 0
+	d.blockLive[b] = 0
+	d.eraseCnt[b]++
+	d.freeBlocks = append(d.freeBlocks, b)
 	d.stats.Erases++
-	d.stats.GCInvocations++
-	cost += d.params.BlockEraseTime
-
-	moved := d.stats.PagesMoved - movedBefore
-	d.mGCRuns.Inc()
-	d.mMoved.Add(moved)
 	d.mErases.Inc()
-	d.obsSink.Emit(obs.Event{Kind: obs.KindGCRun, Dur: cost, Dev: d.obsDev,
-		LBA: int64(victim), N: moved, Aux: 1})
-	return cost, nil
+	return moved, cost + d.params.BlockEraseTime, nil
 }
 
 // wearLevel performs one static wear-leveling step if the erase-count
@@ -521,7 +534,6 @@ func (d *Device) collectOne() (float64, error) {
 // block (which holds the coldest data) is collected regardless of its
 // staleness, putting it back into the erase rotation.
 func (d *Device) wearLevel() (float64, error) {
-	ppb := int32(d.params.PagesPerBlock)
 	minB, maxB := int32(-1), int32(-1)
 	var minE, maxE int32
 	for b := int32(0); b < int32(d.params.Blocks); b++ {
@@ -538,58 +550,19 @@ func (d *Device) wearLevel() (float64, error) {
 	if minB < 0 || int(maxE-minE) <= d.params.WearLevelThreshold {
 		return 0, nil
 	}
-	// Migrate the cold block's contents. Reuse collectOne's machinery by
-	// relocating its live pages and erasing it; unlike greedy GC the
-	// victim is chosen by wear, not staleness.
-	gcSpace := int32(0)
-	if d.gcBlock >= 0 {
-		gcSpace = ppb - d.blockWPtr[d.gcBlock]
-	}
-	if d.blockLive[minB] > gcSpace && len(d.freeBlocks) == 0 {
+	// Migrate the cold block's contents: unlike greedy GC the victim is
+	// chosen by wear, not staleness.
+	if !d.gcFits(minB) {
 		return 0, nil // no room to migrate right now
 	}
-	movedBefore := d.stats.PagesMoved
-	var cost float64
-	for s := int32(0); s < d.blockWPtr[minB]; s++ {
-		phys := minB*ppb + s
-		if d.pageState[phys] != pageValid {
-			continue
-		}
-		logical := d.p2l[phys]
-		dst, err := d.gcAllocPage()
-		if err != nil {
-			return cost, err
-		}
-		srcOff := int64(phys) * int64(d.params.PageSize)
-		dstOff := int64(dst) * int64(d.params.PageSize)
-		copy(d.data[dstOff:dstOff+int64(d.params.PageSize)], d.data[srcOff:srcOff+int64(d.params.PageSize)])
-		d.l2p[logical] = dst
-		d.p2l[dst] = logical
-		d.pageState[dst] = pageValid
-		d.blockLive[dst/ppb]++
-		d.pageState[phys] = pageStale
-		d.p2l[phys] = -1
-		d.blockLive[minB]--
-		d.stats.PagesMoved++
-		cost += d.params.PageReadTime + d.params.PageWriteTime
+	moved, cost, err := d.migrate(minB)
+	if err != nil {
+		return cost, err
 	}
-	base := minB * ppb
-	for s := int32(0); s < ppb; s++ {
-		d.pageState[base+s] = pageFree
-		d.p2l[base+s] = -1
-	}
-	d.blockWPtr[minB] = 0
-	d.blockLive[minB] = 0
-	d.eraseCnt[minB]++
-	d.freeBlocks = append(d.freeBlocks, minB)
-	d.stats.Erases++
 	d.stats.WearLevelMoves++
-	cost += d.params.BlockEraseTime
-
 	d.mWear.Inc()
-	d.mErases.Inc()
 	d.obsSink.Emit(obs.Event{Kind: obs.KindWearLevel, Dur: cost, Dev: d.obsDev,
-		LBA: int64(minB), N: d.stats.PagesMoved - movedBefore, Aux: 1})
+		LBA: int64(minB), N: moved, Aux: 1})
 	return cost, nil
 }
 

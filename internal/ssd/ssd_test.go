@@ -559,3 +559,85 @@ func TestChannelParallelism(t *testing.T) {
 		t.Errorf("4-channel speedup too small: %v vs %v", parallel, serial)
 	}
 }
+
+// TestLogicalStoreMatchesPhysicalReference drives seeded streams of writes,
+// reads and trims — enough to run GC many times over, with wear leveling on
+// in some — through Device and through physRef, the physical-page store it
+// replaced. Remapping instead of copying must leave everything observable
+// unchanged: every op's completion time, the Stats, and every chunk's
+// contents.
+func TestLogicalStoreMatchesPhysicalReference(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		wear     int
+		channels int
+		trims    bool
+	}{
+		{"gc", 0, 1, false},
+		{"gc+trim", 0, 1, true},
+		{"gc+wear", 4, 1, false},
+		{"gc+wear+trim/4ch", 3, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallParams()
+			p.WearLevelThreshold, p.Channels = tc.wear, tc.channels
+			d, ref := mustNew(t, p), newPhysRef(p)
+			if got, want := len(d.data), int(d.Chunks())*p.PageSize; got != want {
+				t.Fatalf("len(data) = %d, want logical pages x page size = %d", got, want)
+			}
+			n := int(d.Chunks())
+			r := rand.New(rand.NewSource(int64(len(tc.name))))
+			buf, got, want := make([]byte, p.PageSize), make([]byte, p.PageSize), make([]byte, p.PageSize)
+			var now float64
+			for op := 0; op < 40*n; op++ {
+				now += float64(r.Intn(3)) * p.PageWriteTime
+				idx := int64(r.Intn(n))
+				if r.Intn(4) > 0 {
+					idx = int64(r.Intn(n / 8)) // a hot eighth keeps cold blocks pinned for wear leveling
+				}
+				switch x := r.Intn(10); {
+				case x < 7:
+					r.Read(buf)
+					endD, errD := d.WriteChunkAt(now, idx, buf)
+					endR, errR := ref.WriteChunkAt(now, idx, buf)
+					if endD != endR || (errD == nil) != (errR == nil) {
+						t.Fatalf("op %d: write of %d ends at %v (%v), reference at %v (%v)", op, idx, endD, errD, endR, errR)
+					}
+				case x < 9 || !tc.trims:
+					endD, errD := d.ReadChunkAt(now, idx, got)
+					endR, errR := ref.ReadChunkAt(now, idx, want)
+					if endD != endR || errD != nil || errR != nil || !bytes.Equal(got, want) {
+						t.Fatalf("op %d: read of %d ends at %v (%v), reference at %v (%v), same bytes %v",
+							op, idx, endD, errD, endR, errR, bytes.Equal(got, want))
+					}
+				default:
+					span := min(int64(1+r.Intn(4)), int64(n)-idx)
+					if errD, errR := d.Trim(idx, span), ref.Trim(idx, span); errD != nil || errR != nil {
+						t.Fatalf("op %d: trim: %v, reference %v", op, errD, errR)
+					}
+				}
+				if d.Stats() != ref.stats {
+					t.Fatalf("op %d: stats diverged:\n logical   %+v\n reference %+v", op, d.Stats(), ref.stats)
+				}
+			}
+			s := d.Stats()
+			if s.GCInvocations == 0 || s.PagesMoved == 0 || (tc.wear > 0 && s.WearLevelMoves == 0) || (tc.trims && s.Trims == 0) {
+				t.Fatalf("stream did not exercise the FTL: %+v", s)
+			}
+			for i := int64(0); i < int64(n); i++ {
+				if _, err := d.ReadChunkAt(0, i, got); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.ReadChunkAt(0, i, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("chunk %d reads back differently from the reference", i)
+				}
+			}
+			if err := d.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
