@@ -6,13 +6,15 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestUnknownExperiment(t *testing.T) {
-	// Every value main or run dispatches on; "conc" was one until the
-	// worker pool it varied was deleted.
-	accepted := "all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs, kernels, scaling, net"
-	for _, exp := range []string{"nope", "conc"} {
+	// Every value run dispatches on. "conc" was one until the worker pool
+	// it varied was deleted; kernels, scaling and net were benchmarks whose
+	// numbers the benchmark/ module now records.
+	accepted := "all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs"
+	for _, exp := range []string{"nope", "conc", "kernels", "scaling", "net"} {
 		err := run(exp, 64, outputs{})
 		if err == nil {
 			t.Errorf("unknown experiment %q accepted", exp)
@@ -22,6 +24,36 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if err := run("all", 0, outputs{}); err == nil {
 		t.Error("zero scale accepted")
+	}
+}
+
+// TestObsFlagsNeedObsStep pins that a dump or telemetry flag is refused,
+// naming the flag, before any experiment runs unless the obs step is
+// selected, since no other step writes or serves anything for it.
+func TestObsFlagsNeedObsStep(t *testing.T) {
+	dir := t.TempDir()
+	p := dir + "/t.jsonl"
+	err := run("6", 512, outputs{tracePath: p})
+	if err == nil || !strings.Contains(err.Error(), "-trace-out") {
+		t.Errorf("run(6, -trace-out) = %v, want a usage error naming -trace-out", err)
+	}
+	if _, statErr := os.Stat(p); !os.IsNotExist(statErr) {
+		t.Errorf("refused run left %s behind (stat: %v)", p, statErr)
+	}
+	for flag, out := range map[string]outputs{
+		"-metrics-out":      {metricsPath: dir + "/m.json"},
+		"-prom-out":         {promPath: dir + "/m.prom"},
+		"-spans-out":        {spansPath: dir + "/s.jsonl"},
+		"-telemetry-addr":   {telemetryAddr: "127.0.0.1:0"},
+		"-telemetry-linger": {telemetryLinger: time.Second},
+	} {
+		if err := run("fig6", 512, out); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("run(fig6, %s) = %v, want a usage error naming it", flag, err)
+		}
+	}
+	// -csv and -json apply to every experiment.
+	if err := run("fig6", 512, outputs{jsonPath: dir + "/r.jsonl"}); err != nil {
+		t.Errorf("run(fig6, -json) = %v", err)
 	}
 }
 
@@ -72,90 +104,6 @@ func TestOneTraceExperiment(t *testing.T) {
 	}
 	if err := run("6", 512, outputs{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScalingBenchReport(t *testing.T) {
-	path := t.TempDir() + "/BENCH_scaling.json"
-	// -scale 512 keeps the sweep to a few hundred requests per run.
-	if err := runScalingBench(512, 4, path, false); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep scalingReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("report does not parse: %v", err)
-	}
-	if !rep.BytesIdentical {
-		t.Error("report says byte counts diverged across shard counts")
-	}
-	if rep.NumCPU < 1 || rep.GOMAXPROCS < 1 {
-		t.Errorf("environment metadata missing: %+v", rep)
-	}
-	if len(rep.Runs) != 4 { // shards {1,2,4,8}; -shards 4 is already among them
-		t.Fatalf("report has %d runs, want the four-row shard sweep", len(rep.Runs))
-	}
-	for i, r := range rep.Runs {
-		if r.SSDWriteBytes != rep.Runs[0].SSDWriteBytes || r.LogWriteBytes != rep.Runs[0].LogWriteBytes {
-			t.Errorf("row %+v: traffic differs from first row", r)
-		}
-		if want := 1 << i; r.Shards != want {
-			t.Errorf("row %d has shards=%d, want %d", i, r.Shards, want)
-		}
-	}
-	if rep.SpeedupAt4Shards <= 0 || rep.SpeedupAt4Shards != rep.Runs[2].Speedup {
-		t.Errorf("headline speedup %v is not the shards=4 row's %v", rep.SpeedupAt4Shards, rep.Runs[2].Speedup)
-	}
-}
-
-func TestScalingOverwriteGuard(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep scalingReport) string {
-		t.Helper()
-		path := dir + "/" + name
-		b, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// A report from a bigger machine is protected...
-	big := write("big.json", scalingReport{NumCPU: 1 << 16, CPUModel: "many-core test host"})
-	err := guardScalingOverwrite(big, false)
-	if err == nil {
-		t.Fatal("guard allowed a 1-CPU run to overwrite a multi-core report")
-	}
-	if !strings.Contains(err.Error(), "-force") {
-		t.Errorf("refusal does not mention -force: %v", err)
-	}
-	// ...unless forced.
-	if err := guardScalingOverwrite(big, true); err != nil {
-		t.Errorf("-force did not override the guard: %v", err)
-	}
-
-	// A report from an equal or smaller machine is fair game.
-	small := write("small.json", scalingReport{NumCPU: 1})
-	if err := guardScalingOverwrite(small, false); err != nil {
-		t.Errorf("guard blocked overwriting an equal/smaller-host report: %v", err)
-	}
-
-	// Missing or unparseable files never block: no provenance to protect.
-	if err := guardScalingOverwrite(dir+"/absent.json", false); err != nil {
-		t.Errorf("guard blocked a missing file: %v", err)
-	}
-	garbled := dir + "/garbled.json"
-	if err := os.WriteFile(garbled, []byte("not json{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := guardScalingOverwrite(garbled, false); err != nil {
-		t.Errorf("guard blocked an unparseable file: %v", err)
 	}
 }
 

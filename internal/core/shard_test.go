@@ -327,9 +327,9 @@ func TestShardClamping(t *testing.T) {
 
 // BenchmarkMultiShardWrites measures closed-loop write throughput at
 // several shard counts with one writer goroutine per shard on disjoint
-// stripe sets — the scaling the sharding exists to buy. Run on a multi-core
-// machine to see the spread; results feed BENCH_scaling.json via
-// eplogbench's scaling experiment.
+// stripe sets — the scaling the sharding exists to buy. Run on a machine
+// with at least as many cores as shards to see the spread; no speedup
+// figure is recorded.
 func BenchmarkMultiShardWrites(b *testing.B) {
 	const n, k = 8, 6
 	const stripes = 256

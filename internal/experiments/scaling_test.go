@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/eplog/eplog/internal/core"
@@ -9,30 +11,199 @@ import (
 	"github.com/eplog/eplog/internal/trace"
 )
 
-// TestScalingByteCountsShardIndependent is the acceptance check behind
-// eplogbench -shards: the traffic counters of the shard-scaling workload
-// must be byte-identical for every shard count (Stats.Commits excepted —
-// the final Commit folds once per shard by construction).
+// scalingResult is one run of the concurrent-writer workload: traffic
+// counters that must not depend on the shard count.
+type scalingResult struct {
+	Requests int64
+	// SSDWriteBytes and LogWriteBytes are measured at the devices;
+	// SSDReadBytes counts only the read-back phase (Verify's reads are
+	// excluded).
+	SSDWriteBytes int64
+	SSDReadBytes  int64
+	LogWriteBytes int64
+	Stats         core.Stats
+}
+
+// identical reports whether two runs carry identical traffic counters.
+// Stats.Commits is excluded: the final Commit folds once per shard, so the
+// commit count equals the shard count by construction.
+func (a *scalingResult) identical(b *scalingResult) bool {
+	sa, sb := a.Stats, b.Stats
+	sa.Commits, sb.Commits = 0, 0
+	return a.SSDWriteBytes == b.SSDWriteBytes &&
+		a.SSDReadBytes == b.SSDReadBytes &&
+		a.LogWriteBytes == b.LogWriteBytes &&
+		a.Requests == b.Requests &&
+		sa == sb
+}
+
+// runScaling drives one EPLog array with a writer goroutine per shard. The
+// workload is built so that no schedule can change what is written:
+//
+//   - every request is a single-chunk update, so it forms exactly one
+//     k'=1 log stripe and lands wholly inside one shard — the elastic
+//     groups cannot split at shard boundaries, which is what makes the
+//     byte counters (including log traffic) shard-count independent;
+//   - writer w owns the stripes congruent to w mod shards, exactly shard
+//     w's stripe set, so writers share no shard lock and requests to
+//     different shards are always in flight together;
+//   - device buffers, the stripe buffer, and CommitEvery are disabled,
+//     and every shard's slice of the update headroom and log space is
+//     sized so neither the guard band nor the log-pressure group-commit
+//     trigger can fire mid-run — the only parity fold is the final
+//     Commit, over the same dirty-stripe set in every schedule.
+//
+// After the final Commit one reader goroutine per shard reads every LBA
+// back (single-chunk requests on clean stripes, so a shared engine serves
+// them on the epoch-validated lock-free path) and checks the contents
+// against the last write; Verify then checks every stripe's parity.
+func runScaling(scale int64, shards int) (*scalingResult, error) {
+	set := DefaultSetting()
+	k, m := set.K, set.M
+	stripes := max(int64(32), 2048/scale)
+	lbas := stripes * int64(k)
+	rounds := int64(2) // updates per LBA
+	total := lbas * rounds
+
+	// Headroom: each device holds at most one data slot per stripe, so a
+	// run allocates at most rounds chunks per stripe per device; give every
+	// shard's slice of the headroom room for its whole share plus slack so
+	// the guard band (1 chunk per shard here) is unreachable.
+	ns := int64(shards)
+	devChunks := stripes + rounds*stripes + 16*ns + 64
+	// Log space: one log chunk per request per log device, range-split
+	// across shards. The background group commit fires when a shard's
+	// slice is 3/4 full; doubling every slice keeps it below 1/2.
+	logChunks := 2*total + 16*ns
+
+	devs := make([]device.Dev, k+m)
+	counters := make([]*device.Counting, k+m)
+	for i := range devs {
+		counters[i] = device.NewCounting(device.NewMem(devChunks, ChunkSize))
+		devs[i] = counters[i]
+	}
+	logDevs := make([]device.Dev, m)
+	logCnt := make([]*device.Counting, m)
+	for i := range logDevs {
+		logCnt[i] = device.NewCounting(device.NewMem(logChunks, ChunkSize))
+		logDevs[i] = logCnt[i]
+	}
+	e, err := core.New(devs, logDevs, core.Config{
+		K:                 k,
+		Stripes:           stripes,
+		CommitGuardChunks: 1, // explicit: the default (capacity/16) could fire mid-run
+		Shards:            shards,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+
+	// perWriter runs f on one goroutine per shard; writer w owns the
+	// stripes congruent to w mod shards, exactly shard w's stripes.
+	perWriter := func(f func(w int, buf []byte) error) error {
+		errs := make([]error, shards)
+		var wg sync.WaitGroup
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = f(w, make([]byte, ChunkSize))
+			}(w)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	err = perWriter(func(w int, buf []byte) error {
+		for r := int64(0); r < rounds; r++ {
+			for s := int64(w); s < stripes; s += ns {
+				for j := 0; j < k; j++ {
+					lba := s*int64(k) + int64(j)
+					for i := range buf {
+						buf[i] = byte(lba + r*7 + int64(i))
+					}
+					if _, err := e.WriteChunks(0, lba, buf); err != nil {
+						return fmt.Errorf("writer %d lba %d: %w", w, lba, err)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Commit(); err != nil {
+		return nil, err
+	}
+
+	readBase := int64(0)
+	for _, c := range counters {
+		readBase += c.ReadBytes()
+	}
+	last := rounds - 1
+	err = perWriter(func(w int, buf []byte) error {
+		for s := int64(w); s < stripes; s += ns {
+			for j := 0; j < k; j++ {
+				lba := s*int64(k) + int64(j)
+				if _, err := e.ReadChunks(0, lba, buf); err != nil {
+					return fmt.Errorf("reader %d lba %d: %w", w, lba, err)
+				}
+				if buf[0] != byte(lba+last*7) || buf[ChunkSize-1] != byte(lba+last*7+ChunkSize-1) {
+					return fmt.Errorf("reader %d lba %d: read back stale or corrupt data", w, lba)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &scalingResult{Requests: total, SSDReadBytes: -readBase, Stats: e.Stats()}
+	for _, c := range counters {
+		res.SSDReadBytes += c.ReadBytes()
+		res.SSDWriteBytes += c.WriteBytes()
+	}
+	for _, c := range logCnt {
+		res.LogWriteBytes += c.WriteBytes()
+	}
+
+	report, err := e.Verify()
+	if err != nil {
+		return nil, err
+	}
+	if !report.OK() {
+		return nil, fmt.Errorf("scaling run left inconsistent stripes: %d data, %d log",
+			len(report.BadDataStripes), len(report.BadLogStripes))
+	}
+	return res, nil
+}
+
+// TestScalingByteCountsShardIndependent is the determinism contract for
+// concurrent writers: with one writer goroutine per shard, the traffic
+// counters and engine Stats must be identical for every shard count
+// (Stats.Commits excepted — the final Commit folds once per shard by
+// construction).
 func TestScalingByteCountsShardIndependent(t *testing.T) {
 	const scale = 64
-	base, err := Scaling(scale, 1)
+	base, err := runScaling(scale, 1)
 	if err != nil {
-		t.Fatalf("Scaling(shards=1): %v", err)
+		t.Fatalf("shards=1: %v", err)
 	}
 	if base.SSDWriteBytes == 0 || base.LogWriteBytes == 0 {
 		t.Fatalf("baseline run wrote nothing: ssd=%d log=%d", base.SSDWriteBytes, base.LogWriteBytes)
 	}
 	for _, s := range []int{2, 4, 8} {
-		r, err := Scaling(scale, s)
+		r, err := runScaling(scale, s)
 		if err != nil {
-			t.Fatalf("Scaling(shards=%d): %v", s, err)
+			t.Fatalf("shards=%d: %v", s, err)
 		}
-		if !ScalingIdentical(base, r) {
-			t.Errorf("shards=%d: counters diverged:\n got ssd=%d log=%d stats=%+v\nwant ssd=%d log=%d stats=%+v",
-				s, r.SSDWriteBytes, r.LogWriteBytes, r.EPLogStats,
-				base.SSDWriteBytes, base.LogWriteBytes, base.EPLogStats)
+		if !base.identical(r) {
+			t.Errorf("shards=%d: counters diverged:\n got ssd=%d/%d log=%d stats=%+v\nwant ssd=%d/%d log=%d stats=%+v",
+				s, r.SSDWriteBytes, r.SSDReadBytes, r.LogWriteBytes, r.Stats,
+				base.SSDWriteBytes, base.SSDReadBytes, base.LogWriteBytes, base.Stats)
 		}
-		if got, want := r.EPLogStats.Commits, int64(s); got != want {
+		if got, want := r.Stats.Commits, int64(s); got != want {
 			t.Errorf("shards=%d: commits = %d, want one per shard (%d)", s, got, want)
 		}
 	}
@@ -205,28 +376,4 @@ func TestTraceSerialShardedVirtualTimeIdentity(t *testing.T) {
 			t.Errorf("shards=%d: commit end = %v, serial %v", s, commit, baseCommit)
 		}
 	}
-}
-
-// TestScalingFormat smoke-tests the table renderer.
-func TestScalingFormat(t *testing.T) {
-	r, err := Scaling(64, 2)
-	if err != nil {
-		t.Fatalf("Scaling: %v", err)
-	}
-	out := FormatScaling([]*ScalingResult{r})
-	if out == "" {
-		t.Fatal("empty table")
-	}
-	if want := fmt.Sprintf("%d", r.Requests); out == "" || !contains(out, want) {
-		t.Fatalf("table %q missing request count %s", out, want)
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

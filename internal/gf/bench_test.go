@@ -7,8 +7,8 @@ import (
 
 // Kernel benchmarks, paired with their byte-wise reference baselines so the
 // speedup is measurable from one `go test -bench` run. The 4KB size is the
-// default chunk size of the EPLog configurations; BENCH_kernels.json tracks
-// these numbers across PRs.
+// default chunk size of the EPLog configurations. The benchmark/ module's
+// gf.* rungs record the served stack's kernel costs.
 
 const benchShard = 4096
 
