@@ -37,7 +37,7 @@ func main() {
 		k           = flag.Int("k", 6, "data chunks per stripe")
 		m           = flag.Int("m", 2, "parity chunks per stripe (also the number of log devices)")
 		stripes     = flag.Int64("stripes", 256, "number of data stripes")
-		shards      = flag.Int("shards", 1, "stripe-group shard count (<=1 serial: spans then include per-device I/O leaves)")
+		shards      = flag.Int("shards", 1, "stripe-group shard count; partitions state only, folds stay inline (<=1: spans also include per-device I/O leaves under folds and rebuilds)")
 		spans       = flag.Int("spans", eplog.DefaultSpanTrees, "span trees retained per shard")
 		sampling    = flag.Int("sampling", 1, "record one operation span in this many (<=1 records all)")
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")

@@ -39,7 +39,7 @@ func main() {
 		shards      = flag.Int("shards", 4, "stripe-group shard count")
 		_           = flag.Int("workers", 2, "Deprecated: ignored; kept for benchmark/ until ROADMAP item 3")
 		commitEvery = flag.Int("commit-every", 256, "parity commit every this many writes")
-		writeBehind = flag.Bool("write-behind", true, "acknowledge writes at the dirty window, fold in the background")
+		writeBehind = flag.Bool("write-behind", true, "acknowledge writes at log-append, fold parity in the background (false: every fold runs inline on the writer, at any -shards)")
 		dirtyWindow = flag.Int("dirty-window", 128, "dirty-window bound in stripes (0 = unbounded)")
 		batchMax    = flag.Int("batch-max", 64, "max frames coalesced into one engine batch (writes/flushes across connections, reads per connection)")
 		queueDepth  = flag.Int("queue-depth", 128, "max in-flight requests per connection")

@@ -48,8 +48,9 @@ type Config struct {
 	// Spans enables causal span tracing when > 0: each engine shard keeps
 	// a flight recorder retaining up to Spans recently completed span
 	// trees — a write, read, commit, or rebuild root with its phase
-	// children (direct-stripe writes, log appends, commit flush/fold) and,
-	// on serial engines, per-device I/O leaves. Read them with Spans or
+	// children (direct-stripe writes, log appends, commit flush/fold) and
+	// per-device I/O leaves — under folds and rebuilds at one shard only,
+	// a memory bound (DESIGN.md §11.1). Read them with Spans or
 	// serve them live with ServeTelemetry. Span recording reuses a
 	// per-shard node pool, so the steady state allocates nothing.
 	// Setting Spans > 0 enables the metrics registry even when
@@ -63,16 +64,15 @@ type Config struct {
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
 	// groups, each with its own lock, so requests touching different
-	// groups execute fully in parallel and commits run per shard on a
-	// background scheduler. Values <= 1 select the single-shard engine,
-	// which is bit-identical in byte counts and virtual time to the
-	// unsharded design. See DESIGN.md §9.
+	// groups execute fully in parallel and commits run per shard. It only
+	// partitions state: every shard count runs the same read, flush and
+	// fold rules. Values <= 1 select one shard. See DESIGN.md §9.
 	Shards int
-	// WriteBehind runs the background group-commit scheduler even on a
-	// single-shard array: writes are acknowledged at log-append and
-	// CommitEvery / log-pressure parity folds run off the write critical
-	// path. Background fold failures surface on the next Write, Flush, or
-	// Close. Multi-shard arrays always run the scheduler.
+	// WriteBehind runs the background group-commit scheduler, at any shard
+	// count: writes are acknowledged at log-append and CommitEvery /
+	// log-pressure parity folds run off the write critical path. Without
+	// it they run inline on the writer. Background fold failures surface
+	// on the next Write, Flush, or Close.
 	WriteBehind bool
 	// DirtyWindowStripes bounds the write-behind dirty window: a shard
 	// with at least this many pending log stripes blocks further writes
@@ -204,7 +204,7 @@ func (a *Array) ReadAt(start float64, lba int64, p []byte) (float64, error) {
 func (a *Array) Flush() error { return a.e.Flush() }
 
 // Close shuts the engine down cleanly. If the background group-commit
-// scheduler is running (Config.Shards > 1 or Config.WriteBehind), Close
+// scheduler is running (Config.WriteBehind), Close
 // drains it: every shard with a scheduled-but-unrun parity fold gets a
 // final commit, so no acknowledged write is left parity-pending, and the
 // first background fold error not yet reported by a Write or Flush is

@@ -98,7 +98,7 @@ func BenchmarkDirectStripeWrite(b *testing.B) {
 // same zero-allocation guarantee. The span ring is kept small enough that
 // the warmup loop wraps it, putting the recorder into its recycling steady
 // state before counting. Wherever the background group-commit scheduler
-// runs (write-behind, or any multi-shard engine) the pin also covers the
+// runs (write-behind, at either shard count) the pin also covers the
 // foreground enqueue (CAS plus a buffered channel send) and the background
 // fold (the same pooled commit path). The last row sets the deprecated
 // worker-pool size the way the frozen benchmark/stack.go does: it is
@@ -124,7 +124,7 @@ func TestSteadyStateUpdateAllocFree(t *testing.T) {
 			sink := obs.NewSink(256)
 			sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
 			cfg := Config{CommitEvery: 8, Obs: sink, Shards: tc.shards, Workers: tc.workers, WriteBehind: tc.writeBehind}
-			if tc.writeBehind || tc.shards > 1 {
+			if tc.writeBehind {
 				// Bound the dirty window so the log-stripe freelist
 				// reaches its recycling steady state: an unbounded lag
 				// behind the background fold would keep growing the

@@ -166,7 +166,8 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 	}
 
 	for _, rec := range snap.StripeRecs {
-		if rec.Stripe < 0 || rec.Stripe >= cfg.Stripes || len(rec.Latest) != cfg.K {
+		if rec.Stripe < 0 || rec.Stripe >= cfg.Stripes || len(rec.Latest) != cfg.K ||
+			len(rec.Prot) != cfg.K || len(rec.Committed) != cfg.K {
 			return nil, fmt.Errorf("core: malformed stripe record %d", rec.Stripe)
 		}
 		e.virgin[rec.Stripe] = rec.Virgin
@@ -175,9 +176,17 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		}
 		for j := 0; j < cfg.K; j++ {
 			lba := e.geo.LBA(rec.Stripe, j)
-			e.storeLatest(lba, Loc{Dev: int(rec.Latest[j].Dev), Chunk: rec.Latest[j].Chunk})
+			latest, err := e.restoreLoc(rec.Latest[j])
+			if err != nil {
+				return nil, fmt.Errorf("core: stripe %d latest location %d: %w", rec.Stripe, j, err)
+			}
+			comm, err := e.restoreLoc(rec.Committed[j])
+			if err != nil {
+				return nil, fmt.Errorf("core: stripe %d committed location %d: %w", rec.Stripe, j, err)
+			}
+			e.storeLatest(lba, latest)
 			e.latestProt[lba] = rec.Prot[j]
-			e.commLoc[lba] = Loc{Dev: int(rec.Committed[j].Dev), Chunk: rec.Committed[j].Chunk}
+			e.commLoc[lba] = comm
 		}
 	}
 	maxID := int64(-1)
@@ -185,10 +194,14 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		ls := &logStripe{id: rec.ID, logPos: rec.LogPos}
 		var owner *shard
 		for _, mb := range rec.Members {
-			ls.members = append(ls.members, member{
-				lba: mb.LBA,
-				loc: Loc{Dev: int(mb.Loc.Dev), Chunk: mb.Loc.Chunk},
-			})
+			if mb.LBA < 0 || mb.LBA >= e.geo.Chunks() {
+				return nil, fmt.Errorf("core: log stripe %d member LBA %d out of range", rec.ID, mb.LBA)
+			}
+			loc, err := e.restoreLoc(mb.Loc)
+			if err != nil {
+				return nil, fmt.Errorf("core: log stripe %d member LBA %d: %w", rec.ID, mb.LBA, err)
+			}
+			ls.members = append(ls.members, member{lba: mb.LBA, loc: loc})
 			sh := e.shardOfLBA(mb.LBA)
 			if owner == nil {
 				owner = sh
@@ -200,7 +213,7 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		if owner == nil {
 			return nil, fmt.Errorf("core: log stripe %d has no members", rec.ID)
 		}
-		if e.nShards > 1 && (rec.LogPos < owner.logStart || rec.LogPos >= owner.logLimit) {
+		if rec.LogPos < owner.logStart || rec.LogPos >= owner.logLimit {
 			return nil, fmt.Errorf("core: log stripe %d at log position %d outside shard %d's region [%d,%d); commit before checkpointing or restore with the original shard count",
 				rec.ID, rec.LogPos, owner.idx, owner.logStart, owner.logLimit)
 		}
@@ -208,20 +221,13 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		maxID = max(maxID, rec.ID)
 		owner.logCursor = max(owner.logCursor, rec.LogPos+1)
 	}
-	if e.nShards == 1 {
-		e.shards[0].nextLogID = snap.NextLogID
-		e.shards[0].logCursor = snap.LogCursor
-	} else {
-		// Re-derive per-shard ID counters above every restored and
-		// recorded ID, preserving each shard's residue class.
-		base := max(snap.NextLogID, maxID+1)
-		ns := int64(e.nShards)
-		for _, sh := range e.shards {
-			idx := int64(sh.idx)
-			sh.nextLogID = base + ((idx-base)%ns+ns)%ns
-		}
-	}
+	// Re-derive per-shard ID counters above every restored and recorded ID,
+	// preserving each shard's residue class.
+	base := max(snap.NextLogID, maxID+1)
+	ns := int64(e.nShards)
 	for _, sh := range e.shards {
+		idx := int64(sh.idx)
+		sh.nextLogID = base + ((idx-base)%ns+ns)%ns
 		sh.publishFill()
 	}
 
@@ -251,7 +257,6 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 			usedPer[e.geo.ParityDev(s, i)][e.geo.HomeChunk(s)] = true
 		}
 	}
-	ns := int64(e.nShards)
 	for _, sh := range e.shards {
 		for d := range devs {
 			total := devs[d].Chunks()
@@ -271,4 +276,14 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		}
 	}
 	return e, nil
+}
+
+// restoreLoc converts a snapshot location, rejecting one that does not
+// address a chunk of the main array: a snapshot is input from outside.
+func (e *EPLog) restoreLoc(l metadata.Loc) (Loc, error) {
+	devs := e.devs()
+	if l.Dev < 0 || int(l.Dev) >= len(devs) || l.Chunk < 0 || l.Chunk >= devs[l.Dev].Chunks() {
+		return Loc{}, fmt.Errorf("location (%d, %d) outside the devices", l.Dev, l.Chunk)
+	}
+	return Loc{Dev: int(l.Dev), Chunk: l.Chunk}, nil
 }

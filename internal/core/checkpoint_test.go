@@ -100,6 +100,28 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := Restore(devs, logs, Config{K: 4, Stripes: testStripes + 1}, snap); err == nil {
 		t.Error("mismatched stripes accepted")
 	}
+
+	// A snapshot is input from outside: one that addresses chunks past the
+	// devices it is restored onto is an error, not a panic or a failure at
+	// the first degraded read.
+	for i := int64(0); i < 40; i++ {
+		ta.mustWrite(t, i*7%ta.e.Chunks(), chunkData(200+int(i), 1))
+	}
+	snap = ta.e.Snapshot()
+	if len(snap.LogStripes) < 3 {
+		t.Fatalf("setup: %d log stripes pending, want some past log position 2", len(snap.LogStripes))
+	}
+	small := make([]device.Dev, 5)
+	for i := range small {
+		small[i] = device.NewMem(testStripes+4, testChunk)
+	}
+	if _, err := Restore(small, logs, Config{K: 4, Stripes: testStripes}, snap); err == nil {
+		t.Error("locations past the end of the SSDs accepted")
+	}
+	tiny := []device.Dev{device.NewMem(2, testChunk)}
+	if _, err := Restore(devs, tiny, Config{K: 4, Stripes: testStripes}, snap); err == nil {
+		t.Error("log stripes past the end of the log devices accepted")
+	}
 }
 
 // TestCheckpointThroughVolume runs the full persistence pipeline: full

@@ -135,11 +135,11 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 		opEnd = span.End()
 		return span.End(), err
 	}
-	// Fold phase. Only the serial engine records the per-device reads and
+	// Fold phase. Only a one-shard engine records the per-device reads and
 	// parity writes as I/O leaves; on a sharded one their memory shows in
 	// the served stack's RSS (TestFoldLeavesOnlyOnSerialEngine).
 	fold := op.Child(obs.SpanCommitFold, sh.idx, max(span.Start(), spanStart), 0, int64(len(stripes)))
-	if !e.shared {
+	if e.nShards == 1 {
 		span.SetRecorder(fold)
 	}
 	foldErr := sh.foldStripes(&span, code, stripes)
@@ -398,9 +398,9 @@ func (p *prefold) run(sh *shard) {
 }
 
 // foldReady is a shard's write-time parity table (DESIGN.md §9), the first
-// of the fold's three parity sources. On a prefold engine a whole-stripe
-// request flushes as its own log stripe, k′ = k with its members in slot
-// order, so the log chunks flushGroup encodes are the stripe's new parity:
+// of the fold's three parity sources. A whole-stripe request flushes as its
+// own log stripe, k′ = k with its members in slot order, so the log chunks
+// flushGroup encodes are the stripe's new parity:
 // they go straight into a slot here, and the k locations written with
 // them. foldStripes publishes a slot whose locations are all still the
 // latest — the prefold's check — and the prefold skips stripes that have
@@ -425,15 +425,15 @@ func newFoldReady(e *EPLog, slots int) *foldReady {
 
 // claimReady returns the foldReady slot a flushing group's log chunks are
 // encoded into — the stripe's own if it has one, else the next free — and
-// its parity buffers, which are nil unless the engine prefolds, the group
-// is a whole stripe in slot order and a slot is free.
+// its parity buffers, which are nil unless the group is a whole stripe in
+// slot order and a slot is free.
 //
 //eplog:hotpath
 func (sh *shard) claimReady(group []pendingChunk) (stripe int64, slot int, parity [][]byte) {
 	e := sh.e
 	k, m := e.geo.K, e.geo.M()
 	stripe, j := e.geo.Stripe(group[0].lba)
-	if !e.fastReads || len(group) != k || j != 0 {
+	if len(group) != k || j != 0 {
 		return 0, 0, nil
 	}
 	for i, c := range group {

@@ -94,10 +94,10 @@ type Config struct {
 	// holding that many stripes' worth of chunks.
 	StripeBufferStripes int
 	// CommitEvery triggers an automatic parity commit after that many
-	// write requests when > 0 (Section III-C, scenario iv). In sharded
-	// engines the threshold applies per shard and the commit runs on the
-	// background group-commit scheduler instead of inline (and is skipped
-	// when the shard has nothing to drain or fold).
+	// write requests when > 0 (Section III-C, scenario iv), counted per
+	// shard. The commit runs inline, or with WriteBehind on the background
+	// group-commit scheduler (and is skipped when the shard has nothing to
+	// drain or fold).
 	CommitEvery int
 	// TrimOnCommit issues TRIM for chunks released by parity commit,
 	// the paper's optional extension for further GC reduction.
@@ -118,29 +118,27 @@ type Config struct {
 	// Shards partitions the stripes into that many independent stripe
 	// groups (stripe s belongs to shard s mod Shards), each owning its
 	// slice of the mutable state behind its own lock, so requests
-	// touching different shards execute fully in parallel. Values <= 1
-	// select the single-shard engine, which is bit-identical (byte counts
-	// and virtual time) to the unsharded engine. The count is clamped so
-	// every shard keeps at least one update chunk per device, one log
-	// slot, and one stripe. See DESIGN.md §9.
+	// touching different shards execute fully in parallel. It selects no
+	// rules: WriteBehind and the buffer settings do. Values <= 1 select one
+	// shard; the count is clamped so every shard keeps at least one update
+	// chunk per device, one log slot, and one stripe. See DESIGN.md §9.
 	Shards int
-	// WriteBehind runs the background group-commit scheduler even with a
-	// single shard, so CommitEvery and log-pressure parity folds happen
-	// off the write critical path: writes are acknowledged at log-append
-	// and the fold runs write-behind on the scheduler. Multi-shard
-	// engines always run the scheduler regardless of this flag. Background
-	// commit failures surface on the next write, Flush, or Close touching
-	// the shard. Enabling it trades the serial engine's bit-identical
-	// virtual-time reproduction for write latency decoupled from parity
-	// maintenance — the paper's central claim, completed.
+	// WriteBehind runs the background group-commit scheduler, at any shard
+	// count: writes are acknowledged at log-append and CommitEvery and
+	// log-pressure folds run off the write critical path, read and encoded
+	// ahead of the shard lock (the prefold); without it they run inline.
+	// Background commit failures surface on the next write, Flush, or Close
+	// touching the shard. Enabling it trades bit-identical virtual-time
+	// reproduction for write latency decoupled from parity maintenance —
+	// the paper's central claim, completed.
 	WriteBehind bool
 	// DirtyWindowStripes bounds the write-behind dirty window: when a
 	// shard has at least this many pending (unfolded) log stripes, its
 	// foreground writes block until the background fold drains the shard —
 	// backpressure instead of an unbounded recovery window. Zero disables
 	// the explicit window; the 3/4-log-occupancy pressure trigger still
-	// bounds pending state by log capacity. Only meaningful when the
-	// group-commit scheduler runs (Shards > 1 or WriteBehind).
+	// bounds pending state by log capacity. Only meaningful with
+	// WriteBehind.
 	DirtyWindowStripes int
 }
 
@@ -215,19 +213,13 @@ type member struct {
 // caller's goroutine.
 type EPLog struct {
 	// shards partitions the mutable state by stripe group: stripe s
-	// belongs to shards[s % nShards]. With nShards == 1 the engine
-	// degenerates to the single-lock design and is bit-identical to it.
+	// belongs to shards[s % nShards]. The count selects no behaviour but
+	// the I/O-leaf rule (commitAt, Rebuild).
 	shards  []*shard
 	nShards int
-	// shared is nShards > 1: holders of different shard locks may then
-	// issue device I/O at once, so every device is Locked-wrapped and reads
-	// take shard locks shared. The serial engine keeps its devices
-	// unwrapped, reads under the exclusive lock, and records fold and
-	// rebuild I/O as span leaves.
-	shared bool
-	// fastReads enables the lock-free optimistic read pass: set on shared
-	// engines with no RAM buffers (device or stripe), whose maps cannot be
-	// consulted without the shard lock. See readGroupFast.
+	// fastReads enables the lock-free optimistic read pass: set when there
+	// are no RAM buffers (device or stripe), whose maps cannot be consulted
+	// without the shard lock. See readGroupFast.
 	fastReads bool
 
 	geo   store.Geometry
@@ -259,8 +251,8 @@ type EPLog struct {
 	commLoc    []Loc           // per-LBA committed version location
 	virgin     []bool          // per-stripe: never written (direct path eligible)
 
-	// gc is the background group-commit scheduler, started when
-	// nShards > 1 or cfg.WriteBehind; Close drains and stops it.
+	// gc is the background group-commit scheduler, started iff
+	// cfg.WriteBehind; Close drains and stops it.
 	gc        *groupCommitter
 	closeOnce sync.Once
 	closeErr  error
@@ -364,19 +356,16 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	}
 	nShards = max(1, nShards)
 
-	shared := nShards > 1
-	if shared {
-		// Concurrent shard holders issue I/O from several goroutines, but
-		// the Dev contract lets implementations assume serialized access —
-		// so every device gets a per-device mutex as its outermost wrapper.
-		// The input slices are not mutated.
-		devs = lockDevs(devs)
-		logDevs = lockDevs(logDevs)
-	}
+	// Shard holders, shared-lock readers, the lock-free read pass and the
+	// prefold issue I/O from several goroutines, but the Dev contract lets
+	// implementations assume serialized access — so every device gets a
+	// per-device mutex as its outermost wrapper. The input slices are not
+	// mutated.
+	devs = lockDevs(devs)
+	logDevs = lockDevs(logDevs)
 	e := &EPLog{
 		nShards:    int(nShards),
-		shared:     shared,
-		fastReads:  shared && cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
+		fastReads:  cfg.DeviceBufferChunks == 0 && cfg.StripeBufferStripes == 0,
 		geo:        geo,
 		codes:      erasure.NewCache(erasure.Cauchy),
 		logDevs:    logDevs,
@@ -434,7 +423,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		sh.commitWake = sync.NewCond(&sh.mu)
 		e.shards[i] = sh
 	}
-	if e.nShards > 1 || cfg.WriteBehind {
+	if cfg.WriteBehind {
 		e.gc = newGroupCommitter(e)
 	}
 	// The handles below are nil-safe no-ops when cfg.Obs is nil.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -413,15 +414,28 @@ func TestCommitFreesVersionsAndLogSpace(t *testing.T) {
 	ta.verify(t, data, "after commit")
 }
 
+// TestAutoCommitEvery: without WriteBehind, CommitEvery commits inline at
+// any shard count — the commit has run by the time the write returns.
 func TestAutoCommitEvery(t *testing.T) {
-	ta := newTestArray(t, 5, 4, Config{CommitEvery: 10})
-	ta.mustWrite(t, 0, chunkData(30, int(ta.e.Chunks())))
-	for i := 0; i < 25; i++ {
-		ta.mustWrite(t, int64(i%20), chunkData(31+i, 1))
-	}
-	// 1 (fill) + 25 updates = 26 requests -> 2 auto-commits.
-	if got := ta.e.Stats().Commits; got != 2 {
-		t.Errorf("auto commits = %d, want 2", got)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ta := newTestArray(t, 5, 4, Config{CommitEvery: 10, Shards: shards})
+			defer ta.e.Close()
+			ta.mustWrite(t, 0, chunkData(30, int(ta.e.Chunks())))
+			// Updates of stripe 0 only, so one shard counts every request:
+			// 1 (fill) + 25 updates = 26 requests -> 2 auto-commits, after
+			// the 10th and the 20th.
+			var want int64
+			for i := 0; i < 25; i++ {
+				ta.mustWrite(t, int64(i%4), chunkData(31+i, 1))
+				if (i+2)%10 == 0 {
+					want++
+				}
+				if got := ta.e.Stats().Commits; got != want {
+					t.Fatalf("request %d returned with %d auto commits, want %d", i+2, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -378,7 +378,7 @@ func TestWriteGroupOrderingContract(t *testing.T) {
 		devs[i] = device.NewMem(testDevChunks, testChunk)
 	}
 	logs := []device.Dev{device.NewMem(32, testChunk), device.NewMem(32, testChunk)} // 16 log slots per shard
-	pe, err := New(devs, logs, Config{K: 4, Stripes: testStripes, Shards: 2, Obs: psink})
+	pe, err := New(devs, logs, Config{K: 4, Stripes: testStripes, Shards: 2, WriteBehind: true, Obs: psink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -29,59 +30,64 @@ func (pa *pressureArray) foldDone(t *testing.T, wr *ioHold) {
 
 // TestPrefoldHoldsNoLock is the converse of the lock shape the FoldPressured
 // tests pin: while the fold's read phase is parked, a write to the *same*
-// shard, a Flush and a lock-free read of it all return. The write moves a
+// shard, a Flush and a lock-free read of it all return — on the served
+// shape and on a one-shard write-behind engine alike. The write moves a
 // chunk the prefold had already read, so at publish that one stripe is
 // stale — read again and folded under the lock — and the other two are
 // published from the table; the parity is right either way.
 func TestPrefoldHoldsNoLock(t *testing.T) {
-	pa := newPressureArray(t)
-	e := pa.e
-	k := int64(e.geo.K)
-	before := e.Stats()
-	rd, _ := pa.holdRead()
-	e.FoldPressured(pressureMark)
-	within(t, "the committer reaching the prefold", func() { <-rd.entered })
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			pa := newPressureArray(t, shards)
+			e := pa.e
+			k := int64(e.geo.K)
+			before := e.Stats()
+			rd, _ := pa.holdRead()
+			e.FoldPressured(pressureMark)
+			within(t, "the committer reaching the prefold", func() { <-rd.entered })
 
-	locked := e.ReadLockAcquisitions()
-	within(t, "a write to the folding shard, a Flush and a read of it", func() {
-		data := chunkData(900, 1)
-		if _, err := e.WriteChunks(0, pa.hotLBA, data); err != nil {
-			t.Errorf("write to the folding shard: %v", err)
-			return
-		}
-		pa.wrote[pa.hotLBA] = data
-		if err := e.Flush(); err != nil {
-			t.Errorf("Flush: %v", err)
-		}
-		got := make([]byte, testChunk)
-		if _, err := e.ReadChunks(0, pa.hotLBA, got); err != nil || !bytes.Equal(got, data) {
-			t.Errorf("read of the folding shard: err %v, match %v", err, bytes.Equal(got, data))
-		}
-	})
-	if d := e.ReadLockAcquisitions() - locked; d != 0 {
-		t.Errorf("the read took %d shard locks, want the lock-free pass", d)
-	}
-	if got := pa.commits(hotShard); got != 0 {
-		t.Fatalf("%d commits of the shard with its fold parked in the prefold", got)
-	}
+			locked := e.ReadLockAcquisitions()
+			within(t, "a write to the folding shard, a Flush and a read of it", func() {
+				data := chunkData(900, 1)
+				if _, err := e.WriteChunks(0, pa.hotLBA, data); err != nil {
+					t.Errorf("write to the folding shard: %v", err)
+					return
+				}
+				pa.wrote[pa.hotLBA] = data
+				if err := e.Flush(); err != nil {
+					t.Errorf("Flush: %v", err)
+				}
+				got := make([]byte, testChunk)
+				if _, err := e.ReadChunks(0, pa.hotLBA, got); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("read of the folding shard: err %v, match %v", err, bytes.Equal(got, data))
+				}
+			})
+			if d := e.ReadLockAcquisitions() - locked; d != 0 {
+				t.Errorf("the read took %d shard locks, want the lock-free pass", d)
+			}
+			if got := pa.commits(pa.hot); got != 0 {
+				t.Fatalf("%d commits of the shard with its fold parked in the prefold", got)
+			}
 
-	wr, _ := pa.holdWrite()
-	close(rd.release)
-	within(t, "the committer reaching the publish", func() { <-wr.entered })
-	pa.foldDone(t, wr)
-	if got := pa.commits(hotShard); got != 1 {
-		t.Errorf("%d commits of the shard, want 1", got)
+			wr, _ := pa.holdWrite()
+			close(rd.release)
+			within(t, "the committer reaching the publish", func() { <-wr.entered })
+			pa.foldDone(t, wr)
+			if got := pa.commits(pa.hot); got != 1 {
+				t.Errorf("%d commits of the shard, want 1", got)
+			}
+			hot := int64(len(hotStripes))
+			if hit, stale := pa.counter("core.prefold_stripes"), pa.counter("core.prefold_stale"); hit != hot-1 || stale != 1 {
+				t.Errorf("core.prefold_stripes = %d, core.prefold_stale = %d, want %d and 1", hit, stale, hot-1)
+			}
+			// The prefold's reads count whether used or wasted; the stale
+			// stripe's k chunks were read twice.
+			if d := e.Stats().CommitReadChunks - before.CommitReadChunks; d != (hot+1)*k {
+				t.Errorf("the fold read %d chunks, want %d (k per stripe and k again for the stale one)", d, (hot+1)*k)
+			}
+			pa.checkClean(t)
+		})
 	}
-	hot := int64(len(hotStripes))
-	if hit, stale := pa.counter("core.prefold_stripes"), pa.counter("core.prefold_stale"); hit != hot-1 || stale != 1 {
-		t.Errorf("core.prefold_stripes = %d, core.prefold_stale = %d, want %d and 1", hit, stale, hot-1)
-	}
-	// The prefold's reads count whether used or wasted; the stale stripe's
-	// k chunks were read twice.
-	if d := e.Stats().CommitReadChunks - before.CommitReadChunks; d != (hot+1)*k {
-		t.Errorf("the fold read %d chunks, want %d (k per stripe and k again for the stale one)", d, (hot+1)*k)
-	}
-	pa.checkClean(t)
 }
 
 // TestPrefoldDiscardedByCommit: a commit of the shard between the snapshot
@@ -90,7 +96,7 @@ func TestPrefoldHoldsNoLock(t *testing.T) {
 // the prefold may have read, so the whole table is discarded, whatever the
 // locations say.
 func TestPrefoldDiscardedByCommit(t *testing.T) {
-	pa := newPressureArray(t)
+	pa := newPressureArray(t, 4)
 	e := pa.e
 	sh := e.shards[hotShard]
 	rd, _ := pa.holdRead()
@@ -127,7 +133,7 @@ func TestPrefoldDiscardedByCommit(t *testing.T) {
 // is discarded, whatever the locations say. (The committer is idle —
 // nothing is queued — so the test can run its prefold and publish by hand.)
 func TestPrefoldDiscardedByRebuild(t *testing.T) {
-	pa := newPressureArray(t)
+	pa := newPressureArray(t, 4)
 	e := pa.e
 	sh, pre := e.shards[hotShard], e.gc.pre
 	pre.run(sh)
@@ -157,7 +163,7 @@ func TestPrefoldDiscardedByRebuild(t *testing.T) {
 // does not reconstruct — and the fold completes degraded under the lock,
 // which is the only place the log devices are read (DESIGN §5 invariant 3).
 func TestPrefoldStopsAtFailedSSD(t *testing.T) {
-	pa := newPressureArray(t)
+	pa := newPressureArray(t, 4)
 	e := pa.e
 	k := int64(e.geo.K)
 	// An SSD with no data of the first hot stripe but data of a later one:

@@ -16,21 +16,22 @@ const (
 	hotShard       = 1
 )
 
-// pressureArray is a primed 4-shard write-behind engine with shard hotShard
-// filled to pressureMark of its dirty window and every other shard holding
-// one pending log stripe.
+// pressureArray is a primed write-behind engine with the shard owning
+// hotStripes — hotShard of four, or the only one — filled to pressureMark of
+// its dirty window and every other shard holding one pending log stripe.
 type pressureArray struct {
 	e          *EPLog
 	devs, logs []*brokenReadDev
 	sink       *obs.Sink
 	wrote      map[int64][]byte // latest payload per updated LBA
-	hotLBA     int64            // the first LBA of hotShard's first stripe
+	hot        int              // the index of the shard owning hotStripes
+	hotLBA     int64            // the first LBA of hotStripes[0]
 }
 
-func newPressureArray(t *testing.T) *pressureArray {
+func newPressureArray(t *testing.T, shards int) *pressureArray {
 	t.Helper()
-	pa := &pressureArray{sink: obs.NewSink(64), wrote: make(map[int64][]byte)}
-	pa.e, pa.devs, pa.logs = newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
+	pa := &pressureArray{sink: obs.NewSink(64), wrote: make(map[int64][]byte), hot: hotShard % shards}
+	pa.e, pa.devs, pa.logs = newHoldArray(t, Config{Shards: shards, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
 	t.Cleanup(func() { pa.e.Close() })
 	e := pa.e
 	full := chunkData(1, e.geo.K)
@@ -40,11 +41,11 @@ func newPressureArray(t *testing.T) *pressureArray {
 		}
 	}
 	for sh := 0; sh < e.nShards; sh++ {
-		if sh != hotShard {
+		if sh != pa.hot {
 			pa.update(t, e.geo.LBA(int64(sh), 0))
 		}
 	}
-	pa.hotLBA = e.geo.LBA(hotShard, 0)
+	pa.hotLBA = e.geo.LBA(hotStripes[0], 0)
 	pa.fillHot(t)
 	return pa
 }
@@ -65,33 +66,33 @@ var hotStripes = [3]int64{hotShard, hotShard + 4, hotShard + 8}
 const lateStripe = hotShard + 12
 
 // fillHot spreads single-chunk updates over hotStripes (and so over the
-// SSDs) until hotShard's window fill reaches pressureMark: every chunk of
-// the three stripes once.
+// SSDs) until the hot shard's window fill reaches pressureMark: every chunk
+// of the three stripes once.
 func (pa *pressureArray) fillHot(t *testing.T) {
 	t.Helper()
 	e := pa.e
-	for i := 0; e.shards[hotShard].fill() < pressureMark; i++ {
+	for i := 0; e.shards[pa.hot].fill() < pressureMark; i++ {
 		pa.update(t, e.geo.LBA(hotStripes[i%3], i/3%e.geo.K))
 	}
 }
 
-// holdRead makes the committer's prefold of hotShard park at its second
-// device read — hotLBA's location recorded and read, no lock held — and
-// returns the hold and the SSD it parks on (under that device's own mutex:
-// nothing else gets through to it meanwhile).
+// holdRead makes the committer's prefold of the hot shard park at its
+// second device read — hotLBA's location recorded and read, no lock held —
+// and returns the hold and the SSD it parks on (under that device's own
+// mutex: nothing else gets through to it meanwhile).
 func (pa *pressureArray) holdRead() (*ioHold, int) {
 	h := newIOHold()
-	dev := pa.e.loadLatest(pa.e.geo.LBA(hotShard, 1)).Dev
+	dev := pa.e.loadLatest(pa.e.geo.LBA(hotStripes[0], 1)).Dev
 	pa.devs[dev].hold.Store(h)
 	return h, dev
 }
 
-// holdWrite makes the fold of hotShard park at its first parity write —
-// its first stripe's, with the shard lock held and the prefold over — and
+// holdWrite makes the fold of the hot shard park at its first parity write
+// — its first stripe's, with the shard lock held and the prefold over — and
 // returns the hold and the SSD it parks on.
 func (pa *pressureArray) holdWrite() (*ioHold, int) {
 	h := newIOHold()
-	dev := pa.e.geo.ParityDev(hotShard, 0)
+	dev := pa.e.geo.ParityDev(hotStripes[0], 0)
 	pa.devs[dev].wHold.Store(h)
 	return h, dev
 }
@@ -157,7 +158,7 @@ func within(t *testing.T, what string, f func()) {
 // that fold holds its shard lock, the lock-free pressure accessors and a
 // read of another shard complete.
 func TestFoldPressuredFoldsOnlyThePressuredShard(t *testing.T) {
-	pa := newPressureArray(t)
+	pa := newPressureArray(t, 4)
 	e := pa.e
 	before := e.Stats()
 	h, heldDev := pa.holdWrite()
@@ -233,7 +234,7 @@ func TestFoldPressuredFoldsOnlyThePressuredShard(t *testing.T) {
 // shard's next write, and Flush when no write comes first.
 func TestFoldPressuredErrorSurfaces(t *testing.T) {
 	failFold := func(t *testing.T) *pressureArray {
-		pa := newPressureArray(t)
+		pa := newPressureArray(t, 4)
 		rd, held := pa.holdRead()
 		pa.e.FoldPressured(pressureMark)
 		within(t, "the committer reaching the prefold", func() { <-rd.entered })
@@ -276,7 +277,7 @@ func TestFoldPressuredErrorSurfaces(t *testing.T) {
 // TestFoldPressuredAfterClose: with the committer stopped there is nobody to
 // hand a shard to, so the call does nothing.
 func TestFoldPressuredAfterClose(t *testing.T) {
-	pa := newPressureArray(t)
+	pa := newPressureArray(t, 4)
 	if err := pa.e.Close(); err != nil {
 		t.Fatal(err)
 	}

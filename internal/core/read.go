@@ -78,11 +78,11 @@ func (e *EPLog) readGroup(set shardSet, ops []ReadOp, idxs []int, spans []device
 // what preserves the cross-chunk snapshot the locked pass provides.
 //
 // Only called when e.fastReads: no RAM buffers to consult (their maps
-// cannot be read without the lock) and Locked-wrapped devices. Device
-// errors (including ErrFailed) also fall back, so degraded reads keep
-// their locked reconstruction path. An abandoned pass leaves no trace; its
-// device-clock advance is the same class of nondeterminism the shared
-// engine already accepts for lock contention.
+// cannot be read without the lock). Device errors (including ErrFailed)
+// also fall back, so degraded reads keep their locked reconstruction path.
+// An abandoned pass needs a concurrent writer and leaves no trace; its
+// device-clock advance is the same class of nondeterminism concurrent
+// callers already accept for lock contention.
 //
 //eplog:hotpath
 //eplog:seqlock-read
@@ -127,26 +127,16 @@ func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []de
 	return true
 }
 
-// lockSet takes the read-side lock of every shard in set, in ascending
-// index order. Shared engines read under shared locks, each counted in
-// ReadLockAcquisitions; the serial engine (Shards <= 1) has
-// unwrapped devices, so its reads take the exclusive lock to serialize
-// virtual-time accounting — exactly the unsharded engine's behavior.
+// lockSet takes the shared lock of every shard in set, in ascending index
+// order, each counted in ReadLockAcquisitions.
 //
 //eplog:lockall
 func (e *EPLog) lockSet(set shardSet) {
 	for i, sh := range e.shards {
-		if !set.has(i, e.nShards) {
-			continue
-		}
-		if e.shared {
+		if set.has(i, e.nShards) {
 			sh.mu.RLock()
 			e.readLockAcqs.Add(1)
 			e.cReadLocks.Inc()
-		} else {
-			t0 := sh.lockClock()
-			sh.mu.Lock()
-			sh.lockAcquired(t0)
 		}
 	}
 }
@@ -154,14 +144,8 @@ func (e *EPLog) lockSet(set shardSet) {
 //eplog:lockall
 func (e *EPLog) unlockSet(set shardSet) {
 	for i, sh := range e.shards {
-		if !set.has(i, e.nShards) {
-			continue
-		}
-		if e.shared {
+		if set.has(i, e.nShards) {
 			sh.mu.RUnlock()
-		} else {
-			sh.lockReleasing()
-			sh.mu.Unlock()
 		}
 	}
 }

@@ -152,26 +152,33 @@ func TestReadBatchLockAmortization(t *testing.T) {
 }
 
 // TestReadBatchFastPathLockFree pins the other half: on a buffer-free
-// sharded engine the whole batch completes without any shared lock
-// acquisition at all.
+// engine, at any shard count, the whole batch completes without any shard
+// lock acquisition at all, shared or exclusive.
 func TestReadBatchFastPathLockFree(t *testing.T) {
-	e := batchEngine(t, 4, 64)
-	defer e.Close()
-	want := fillEngine(t, e, 3)
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := batchEngine(t, shards, 64)
+			defer e.Close()
+			want := fillEngine(t, e, 3)
 
-	ops := readBatchOps(e, 64)
-	base := e.ReadLockAcquisitions()
-	e.ReadBatch(ops)
-	if got := e.ReadLockAcquisitions() - base; got != 0 {
-		t.Errorf("fast-path batch took %d lock acquisitions, want 0", got)
-	}
-	for i := range ops {
-		if ops[i].Err != nil {
-			t.Fatalf("op %d: %v", i, ops[i].Err)
-		}
-		if !bytes.Equal(ops[i].Buf, want[ops[i].LBA*testChunk:(ops[i].LBA+1)*testChunk]) {
-			t.Fatalf("op %d (lba %d) wrong contents", i, ops[i].LBA)
-		}
+			ops := readBatchOps(e, 64)
+			shared, excl := e.ReadLockAcquisitions(), e.ShardLockAcquisitions()
+			e.ReadBatch(ops)
+			if got := e.ReadLockAcquisitions() - shared; got != 0 {
+				t.Errorf("fast-path batch took %d shared lock acquisitions, want 0", got)
+			}
+			if got := e.ShardLockAcquisitions() - excl; got != 0 {
+				t.Errorf("fast-path batch took %d exclusive lock acquisitions, want 0", got)
+			}
+			for i := range ops {
+				if ops[i].Err != nil {
+					t.Fatalf("op %d: %v", i, ops[i].Err)
+				}
+				if !bytes.Equal(ops[i].Buf, want[ops[i].LBA*testChunk:(ops[i].LBA+1)*testChunk]) {
+					t.Fatalf("op %d (lba %d) wrong contents", i, ops[i].LBA)
+				}
+			}
+		})
 	}
 }
 

@@ -26,19 +26,17 @@ func (e *EPLog) Rebuild(devIdx int, replacement device.Dev) error {
 	if replacement.ChunkSize() != e.csize || replacement.Chunks() < e.devs()[devIdx].Chunks() {
 		return fmt.Errorf("core: replacement geometry mismatch")
 	}
-	if e.shared {
-		// The replacement stays in the device table afterwards, where the sharded
-		// engine requires lock-wrapped devices.
-		replacement = device.NewLocked(replacement)
-	}
+	// The replacement stays in the device table, where every device is
+	// lock-wrapped.
+	replacement = device.NewLocked(replacement)
 	span := device.NewSpan(0)
 	// Root span for the rebuild (recorded on shard 0: the rebuild is a
-	// stop-the-world whole-array operation, not a per-shard one). The
-	// serial engine records the reconstruction reads and replacement
-	// writes as I/O leaves.
+	// stop-the-world whole-array operation, not a per-shard one). A
+	// one-shard engine records the reconstruction reads and replacement
+	// writes as I/O leaves, as it does a fold's.
 	op := e.shards[0].rec.Start(obs.SpanRebuild, 0, 0, int64(devIdx), 0)
 	defer func() { e.shards[0].rec.Finish(op, span.End()) }()
-	if !e.shared {
+	if e.nShards == 1 {
 		span.SetRecorder(op)
 	}
 	code, err := e.code(e.geo.K)
@@ -163,10 +161,7 @@ func (e *EPLog) RecoverLogDevice(dim int, replacement device.Dev) error {
 			return err
 		}
 	}
-	if e.shared {
-		replacement = device.NewLocked(replacement)
-	}
-	e.logDevs[dim] = replacement
+	e.logDevs[dim] = device.NewLocked(replacement)
 	// Aux=1 distinguishes log-device recovery from main-array rebuilds.
 	e.obs.Emit(obs.Event{Kind: obs.KindRebuild, Dev: dim, Aux: 1})
 	return nil

@@ -30,8 +30,10 @@ import (
 // lock.
 //
 // Lock order: shard locks in ascending index order, then per-device
-// Locked mutexes / the erasure cache. Nothing takes a shard lock while
-// holding a device lock, so the order is acyclic.
+// Locked mutexes / the erasure cache. Every device is Locked-wrapped at any
+// shard count; the lock-free read pass and the prefold take device mutexes
+// with no shard lock held. Nothing takes a shard lock while holding a
+// device lock, so the order is acyclic.
 
 // shard owns one stripe group's slice of the engine's mutable state.
 // Unexported methods with a shard receiver assume mu is held (write-locked
@@ -269,7 +271,7 @@ type groupCommitter struct {
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
-	pre  *prefold // filled off the lock ahead of each fold; nil unless fastReads
+	pre  *prefold // filled off the lock ahead of each fold
 }
 
 func newGroupCommitter(e *EPLog) *groupCommitter {
@@ -278,9 +280,7 @@ func newGroupCommitter(e *EPLog) *groupCommitter {
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	if e.fastReads {
-		gc.pre = newPrefold(e)
+		pre:  newPrefold(e),
 	}
 	go gc.run()
 	return gc
@@ -321,9 +321,7 @@ func (gc *groupCommitter) sweep() {
 		if !sh.queued.CompareAndSwap(true, false) {
 			continue
 		}
-		if gc.pre != nil {
-			gc.pre.run(sh)
-		}
+		gc.pre.run(sh)
 		t0 := sh.lockClock()
 		sh.mu.Lock()
 		sh.lockAcquired(t0)

@@ -289,7 +289,7 @@ func TestStatsAggregationRace(t *testing.T) {
 // failure reaches the caller: the next write touching the failed shard
 // returns the stored error.
 func TestAsyncCommitErrorSurfaces(t *testing.T) {
-	ta := newTestArray(t, 6, 4, Config{Shards: 2})
+	ta := newTestArray(t, 6, 4, Config{Shards: 2, WriteBehind: true})
 	t.Cleanup(func() { ta.e.Close() })
 	sh := ta.e.shards[1]
 	sh.mu.Lock()

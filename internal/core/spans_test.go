@@ -204,7 +204,7 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 	}
 }
 
-// TestPrefoldSpanReconciliation is the sharded half of the reconciliation:
+// TestPrefoldSpanReconciliation is the write-behind half of the reconciliation:
 // every fold the group committer ran carries one commit-prefold phase, the
 // stripes those phases encoded are exactly the ones the hit and fallback
 // counters account for, and Stats.CommitReadChunks counts the prefold's
@@ -214,7 +214,7 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 func TestPrefoldSpanReconciliation(t *testing.T) {
 	sink := obs.NewSink(64)
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
-	e := benchEngine(t, Config{Shards: 4, Obs: sink})
+	e := benchEngine(t, Config{Shards: 4, WriteBehind: true, Obs: sink})
 	k, m := int64(e.geo.K), int64(e.geo.M())
 	full := make([]byte, e.geo.K*e.ChunkSize())
 	for s := int64(0); s < e.geo.Stripes; s++ {

@@ -217,9 +217,9 @@ func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite) {
 // each stripe's segment takes the direct or stripe-buffer path if it can,
 // and the remaining chunks join the shard-wide update set (wrUpdates) that
 // writeStep flushes, so elastic grouping can span stripes (Fig. 1(b)) and
-// requests. On a prefold engine a segment that is a whole stripe the set
-// does not touch yet is flagged to flush as its own log stripe instead
-// (updatePath), so its log chunks are the stripe's parity (foldReady).
+// requests. A segment that is a whole stripe the set does not touch yet is
+// flagged to flush as its own log stripe instead (updatePath), so its log
+// chunks are the stripe's parity (foldReady).
 // Both slices are shard scratch: a write cannot reenter itself (sh.mu),
 // and the nested paths use their own frames.
 //
@@ -239,7 +239,7 @@ func (sh *shard) writeStripes(span *device.Span, lba, nChunks int64, data []byte
 		if err != nil {
 			return err
 		}
-		whole := e.fastReads && int64(len(deferred)) == k && !sh.setTouches(s)
+		whole := int64(len(deferred)) == k && !sh.setTouches(s)
 		n := len(sh.wrUpdates)
 		sh.wrUpdates = append(sh.wrUpdates, deferred...)
 		if whole {
@@ -402,39 +402,33 @@ func (sh *shard) updatePath(span *device.Span, chunks []pendingChunk) error {
 	//
 	// Both the round's group and the deferred set live in a scratch
 	// frame; the caller's slice is never reordered (callers keep it to
-	// return arena buffers after the flush). The first pass copies
-	// deferred chunks into the frame's rest slice; later rounds compact
-	// it in place, which is safe because the write index always trails
-	// the read index (the first chunk of every round is grouped, never
-	// deferred).
+	// return arena buffers after the flush). The first pass copies the
+	// chunks it does not flush into the frame's rest slice; the rounds
+	// compact it in place, which is safe because the write index always
+	// trails the read index (the first chunk of every round is grouped,
+	// never deferred).
 	sc := sh.getScratch()
 	defer sh.putScratch(sc)
-	pending, inPlace := chunks, false
-	if e.fastReads {
-		// Whole-stripe requests first, each as its own log stripe in slot
-		// order (k′ = k), so its log chunks are the stripe's parity
-		// (foldReady). writeStripes flags only a stripe no earlier chunk of
-		// the set touches, so flushing it ahead of the rounds keeps every
-		// LBA's versions in batch order.
-		k, rest := e.geo.K, sc.rest[:0]
-		for i := 0; i < len(chunks); i++ {
-			if !chunks[i].whole {
-				rest = append(rest, chunks[i])
-				continue
-			}
-			if err := sh.flushGroup(span, chunks[i:i+k]); err != nil {
-				return err
-			}
-			i += k - 1
+	// First pass: whole-stripe requests, each as its own log stripe in slot
+	// order (k′ = k), so its log chunks are the stripe's parity (foldReady).
+	// writeStripes flags only a stripe no earlier chunk of the set touches,
+	// so flushing it ahead of the rounds keeps every LBA's versions in batch
+	// order.
+	k, pending := e.geo.K, sc.rest[:0]
+	for i := 0; i < len(chunks); i++ {
+		if !chunks[i].whole {
+			pending = append(pending, chunks[i])
+			continue
 		}
-		sc.rest, pending, inPlace = rest, rest, true
+		if err := sh.flushGroup(span, chunks[i:i+k]); err != nil {
+			return err
+		}
+		i += k - 1
 	}
+	sc.rest = pending
 	for len(pending) > 0 {
 		sc.resetTaken()
 		group, rest := sc.group[:0], pending[:0]
-		if !inPlace {
-			rest = sc.rest[:0]
-		}
 		for _, c := range pending {
 			dev := e.loadLatest(c.lba).Dev
 			if sc.taken[dev] {
@@ -445,9 +439,6 @@ func (sh *shard) updatePath(span *device.Span, chunks []pendingChunk) error {
 			group = append(group, c)
 		}
 		sc.group = group
-		if !inPlace {
-			sc.rest, inPlace = rest, true
-		}
 		if err := sh.flushGroup(span, group); err != nil {
 			return err
 		}

@@ -4,9 +4,12 @@ import "sync"
 
 // Locked wraps a Dev with a mutex, making it safe for concurrent use. The
 // Dev contract lets implementations assume serialized access (the
-// simulators keep internal clocks and mapping state); the sharded EPLog
-// engine, whose shard holders issue I/O from several goroutines, wraps
-// every device in Locked so that per-device serialization is preserved.
+// simulators keep internal clocks and mapping state); the EPLog engine,
+// whose shard holders, shared-lock readers, lock-free read pass and
+// background fold issue I/O from several goroutines, wraps every device in
+// Locked at any shard count so that per-device serialization is preserved.
+// It is the one concurrency adapter: the simulators themselves stay
+// lock-free.
 //
 // Geometry accessors (Chunks, ChunkSize) are immutable per the Dev
 // contract and are forwarded without locking.

@@ -48,7 +48,8 @@ func (a *Array) TraceDropped() uint64 { return a.sink.Dropped() }
 
 // SpanTree is one completed causal span tree from the flight recorder: an
 // operation root (write, read, commit, rebuild) with nested phase spans
-// and, on serial engines, per-device I/O leaves. Times are virtual-time
+// and per-device I/O leaves (under folds and rebuilds at one shard only).
+// Times are virtual-time
 // seconds; Dur is the span's extent. Trees are value copies — safe to
 // retain and serialize.
 type SpanTree = obs.SpanSnapshot
