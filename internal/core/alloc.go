@@ -1,84 +1,84 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+
+	"github.com/eplog/eplog/internal/obs"
+)
 
 // ErrNoSpace is returned when a device has no free chunk for a no-overwrite
 // update and a parity commit did not reclaim any.
 var ErrNoSpace = errors.New("core: device out of update space")
 
-// allocator hands out free chunks of one SSD for no-overwrite updates. It
-// scans a free bitmap with a roving cursor, so consecutive allocations are
-// mostly ascending — the "higher sequentiality" of EPLog's update stream
-// that reduces flash GC pressure (Experiment 2).
+// allocator hands out free chunks of one SSD for no-overwrite updates,
+// always the lowest free chunk its shard owns. Placement therefore depends
+// only on the free set: a chunk released by a commit is reused before
+// untouched media, so the chunks ever written stay few (the SSD simulator
+// keeps pages per logical chunk, so that bounds its memory), and a restored
+// engine places exactly as the engine that stopped would have.
 type allocator struct {
-	free   []bool
-	cursor int64
-	nFree  int64
+	free  []uint64 // bit c%64 of word c/64 is set iff chunk c is free
+	hint  int      // no word below hint has a free bit
+	nFree int64
+	// mark is one past the highest headroom chunk handed out, or in use at
+	// construction. Lowest-free-first has touched every owned headroom
+	// chunk below it, so an allocation at or above it is the chunk's first
+	// (touched counts it).
+	mark    int64
+	touched *obs.Counter
 }
 
-// newAllocator creates an allocator over a device with total chunks, the
-// first reserved of which (the stripe homes) start out allocated.
-func newAllocator(total, reserved int64) *allocator {
-	a := &allocator{free: make([]bool, total), cursor: reserved}
-	for i := reserved; i < total; i++ {
-		a.free[i] = true
-		a.nFree++
-	}
-	return a
-}
-
-// newAllocatorRange creates an allocator over a device with total chunks
-// whose free pool starts as the slice [lo, hi) — one shard's partition of
-// the update headroom. Chunks outside the range begin allocated; release
-// may still free them (a shard's commits release the home chunks of its
-// own stripes, which then rejoin the pool), so the bitmap covers the whole
-// device. With a single shard, newAllocatorRange(total, reserved, total)
-// is identical to newAllocator(total, reserved), cursor included.
-func newAllocatorRange(total, lo, hi int64) *allocator {
-	a := &allocator{free: make([]bool, total), cursor: lo}
-	for i := lo; i < hi; i++ {
-		a.free[i] = true
-		a.nFree++
-	}
-	return a
-}
-
-// newAllocatorFromUsed rebuilds an allocator from a used-chunk bitmap
-// (checkpoint restore).
-func newAllocatorFromUsed(used []bool) *allocator {
-	a := &allocator{free: make([]bool, len(used))}
-	for i, u := range used {
-		if !u {
-			a.free[i] = true
-			a.nFree++
+// newAllocator builds shard i's allocator over a device of total chunks.
+// The shard owns its partitionRange slice of the update headroom and the
+// home chunks of its own stripes (its commits release and re-allocate
+// them); an owned chunk starts free unless used reports it in use. Chunks
+// the shard does not own start allocated.
+func (e *EPLog) newAllocator(total int64, i int, used func(c int64) bool) *allocator {
+	lo, hi := partitionRange(total, e.geo.Stripes, e.nShards, i)
+	a := &allocator{free: make([]uint64, (total+63)/64), mark: lo, touched: e.cUpdateTouched}
+	own := func(c int64) {
+		if !used(c) {
+			a.release(c)
+		} else if c >= lo {
+			a.mark = c + 1
 		}
 	}
+	for c := int64(i); c < e.geo.Stripes; c += int64(e.nShards) {
+		own(c)
+	}
+	for c := lo; c < hi; c++ {
+		own(c)
+	}
 	return a
 }
 
-// alloc returns the next free chunk, or ErrNoSpace.
+// alloc returns the lowest free chunk, or ErrNoSpace.
 func (a *allocator) alloc() (int64, error) {
-	if a.nFree == 0 {
-		return 0, ErrNoSpace
-	}
-	n := int64(len(a.free))
-	for i := int64(0); i < n; i++ {
-		idx := (a.cursor + i) % n
-		if a.free[idx] {
-			a.free[idx] = false
+	for w := a.hint; w < len(a.free); w++ {
+		if x := a.free[w]; x != 0 {
+			a.hint = w
+			a.free[w] = x & (x - 1)
 			a.nFree--
-			a.cursor = (idx + 1) % n
-			return idx, nil
+			c := int64(w)<<6 + int64(bits.TrailingZeros64(x))
+			if c >= a.mark {
+				a.mark = c + 1
+				a.touched.Inc()
+			}
+			return c, nil
 		}
 	}
+	a.hint = len(a.free)
 	return 0, ErrNoSpace
 }
 
 // release returns a chunk to the free pool.
-func (a *allocator) release(idx int64) {
-	if !a.free[idx] {
-		a.free[idx] = true
+func (a *allocator) release(c int64) {
+	w, b := int(c>>6), uint64(1)<<(c&63)
+	if a.free[w]&b == 0 {
+		a.free[w] |= b
 		a.nFree++
+		a.hint = min(a.hint, w)
 	}
 }
 

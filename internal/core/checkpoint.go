@@ -234,8 +234,9 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 	// Rebuild the allocators: a chunk is in use iff something references
 	// it — a latest or committed version, a log-stripe member, or a
 	// parity home (parity always lives at its stripe's home chunk). Each
-	// shard's free pool is the unused subset of the chunks it owns: its
-	// slice of the update headroom plus the home chunks of its stripes.
+	// shard's free pool is the unused subset of the chunks it owns, the
+	// free set the engine that stopped had, so placement resumes as it
+	// would have.
 	usedPer := make([][]bool, len(devs))
 	for d := range usedPer {
 		usedPer[d] = make([]bool, devs[d].Chunks())
@@ -258,21 +259,8 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		}
 	}
 	for _, sh := range e.shards {
-		for d := range devs {
-			total := devs[d].Chunks()
-			lo, hi := partitionRange(total, e.geo.Stripes, e.nShards, sh.idx)
-			a := &allocator{free: make([]bool, total)}
-			for c := int64(0); c < total; c++ {
-				if usedPer[d][c] {
-					continue
-				}
-				owned := (c >= lo && c < hi) || (c < e.geo.Stripes && c%ns == int64(sh.idx))
-				if owned {
-					a.free[c] = true
-					a.nFree++
-				}
-			}
-			sh.alloc[d] = a
+		for d, used := range usedPer {
+			sh.alloc[d] = e.newAllocator(devs[d].Chunks(), sh.idx, func(c int64) bool { return used[c] })
 		}
 	}
 	return e, nil

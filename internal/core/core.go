@@ -293,6 +293,9 @@ type EPLog struct {
 	// published as is, or found stale and folded by reading.
 	cFoldReadyStripes *obs.Counter
 	cFoldReadyStale   *obs.Counter
+	// cUpdateTouched counts first allocations of update-headroom chunks:
+	// the SSD media the array has ever written outside the stripe homes.
+	cUpdateTouched *obs.Counter
 	// vnowBits is the high-water completion time seen so far (float64
 	// bits, CAS-maxed). It anchors the latency metrics of commits invoked
 	// untimed (start 0) from inside the write path, whose spans would
@@ -375,6 +378,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		latestProt: make([]int64, geo.Chunks()),
 		commLoc:    make([]Loc, geo.Chunks()),
 		virgin:     make([]bool, cfg.Stripes),
+		// Created ahead of the shards: their allocators count into it.
+		cUpdateTouched: cfg.Obs.Counter("core.update_chunks_touched"),
 	}
 	e.devTab.Store(&devs)
 	for lba := int64(0); lba < geo.Chunks(); lba++ {
@@ -394,6 +399,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 
 	e.shards = make([]*shard, nShards)
 	logChunks := logDevs[0].Chunks()
+	isHome := func(c int64) bool { return c < cfg.Stripes } // every home starts in use
 	for i := range e.shards {
 		sh := &shard{
 			e:          e,
@@ -407,8 +413,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		sh.logStart, sh.logLimit = partitionRange(logChunks, 0, int(nShards), i)
 		sh.logCursor = sh.logStart
 		for d, dev := range devs {
-			lo, hi := partitionRange(dev.Chunks(), cfg.Stripes, int(nShards), i)
-			sh.alloc[d] = newAllocatorRange(dev.Chunks(), lo, hi)
+			sh.alloc[d] = e.newAllocator(dev.Chunks(), i, isHome)
 		}
 		if cfg.DeviceBufferChunks > 0 {
 			sh.devBufs = make([]*deviceBuffer, len(devs))

@@ -122,9 +122,10 @@ func (c *Code) M() int { return c.m }
 // N returns the total number of shards (k + m).
 func (c *Code) N() int { return c.k + c.m }
 
-// Encode computes the parity shards of a stripe with the fused multi-source
-// kernels: one pass over each parity shard for all k sources, so parity
-// write traffic does not scale with k. shards must contain k+m slices of
+// Encode computes the parity shards of a stripe with gf's multi-source
+// kernels, one call per parity shard for all k sources: on amd64 that is
+// one vector pass per source over the L1-resident parity shard, on the
+// portable word tier one fused pass. shards must contain k+m slices of
 // identical nonzero length; the first k hold data and the final m are
 // overwritten with parity.
 //

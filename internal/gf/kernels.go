@@ -2,16 +2,16 @@ package gf
 
 import "encoding/binary"
 
-// Word-parallel slice kernels. Every kernel processes 8 bytes per
-// iteration in the portable path — one uint64 load per source word, one
-// load-xor-store per destination word, split-nibble table lookups
-// (mulLo/mulHi, 32 bytes per coefficient) for the GF multiplies — and 16
-// bytes per iteration on amd64, where the same split-nibble tables feed a
-// PSHUFB fast path (kernels_amd64.s). The fused multi-source kernels make
-// a single pass over dst for several sources, so dst traffic does not
-// scale with the stripe width k. All kernels are bit-identical to the
-// byte-wise reference loops in reference.go — differential tests pin this
-// — and are allocation-free.
+// Slice kernels, in two tiers. The portable word tier processes 8 bytes
+// per iteration — one uint64 load per source word, one load-xor-store per
+// destination word, split-nibble table lookups (mulLo/mulHi, 32 bytes per
+// coefficient) for the GF multiplies — and its multi-source kernels fuse up
+// to maxFused sources into one pass over dst. On amd64 the same nibble
+// tables feed PSHUFB kernels (16 bytes per iteration with SSSE3, 32 with
+// AVX2; kernels_amd64.go), and the multi-source entry points run one vector
+// pass per source over an L1-resident dst instead. All kernels are
+// bit-identical to the byte-wise reference loops in reference.go —
+// differential tests pin this — and are allocation-free.
 
 // MulSlice sets dst[i] = c * src[i]. dst and src must have equal length.
 //
@@ -49,8 +49,8 @@ func MulAddSlice(c byte, src, dst []byte) {
 	mulAddSliceFast(c, src, dst)
 }
 
-// XORSlice sets dst[i] ^= src[i] with 8-byte loads and stores. dst and src
-// must have equal length.
+// XORSlice sets dst[i] ^= src[i]: with 16- or 32-byte vector loads on
+// amd64, 8-byte words elsewhere. dst and src must have equal length.
 //
 //eplog:hotpath
 func XORSlice(src, dst []byte) {
@@ -66,10 +66,10 @@ func XORSlice(src, dst []byte) {
 const maxFused = 16
 
 // MulAddSlices sets dst[i] ^= sum_j coeffs[j] * srcs[j][i]: the k-source
-// inner loop of Reed-Solomon encode and decode, fused so dst is walked
-// once for all sources instead of once per source. coeffs and srcs must
-// have equal length and every source must match dst's length. Zero
-// coefficients are skipped.
+// inner loop of Reed-Solomon encode and decode. The word tier walks dst
+// once for all sources; the amd64 vector tier walks it once per source.
+// coeffs and srcs must have equal length and every source must match dst's
+// length. Zero coefficients are skipped.
 //
 //eplog:hotpath
 func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
