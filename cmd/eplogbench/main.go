@@ -4,23 +4,16 @@
 //
 // Usage:
 //
-//	eplogbench [-exp all|table1|1|2|3|4|5|6|fig6|recovery|ablations|obs] [-scale N]
+//	eplogbench [-exp all|table1|1|2|3|4|5|6|fig6|recovery|ablations] [-scale N] [-csv file] [-json file]
 //
 // Scale divides the paper's request counts and working sets; -scale 1 is
 // paper scale (hours of runtime and tens of GB of RAM), the default keeps
-// the full suite to minutes on a laptop.
+// the full suite to minutes on a laptop. -csv and -json mirror every
+// experiment's records to machine-readable files.
 //
-// The obs experiment runs a fully instrumented EPLog replay; -metrics-out,
-// -trace-out, -prom-out and -spans-out dump its metrics snapshot (JSON),
-// event trace (JSON Lines), Prometheus text exposition and causal span
-// trees (JSON Lines). -telemetry-addr serves all of it live over HTTP
-// while the replay runs (-telemetry-linger keeps the endpoint up after it
-// finishes, for scrapers racing a short run). These six flags are a usage
-// error unless the obs step runs (-exp obs or all). -csv and -json mirror
-// every experiment's records to machine-readable files.
-//
-// The system's performance record is the benchmark/ module, not this
-// command.
+// The system's performance record is the benchmark/ module, and its live
+// telemetry is eplogserve -telemetry; this command runs the paper's
+// experiments only.
 package main
 
 import (
@@ -28,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -36,25 +28,16 @@ import (
 	"time"
 
 	"github.com/eplog/eplog/internal/experiments"
-	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/telemetry"
 )
 
-// outputs collects the optional machine-readable output paths and the
-// live-telemetry options.
+// outputs collects the optional machine-readable output paths.
 type outputs struct {
-	csvPath         string
-	jsonPath        string
-	metricsPath     string
-	tracePath       string
-	promPath        string
-	spansPath       string
-	telemetryAddr   string
-	telemetryLinger time.Duration
+	csvPath  string
+	jsonPath string
 }
 
 // experimentNames is every value -exp accepts: "all" and the steps of run.
-var experimentNames = []string{"all", "table1", "1", "2", "3", "4", "5", "6", "fig6", "recovery", "ablations", "obs"}
+var experimentNames = []string{"all", "table1", "1", "2", "3", "4", "5", "6", "fig6", "recovery", "ablations"}
 
 func main() {
 	var (
@@ -64,12 +47,6 @@ func main() {
 	)
 	flag.StringVar(&out.csvPath, "csv", "", "also append machine-readable rows to this CSV file")
 	flag.StringVar(&out.jsonPath, "json", "", "also append machine-readable records to this JSON Lines file")
-	flag.StringVar(&out.metricsPath, "metrics-out", "", "write the obs experiment's metrics snapshot to this JSON file")
-	flag.StringVar(&out.tracePath, "trace-out", "", "write the obs experiment's event trace to this JSON Lines file")
-	flag.StringVar(&out.promPath, "prom-out", "", "write the obs experiment's metrics in Prometheus text format to this file")
-	flag.StringVar(&out.spansPath, "spans-out", "", "write the obs experiment's causal span trees to this JSON Lines file")
-	flag.StringVar(&out.telemetryAddr, "telemetry-addr", "", "serve live telemetry (/metrics, /spans, /healthz, /debug/pprof/) on this address during the obs experiment")
-	flag.DurationVar(&out.telemetryLinger, "telemetry-linger", 0, "keep the telemetry server up this long after the obs experiment completes")
 	flag.Parse()
 	if err := run(*exp, *scale, out); err != nil {
 		fmt.Fprintln(os.Stderr, "eplogbench:", err)
@@ -175,11 +152,6 @@ func run(exp string, scale int64, out outputs) error {
 	if scale < 1 {
 		return fmt.Errorf("scale must be >= 1, got %d", scale)
 	}
-	if exp != "all" && exp != "obs" {
-		if name := out.obsOnlyFlag(); name != "" {
-			return fmt.Errorf("%s applies only to -exp obs or all, not -exp %s", name, exp)
-		}
-	}
 	fmt.Printf("EPLog evaluation harness — scale 1/%d of the paper's workloads\n\n", scale)
 	sink, closeRec, err := newRecorder(out.csvPath, out.jsonPath)
 	if err != nil {
@@ -209,8 +181,13 @@ func run(exp string, scale int64, out outputs) error {
 			return err
 		}
 		fmt.Print(experiments.FormatFig6(series))
-		for name, pts := range series {
-			for _, p := range pts {
+		names := make([]string, 0, len(series))
+		for name := range series {
+			names = append(names, name)
+		}
+		slices.Sort(names) // records in a fixed order, not map order
+		for _, name := range names {
+			for _, p := range series[name] {
 				label := fmt.Sprintf("%s/ratio=%.2f", name, p.Ratio)
 				sink.add("fig6", label, "EPLog", "mttdl_years", p.EPLog)
 				sink.add("fig6", label, "conventional", "mttdl_years", p.Conventional)
@@ -352,7 +329,7 @@ func run(exp string, scale int64, out outputs) error {
 		return err
 	}
 
-	if err := step("recovery", func() error {
+	return step("recovery", func() error {
 		// The degraded sweep reads every chunk with QD=1 and HDD
 		// positioning on the critical path; run it at a reduced size.
 		rscale := scale * 8
@@ -362,107 +339,5 @@ func run(exp string, scale int64, out outputs) error {
 		}
 		fmt.Print(experiments.FormatRecovery(res))
 		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := step("obs", func() error {
-		// An instrumented timing replay; run it at a reduced size like
-		// the recovery sweep. With -telemetry-addr the run's sink is
-		// served live for the duration of the replay (plus an optional
-		// linger so scrapers can catch a short run).
-		var srv *telemetry.Server
-		o, err := experiments.ObservabilityLive(scale*8, func(s *obs.Sink) {
-			if out.telemetryAddr == "" {
-				return
-			}
-			var serveErr error
-			srv, serveErr = telemetry.Serve(out.telemetryAddr, telemetry.SinkSource(s))
-			if serveErr != nil {
-				fmt.Fprintln(os.Stderr, "eplogbench:", serveErr)
-				return
-			}
-			fmt.Printf("telemetry: serving /metrics /spans /healthz /debug/pprof/ on http://%s\n", srv.Addr())
-		})
-		if srv != nil {
-			defer srv.Close()
-			if out.telemetryLinger > 0 {
-				defer time.Sleep(out.telemetryLinger)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatObservability(o))
-		sink.add("obs", "FIN", "EPLog", "trace_events", float64(len(o.Events)))
-		sink.add("obs", "FIN", "EPLog", "trace_dropped", float64(o.Dropped))
-		sink.add("obs", "FIN", "EPLog", "span_trees", float64(len(o.Spans)))
-		sink.add("obs", "FIN", "EPLog", "span_trees_dropped", float64(o.SpansDropped))
-		sink.add("obs", "FIN", "EPLog", "parity_chunks_from_trace", float64(o.ParityFromTrace))
-		sink.add("obs", "FIN", "EPLog", "parity_chunks_counter", float64(o.Result.EPLogStats.ParityWriteChunks))
-		if out.metricsPath != "" {
-			if err := writeTo(out.metricsPath, o.Snapshot.WriteJSON); err != nil {
-				return err
-			}
-		}
-		if out.promPath != "" {
-			if err := writeTo(out.promPath, o.Snapshot.WritePrometheus); err != nil {
-				return err
-			}
-		}
-		if out.tracePath != "" {
-			err := writeTo(out.tracePath, func(w io.Writer) error {
-				return obs.WriteJSONL(w, o.Events)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if out.spansPath != "" {
-			err := writeTo(out.spansPath, func(w io.Writer) error {
-				return obs.WriteSpanJSONL(w, o.Spans)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	return nil
-}
-
-// obsOnlyFlag names the first set flag that only the obs step reads, or
-// returns "" when none is set.
-func (o outputs) obsOnlyFlag() string {
-	switch {
-	case o.metricsPath != "":
-		return "-metrics-out"
-	case o.tracePath != "":
-		return "-trace-out"
-	case o.promPath != "":
-		return "-prom-out"
-	case o.spansPath != "":
-		return "-spans-out"
-	case o.telemetryAddr != "":
-		return "-telemetry-addr"
-	case o.telemetryLinger != 0:
-		return "-telemetry-linger"
-	}
-	return ""
-}
-
-// writeTo creates path and runs the serializer over it.
-func writeTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }

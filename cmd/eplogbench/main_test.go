@@ -6,15 +6,16 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestUnknownExperiment(t *testing.T) {
 	// Every value run dispatches on. "conc" was one until the worker pool
 	// it varied was deleted; kernels, scaling and net were benchmarks whose
-	// numbers the benchmark/ module now records.
-	accepted := "all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations, obs"
-	for _, exp := range []string{"nope", "conc", "kernels", "scaling", "net"} {
+	// numbers the benchmark/ module now records; obs was an instrumented
+	// replay whose live telemetry eplogserve -telemetry serves and whose
+	// accounting TestObservabilityReconciles checks.
+	accepted := "all, table1, 1, 2, 3, 4, 5, 6, fig6, recovery, ablations"
+	for _, exp := range []string{"nope", "conc", "kernels", "scaling", "net", "obs"} {
 		err := run(exp, 64, outputs{})
 		if err == nil {
 			t.Errorf("unknown experiment %q accepted", exp)
@@ -24,36 +25,6 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if err := run("all", 0, outputs{}); err == nil {
 		t.Error("zero scale accepted")
-	}
-}
-
-// TestObsFlagsNeedObsStep pins that a dump or telemetry flag is refused,
-// naming the flag, before any experiment runs unless the obs step is
-// selected, since no other step writes or serves anything for it.
-func TestObsFlagsNeedObsStep(t *testing.T) {
-	dir := t.TempDir()
-	p := dir + "/t.jsonl"
-	err := run("6", 512, outputs{tracePath: p})
-	if err == nil || !strings.Contains(err.Error(), "-trace-out") {
-		t.Errorf("run(6, -trace-out) = %v, want a usage error naming -trace-out", err)
-	}
-	if _, statErr := os.Stat(p); !os.IsNotExist(statErr) {
-		t.Errorf("refused run left %s behind (stat: %v)", p, statErr)
-	}
-	for flag, out := range map[string]outputs{
-		"-metrics-out":      {metricsPath: dir + "/m.json"},
-		"-prom-out":         {promPath: dir + "/m.prom"},
-		"-spans-out":        {spansPath: dir + "/s.jsonl"},
-		"-telemetry-addr":   {telemetryAddr: "127.0.0.1:0"},
-		"-telemetry-linger": {telemetryLinger: time.Second},
-	} {
-		if err := run("fig6", 512, out); err == nil || !strings.Contains(err.Error(), flag) {
-			t.Errorf("run(fig6, %s) = %v, want a usage error naming it", flag, err)
-		}
-	}
-	// -csv and -json apply to every experiment.
-	if err := run("fig6", 512, outputs{jsonPath: dir + "/r.jsonl"}); err != nil {
-		t.Errorf("run(fig6, -json) = %v", err)
 	}
 }
 
@@ -143,57 +114,5 @@ func TestJSONExport(t *testing.T) {
 	}
 	if rec.Experiment == "" || rec.Metric == "" {
 		t.Errorf("record missing fields: %+v", rec)
-	}
-}
-
-func TestObsOutputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace-driven experiment")
-	}
-	dir := t.TempDir()
-	out := outputs{
-		metricsPath: dir + "/metrics.json",
-		tracePath:   dir + "/trace.jsonl",
-		promPath:    dir + "/metrics.prom",
-	}
-	if err := run("obs", 512, out); err != nil {
-		t.Fatal(err)
-	}
-
-	mb, err := os.ReadFile(out.metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Counters   map[string]int64          `json:"counters"`
-		Histograms map[string]map[string]any `json:"histograms"`
-	}
-	if err := json.Unmarshal(mb, &snap); err != nil {
-		t.Fatalf("metrics snapshot does not parse: %v", err)
-	}
-	if _, ok := snap.Histograms["core.write_latency"]; !ok {
-		t.Error("metrics snapshot missing core.write_latency histogram")
-	}
-	if _, ok := snap.Histograms["dev.main0.write_latency"]; !ok {
-		t.Error("metrics snapshot missing per-device write latency")
-	}
-	if _, ok := snap.Counters["ssd.0.gc_runs"]; !ok {
-		t.Error("metrics snapshot missing SSD GC counter")
-	}
-
-	tb, err := os.ReadFile(out.tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tb), `"kind":"parity-commit"`) {
-		t.Error("trace dump has no parity-commit events")
-	}
-
-	pb, err := os.ReadFile(out.promPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(pb), "# TYPE eplog_core_write_latency histogram") {
-		t.Error("prometheus exposition missing write latency histogram")
 	}
 }

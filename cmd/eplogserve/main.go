@@ -69,7 +69,7 @@ func run(addr, telemetry string, k, m int, stripes int64, shards, commitEvery in
 	if k < 2 || m < 1 {
 		return fmt.Errorf("need k >= 2 and m >= 1, got k=%d m=%d", k, m)
 	}
-	// Simulated-SSD sizing as in eplogmon: logical capacity (after the
+	// Simulated-SSD sizing: logical capacity (after the
 	// FTL's 15% overprovisioning) holds the stripes plus an equal
 	// no-overwrite update area, with margin against integer truncation.
 	devChunks := stripes * 2

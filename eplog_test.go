@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/eplog/eplog"
+	"github.com/eplog/eplog/internal/trace"
 )
 
 const (
@@ -103,14 +104,23 @@ func TestPublicDegradedAndRebuild(t *testing.T) {
 }
 
 func TestPublicCommitAndLogRecovery(t *testing.T) {
-	a, _, flogs := newArray(t, eplog.Config{})
+	a, fmain, flogs := newArray(t, eplog.Config{})
 	data := make([]byte, a.Chunks()*int64(chunk))
+	r := rand.New(rand.NewSource(5))
+	r.Read(data)
 	if err := a.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Write(3, make([]byte, chunk)); err != nil {
-		t.Fatal(err)
+	update := func(lba int64, n int) {
+		t.Helper()
+		upd := make([]byte, n*chunk)
+		r.Read(upd)
+		if err := a.Write(lba, upd); err != nil {
+			t.Fatal(err)
+		}
+		copy(data[lba*chunk:], upd)
 	}
+	update(3, 1)
 	if a.PendingLogStripes() == 0 {
 		t.Fatal("update produced no log stripe")
 	}
@@ -120,12 +130,35 @@ func TestPublicCommitAndLogRecovery(t *testing.T) {
 	if a.PendingLogStripes() != 0 {
 		t.Error("commit left pending log stripes")
 	}
+
+	// Lose a log device while updates are pending: their only redundancy
+	// is the log stripes, so recovery must commit parity before it swaps
+	// in the replacement.
+	update(3, 1)
+	update(20, 3)
+	update(41, 2)
+	if a.PendingLogStripes() == 0 {
+		t.Fatal("updates produced no log stripe")
+	}
 	flogs[0].Fail()
 	if err := a.RecoverLogDevice(0, eplog.NewMemDevice(8192, chunk)); err != nil {
 		t.Fatal(err)
 	}
-	if s := a.Stats(); s.Commits < 1 {
+	if a.PendingLogStripes() != 0 {
+		t.Error("log-device recovery left pending log stripes")
+	}
+	if s := a.Stats(); s.Commits < 2 {
 		t.Errorf("stats = %+v", s)
+	}
+
+	// Full protection is back: a later SSD failure still decodes every byte.
+	fmain[0].Fail()
+	got := make([]byte, len(data))
+	if err := a.Read(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("degraded read after log-device recovery mismatch")
 	}
 }
 
@@ -169,6 +202,10 @@ func TestPublicCheckpointRestart(t *testing.T) {
 	if err := a.Checkpoint(false); err != nil {
 		t.Fatal(err)
 	}
+	pending := a.PendingLogStripes()
+	if pending == 0 {
+		t.Fatal("update produced no log stripe")
+	}
 
 	// "Restart": reopen from the metadata volume over the same devices.
 	b, err := eplog.Open(devs, logs, cfg, meta)
@@ -181,6 +218,106 @@ func TestPublicCheckpointRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("reopened array returned wrong contents")
+	}
+	// The checkpoint carries the pending updates' recovery metadata, so
+	// the reopened array can still commit them.
+	if n := b.PendingLogStripes(); n != pending {
+		t.Fatalf("reopened array has %d pending log stripes, want %d", n, pending)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := b.PendingLogStripes(); n != 0 {
+		t.Errorf("post-restart commit left %d pending log stripes", n)
+	}
+	if err := b.Read(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("post-restart commit changed the contents")
+	}
+}
+
+// TestUnpressuredFlashEPLogCollectsNoGarbage pins the unpressured regime
+// EXPERIMENTS.md's first deviation cites: an OLTP-style update stream (the
+// FIN profile at 1/256 scale) on simulated flash sized so conventional RAID
+// overwrites it about once. MD then garbage-collects, EPLog never does, and
+// flash writes fall MD > EPLog > EPLog with 64-chunk device buffers (about
+// 25 100, 17 000 and 11 700).
+func TestUnpressuredFlashEPLogCollectsNoGarbage(t *testing.T) {
+	const k, m = 6, 2
+	profile, err := trace.LookupProfile("FIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := profile.Scaled(256).Generate(chunk)
+	stripes := ((tr.MaxOffset()+chunk-1)/chunk + k - 1) / k
+
+	// replay preconditions the working set with full stripes, replays the
+	// stream's requests as writes and sums the flash counters over the
+	// main devices.
+	replay := func(name string, bufChunks int) (flashWrites, gcOps int64) {
+		devs := make([]eplog.BlockDevice, k+m)
+		raw := int64(float64(stripes)*2.2/0.85) * chunk
+		for i := range devs {
+			if devs[i], err = eplog.NewSimulatedSSD(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st eplog.Store
+		if name == "MD" {
+			st, err = eplog.NewRAID(devs, k, stripes)
+		} else {
+			logs := make([]eplog.BlockDevice, m)
+			for i := range logs {
+				logs[i] = eplog.NewMemDevice(stripes*16, chunk)
+			}
+			st, err = eplog.New(devs, logs, eplog.Config{K: k, Stripes: stripes, DeviceBufferChunks: bufChunks})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripeBuf := make([]byte, k*chunk)
+		for s := int64(0); s < stripes; s++ {
+			if err := st.Write(s*k, stripeBuf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, 16*chunk)
+		for _, r := range tr.Requests {
+			lba, n := trace.ChunkSpan(r.Offset, r.Size, chunk)
+			if n == 0 || lba+n > st.Chunks() {
+				continue
+			}
+			if err := st.Write(lba, buf[:n*chunk]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a, ok := st.(*eplog.Array); ok {
+			if err := a.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range devs {
+			hw, gc, _, _, _, _ := eplog.SSDStats(d)
+			flashWrites += hw
+			gcOps += gc
+		}
+		t.Logf("%s (buffers %d): %d flash writes, %d GC ops", name, bufChunks, flashWrites, gcOps)
+		return flashWrites, gcOps
+	}
+
+	mdWrites, mdGC := replay("MD", 0)
+	epWrites, epGC := replay("EPLog", 0)
+	bufWrites, bufGC := replay("EPLog", 64)
+	if mdGC == 0 {
+		t.Error("MD collected no garbage: the flash is not sized to pressure conventional RAID")
+	}
+	if epGC != 0 || bufGC != 0 {
+		t.Errorf("EPLog GC = %d, with buffers %d; want 0 on unpressured flash", epGC, bufGC)
+	}
+	if !(bufWrites < epWrites && epWrites < mdWrites) {
+		t.Errorf("flash writes MD %d, EPLog %d, buffered %d; want buffered < EPLog < MD", mdWrites, epWrites, bufWrites)
 	}
 }
 

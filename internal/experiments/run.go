@@ -497,25 +497,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	return res, nil
 }
 
-// SumParityEvents totals the parity chunks accounted for by a trace: N of
-// every parity-commit event (the chunks folded by that commit) plus Aux of
-// every full-stripe event (its m parity chunks). Over a ring large enough
-// to retain the whole run — preconditioning included — the total equals
-// the engine's Stats.ParityWriteChunks counter, which is how the trace is
-// validated against the metrics.
-func SumParityEvents(events []obs.Event) int64 {
-	var total int64
-	for _, ev := range events {
-		switch ev.Kind {
-		case obs.KindCommit:
-			total += ev.N
-		case obs.KindFullStripe:
-			total += ev.Aux
-		}
-	}
-	return total
-}
-
 // precondition fills the whole logical space with sequential full-stripe
 // writes, the paper's pre-replay conditioning.
 func precondition(st store.Store, k int, stripes int64) error {

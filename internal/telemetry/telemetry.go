@@ -38,9 +38,8 @@ type Source interface {
 }
 
 // SinkSource adapts an obs.Sink to a Source, for serving telemetry
-// straight off a sink (the experiments harness and benches hold sinks,
-// not arrays). Nil-safe like the sink itself: a nil sink serves empty
-// metrics and spans.
+// straight off a sink (Array.ServeTelemetry serves its array's). Nil-safe
+// like the sink itself: a nil sink serves empty metrics and spans.
 func SinkSource(s *obs.Sink) Source { return sinkSource{s} }
 
 type sinkSource struct{ s *obs.Sink }

@@ -1,5 +1,5 @@
 // Package workload generates the skewed synthetic update/read stream used
-// by the soak tools (cmd/eplogmon, cmd/eplogsoak, the server soak tests):
+// by the soak tools (cmd/eplogsoak, the server soak tests):
 // single-chunk updates with a hot set taking half the traffic, periodic
 // full-stripe writes, and periodic reads. The stream is deterministic per
 // seed, and write payloads are regenerable from per-op seeds — so a
@@ -66,11 +66,11 @@ type Config struct {
 	// soak default is 16).
 	ReadEvery int
 	// HotFraction skews the stream: 1/HotFraction of the range takes half
-	// the traffic (<= 0 selects 8, the eplogmon skew).
+	// the traffic (<= 0 selects 8, the soak skew).
 	HotFraction int
 }
 
-// DefaultMix applies the eplogmon soak mix to zero fields: a full-stripe
+// DefaultMix applies the soak mix to zero fields: a full-stripe
 // write every 64 ops, a read every 16, half the traffic on the first
 // eighth of the range.
 func (c Config) DefaultMix() Config {

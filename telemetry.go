@@ -1,22 +1,10 @@
 package eplog
 
-import (
-	"github.com/eplog/eplog/internal/obs"
-	"github.com/eplog/eplog/internal/telemetry"
-)
+import "github.com/eplog/eplog/internal/telemetry"
 
 // TelemetryServer is a running live-telemetry HTTP endpoint; see
 // Array.ServeTelemetry.
 type TelemetryServer = telemetry.Server
-
-// telemetrySource adapts an Array to the telemetry server's Source
-// interface without widening the Array API (Array.Spans returns the
-// public SpanTree alias; the adapter keeps the internal obs types out of
-// the method set the compiler checks against).
-type telemetrySource struct{ a *Array }
-
-func (s telemetrySource) Metrics() obs.Snapshot     { return s.a.sink.Snapshot() }
-func (s telemetrySource) Spans() []obs.SpanSnapshot { return s.a.sink.Spans() }
 
 // ServeTelemetry starts a live telemetry HTTP server for this array on
 // addr (host:port; use ":0" for an ephemeral port and read it back with
@@ -27,5 +15,5 @@ func (s telemetrySource) Spans() []obs.SpanSnapshot { return s.a.sink.Spans() }
 // The caller owns the server and should Close it when done; an array
 // without observability enabled serves empty metrics and spans.
 func (a *Array) ServeTelemetry(addr string) (*TelemetryServer, error) {
-	return telemetry.Serve(addr, telemetrySource{a: a})
+	return telemetry.Serve(addr, telemetry.SinkSource(a.sink))
 }
