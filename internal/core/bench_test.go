@@ -13,6 +13,12 @@ import (
 // SSD space between commits.
 func benchEngine(tb testing.TB, cfg Config) *EPLog {
 	tb.Helper()
+	return benchEngineOver(tb, cfg, nil)
+}
+
+// benchEngineOver is benchEngine with each SSD passed through wrap, if set.
+func benchEngineOver(tb testing.TB, cfg Config, wrap func(device.Dev) device.Dev) *EPLog {
+	tb.Helper()
 	const (
 		n, k    = 8, 6
 		chunk   = 4096
@@ -23,6 +29,9 @@ func benchEngine(tb testing.TB, cfg Config) *EPLog {
 	devs := make([]device.Dev, n)
 	for i := range devs {
 		devs[i] = device.NewMem(stripes*8, chunk)
+		if wrap != nil {
+			devs[i] = wrap(devs[i])
+		}
 	}
 	logs := make([]device.Dev, n-k)
 	for i := range logs {

@@ -6,6 +6,7 @@ import (
 	"github.com/eplog/eplog/internal/bufpool"
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/erasure"
+	"github.com/eplog/eplog/internal/gf"
 	"github.com/eplog/eplog/internal/obs"
 )
 
@@ -173,6 +174,7 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 			}
 			e.latestProt[lba] = committed
 		}
+		sh.setTrusted(s, true) // its parity encodes the chunks just committed
 		sh.metaDirty[s] = struct{}{}
 	}
 
@@ -251,7 +253,10 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 			}
 		}
 		if parity == nil && preAt >= 0 {
-			if e.latestAre(s, pre.locs[preAt*k:(preAt+1)*k]) {
+			// A delta entry also needs the home parity it started from: a
+			// commit that failed since the snapshot (stats.Commits counts
+			// none) may have written over it, and cleared the bit first.
+			if e.latestAre(s, pre.locs[preAt*k:(preAt+1)*k]) && (!pre.delta[preAt] || sh.isTrusted(s)) {
 				parity = pre.parity[preAt*m : (preAt+1)*m]
 				e.cPrefoldStripes.Inc()
 			} else {
@@ -266,6 +271,10 @@ func (sh *shard) foldStripes(span *device.Span, code *erasure.Code, stripes []in
 				return err
 			}
 		}
+		// From the first parity write until the commit's bookkeeping, the
+		// home parity encodes neither the committed chunks nor, if a write
+		// fails, any one set of chunks.
+		sh.setTrusted(s, false)
 		for p, buf := range parity {
 			if err := tolerantWrite(span, devs[e.geo.ParityDev(s, p)], e.geo.HomeChunk(s), buf); err != nil {
 				return err // a failed parity device is restored later by Rebuild
@@ -295,18 +304,16 @@ func (e *EPLog) latestAre(s int64, locs []Loc) bool {
 // foldEncode is the read-and-encode half of one stripe's fold: the k latest
 // data chunks into shards[:k], their parity into shards[k:]. With locs and
 // devs nil the shard lock is held and the reads go through readLBA. The
-// prefold holds none: it records the locations it loads in locs, reads them
-// from devs (the table it snapshotted) and stops at any device error. reads is
+// prefold holds none: it reads the latest locations it loaded into locs from
+// devs (the table it snapshotted) and stops at any device error. reads is
 // the count issued, even on error.
 //
 //eplog:hotpath
 func (e *EPLog) foldEncode(sp *device.Span, code *erasure.Code, s int64, shards [][]byte, locs []Loc, devs []device.Dev) (reads int64, err error) {
 	for j := 0; j < e.geo.K; j++ {
-		lba := e.geo.LBA(s, j)
 		if locs == nil {
-			err = e.readLBA(sp, lba, shards[j])
+			err = e.readLBA(sp, e.geo.LBA(s, j), shards[j])
 		} else {
-			locs[j] = e.loadLatest(lba)
 			err = sp.Read(devs[locs[j].Dev], locs[j].Chunk, shards[j])
 		}
 		if err != nil {
@@ -323,17 +330,25 @@ const prefoldCap = 256
 
 // prefold is the group committer's parity table: the read-and-encode half
 // of one shard's fold, run before the committer takes that shard's lock
-// (DESIGN.md §9). foldStripes publishes entry i if the shard has not
-// committed since the snapshot and the stripe's k latest locations are the
-// ones read: no-overwrite means a location's bytes change only after a
-// commit releases it. Allocated once — the served process runs no GC cycle
-// in a benchmark window, so per-commit buffers would all stay resident.
+// (DESIGN.md §9). Each stripe is folded by whichever rule reads fewer
+// chunks: re-encode reads its k latest chunks; the delta rule, open to a
+// trusted stripe with c changed chunks when m+2c <= k, reads its m home
+// parity chunks and the committed and latest versions of the c. foldStripes
+// publishes entry i if the shard has not committed since the snapshot and
+// the stripe's k latest locations are the ones read — no-overwrite means a
+// location's bytes change only after a commit releases it — and, for a
+// delta entry, the stripe is still trusted. Allocated once — the served
+// process runs no GC cycle in a benchmark window, so per-commit buffers
+// would all stay resident.
 type prefold struct {
 	commits int64         // the shard's stats.Commits at the snapshot
 	devs    *[]device.Dev // the device table at the snapshot: what the reads went to
 	stripes []int64       // the shard's dirty stripes at the snapshot, ascending
-	n       int           // stripes[:n] were read and encoded
-	locs    []Loc         // the k locations read, per stripe
+	comm    []Loc         // the k committed locations, per stripe, at the snapshot
+	trusted []bool        // per stripe, its trust bit at the snapshot
+	n       int           // stripes[:n] were read and folded
+	delta   []bool        // per stripe, whether the delta rule folded it
+	locs    []Loc         // the k latest locations, per stripe, loaded after the snapshot
 	parity  [][]byte      // the m parity chunks, per stripe (then the k read buffers)
 	shards  [][]byte      // the read buffers and the m headers of the stripe being encoded
 	reads   int64         // chunk reads issued
@@ -351,6 +366,9 @@ func newPrefold(e *EPLog) *prefold {
 	k, m, n := e.geo.K, e.geo.M(), e.foldTableCap()
 	p := &prefold{
 		stripes: make([]int64, 0, n),
+		comm:    make([]Loc, n*k),
+		trusted: make([]bool, n),
+		delta:   make([]bool, n),
 		locs:    make([]Loc, n*k),
 		parity:  make([][]byte, n*m+k),
 		shards:  make([][]byte, k+m),
@@ -383,17 +401,104 @@ func (p *prefold) run(sh *shard) {
 			p.stripes = append(p.stripes, s)
 		}
 	}
-	sh.mu.RUnlock()
 	slices.Sort(p.stripes)
+	for i, s := range p.stripes {
+		lba := e.geo.LBA(s, 0)
+		copy(p.comm[i*k:(i+1)*k], e.commLoc[lba:lba+int64(k)])
+		p.trusted[i] = sh.isTrusted(s)
+	}
+	sh.mu.RUnlock()
 	code, err := e.code(k)
+	var deltas int64
 	for i := 0; err == nil && i < len(p.stripes); i++ {
+		s, locs, comm := p.stripes[i], p.locs[i*k:(i+1)*k], p.comm[i*k:(i+1)*k]
+		changed := 0
+		for j := range locs {
+			locs[j] = e.loadLatest(e.geo.LBA(s, j))
+			if locs[j] != comm[j] {
+				changed++
+			}
+		}
 		var reads int64
-		copy(p.shards[k:], p.parity[i*m:(i+1)*m])
-		reads, err = e.foldEncode(&p.span, code, p.stripes[i], p.shards, p.locs[i*k:(i+1)*k], *p.devs)
+		parity := p.parity[i*m : (i+1)*m]
+		if p.delta[i] = p.trusted[i] && m+2*changed <= k; p.delta[i] {
+			reads, err = p.foldDelta(e, code, s, locs, comm, parity)
+		} else {
+			copy(p.shards[k:], parity)
+			reads, err = e.foldEncode(&p.span, code, s, p.shards, locs, *p.devs)
+		}
 		p.reads += reads
 		if err == nil {
 			p.n++
+			if p.delta[i] {
+				deltas++
+			}
 		}
+	}
+	e.cPrefoldDelta.Add(deltas)
+}
+
+// foldDelta is the prefold's delta rule for stripe s: its m home parity
+// chunks into parity, then for each chunk j whose latest location differs
+// from its committed one, parity ^= G[·][j]·(committed ⊕ latest). By
+// linearity that is the encode of the latest chunks when the home parity
+// is the encode of the committed ones — when s is trusted. It reads through
+// the snapshotted device table into the first two read buffers, stops at
+// any device error, and returns the reads issued.
+//
+//eplog:hotpath
+func (p *prefold) foldDelta(e *EPLog, code *erasure.Code, s int64, locs, comm []Loc, parity [][]byte) (reads int64, err error) {
+	devs, home := *p.devs, e.geo.HomeChunk(s)
+	for q, buf := range parity {
+		if err = p.span.Read(devs[e.geo.ParityDev(s, q)], home, buf); err != nil {
+			return reads, err
+		}
+		reads++
+	}
+	old, cur := p.shards[0], p.shards[1]
+	for j, loc := range locs {
+		if loc == comm[j] {
+			continue
+		}
+		if err = p.span.Read(devs[comm[j].Dev], comm[j].Chunk, old); err != nil {
+			return reads, err
+		}
+		reads++
+		if err = p.span.Read(devs[loc.Dev], loc.Chunk, cur); err != nil {
+			return reads, err
+		}
+		reads++
+		gf.XORSlice(cur, old)
+		if err = code.UpdateParity(j, old, parity); err != nil {
+			return reads, err
+		}
+	}
+	return reads, nil
+}
+
+// isTrusted reports whether stripe s's home parity is the encode of its
+// committed chunks (DESIGN.md §5 invariant 7). Every fold and every direct
+// stripe write sets the bit; a fold clears it ahead of its parity writes, so
+// a torn or failed one leaves it clear. A new or restored engine trusts no
+// stripe: a torn publish before the checkpoint it restores from would
+// otherwise be carried forward by every delta. sh owns s; sh.mu is held,
+// shared at least.
+//
+//eplog:hotpath
+func (sh *shard) isTrusted(s int64) bool {
+	i := s / int64(sh.e.nShards)
+	return sh.trusted[i/64]&(1<<(i%64)) != 0
+}
+
+// setTrusted sets or clears stripe s's trust bit; sh.mu is held exclusively.
+//
+//eplog:hotpath
+func (sh *shard) setTrusted(s int64, ok bool) {
+	i := s / int64(sh.e.nShards)
+	if ok {
+		sh.trusted[i/64] |= 1 << (i % 64)
+	} else {
+		sh.trusted[i/64] &^= 1 << (i % 64)
 	}
 }
 

@@ -166,8 +166,13 @@ type Stats struct {
 	// shard, so one Commit() call counts once per shard that ran.
 	Commits int64
 	// CommitReadChunks and CommitWriteChunks count parity-commit I/O on
-	// the main array. A stripe folded from the parity its whole-stripe
-	// log stripe was encoded with (foldReady) adds no reads.
+	// the main array. CommitReadChunks is every chunk read the SSDs served
+	// for a fold, used or wasted: the k of each stripe folded under the
+	// lock, and all the group committer's prefold issued — k per stripe it
+	// re-encoded, m + 2c per stripe it folded by the delta rule (c chunks
+	// changed), whether or not the entry was still valid at the publish. A
+	// stripe folded from the parity its whole-stripe log stripe was encoded
+	// with (foldReady) adds no reads.
 	CommitReadChunks  int64
 	CommitWriteChunks int64
 	// Requests counts user write requests.
@@ -289,6 +294,7 @@ type EPLog struct {
 	cReadLocks       *obs.Counter
 	cPrefoldStripes  *obs.Counter // prefolded stripes published from the table
 	cPrefoldStale    *obs.Counter // prefolded stripes folded again under the lock
+	cPrefoldDelta    *obs.Counter // prefolded stripes folded by the delta rule
 	// Whole-stripe parity kept from the log-stripe flush (foldReady):
 	// published as is, or found stale and folded by reading.
 	cFoldReadyStripes *obs.Counter
@@ -406,6 +412,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 			idx:        i,
 			dirty:      make(map[int64]struct{}),
 			metaDirty:  make(map[int64]struct{}),
+			trusted:    make([]uint64, (cfg.Stripes-1)/nShards/64+1), // none: see isTrusted
 			alloc:      make([]*allocator, len(devs)),
 			logStripes: make(map[int64]*logStripe),
 			nextLogID:  int64(i), // ids stride by nShards, so shards never collide
@@ -448,6 +455,7 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 	e.cReadLocks = cfg.Obs.Counter("core.read_lock_acquisitions")
 	e.cPrefoldStripes = cfg.Obs.Counter("core.prefold_stripes")
 	e.cPrefoldStale = cfg.Obs.Counter("core.prefold_stale")
+	e.cPrefoldDelta = cfg.Obs.Counter("core.prefold_delta_stripes")
 	e.cFoldReadyStripes = cfg.Obs.Counter("core.fold_ready_stripes")
 	e.cFoldReadyStale = cfg.Obs.Counter("core.fold_ready_stale")
 	for _, sh := range e.shards {

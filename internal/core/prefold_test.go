@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/eplog/eplog/internal/device"
+	"github.com/eplog/eplog/internal/erasure"
 	"github.com/eplog/eplog/internal/obs"
 )
 
@@ -217,6 +218,166 @@ func TestPrefoldStopsAtFailedSSD(t *testing.T) {
 	pa.checkClean(t)
 }
 
+// TestPrefoldDelta is a differential test of the prefold's two rules on the
+// served shape — four shards, write-behind, k = 6, m = 2. Seeded rounds
+// dirty random stripes of one shard, each with c = 1…k changed chunks, run
+// the committer's prefold by hand and publish it, and require:
+//   - every entry to be erasure's encode of the stripe's latest chunks, byte
+//     for byte;
+//   - the reads issued to be min(k, m+2c) for a trusted stripe and k for an
+//     untrusted one;
+//   - core.prefold_delta_stripes to count exactly the trusted stripes with
+//     m+2c <= k (c <= 2), and every entry to publish.
+//
+// Half the stripes start trusted (direct full-stripe writes), the others
+// untrusted (first written by updates) until their first fold; halfway the
+// engine is restored from a snapshot, which trusts no stripe.
+func TestPrefoldDelta(t *testing.T) {
+	const (
+		n, k, m = 8, 6, 2
+		stripes = 64
+		rounds  = 400
+	)
+	sink := obs.NewSink(64)
+	cfg := Config{K: k, Stripes: stripes, Shards: 4, WriteBehind: true, Obs: sink}
+	devs, logs := make([]device.Dev, n), make([]device.Dev, m)
+	for i := range devs {
+		devs[i] = device.NewMem(stripes*8, testChunk)
+	}
+	for i := range logs {
+		logs[i] = device.NewMem(testLogChunks, testChunk)
+	}
+	e, err := New(devs, logs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	code, err := erasure.New(k, m, erasure.Cauchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, stripes*k*testChunk)
+	trusted := make([]bool, stripes)
+	for s := int64(0); s < stripes; s += 2 {
+		full := chunkData(int(s), k)
+		if _, err := e.WriteChunks(0, s*k, full); err != nil {
+			t.Fatal(err)
+		}
+		copy(want[s*k*testChunk:], full)
+		trusted[s] = true
+	}
+	counter := func(name string) int64 { return sink.Counter(name).Value() }
+	checkClean := func(round int) {
+		t.Helper()
+		got := make([]byte, len(want))
+		if _, err := e.ReadChunks(0, 0, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: read back err %v, match %v", round, err, bytes.Equal(got, want))
+		}
+		if rep, err := e.Verify(); err != nil || !rep.OK() {
+			t.Fatalf("round %d: scrub %+v, %v", round, rep, err)
+		}
+	}
+
+	r := rand.New(rand.NewSource(33))
+	var deltas, untrusted int64 // over the whole run: both rules must be met
+	for round := 0; round < rounds; round++ {
+		if round == rounds/2 {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if e, err = Restore(devs, logs, cfg, e.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			clear(trusted)
+		}
+		sh := e.shards[r.Intn(e.nShards)]
+		owned := stripes / e.nShards
+		var wantReads, wantDelta int64
+		dirty := make(map[int64]bool)
+		for range 1 + r.Intn(4) {
+			s := int64(sh.idx + e.nShards*r.Intn(owned))
+			if dirty[s] {
+				continue
+			}
+			dirty[s] = true
+			c := 1 + r.Intn(k)
+			for _, j := range r.Perm(k)[:c] {
+				lba := s*k + int64(j)
+				data := chunkData(1000*round+j, 1)
+				if _, err := e.WriteChunks(0, lba, data); err != nil {
+					t.Fatal(err)
+				}
+				copy(want[lba*testChunk:], data)
+			}
+			switch {
+			case m+2*c > k:
+				wantReads += k
+			case trusted[s]:
+				wantReads += int64(m + 2*c)
+				wantDelta++
+			default:
+				wantReads += k
+				untrusted++
+			}
+		}
+
+		pre := e.gc.pre // the committer is idle: nothing here enqueues a fold
+		deltaBefore := counter("core.prefold_delta_stripes")
+		pre.run(sh)
+		if pre.n != len(dirty) || pre.reads != wantReads {
+			t.Fatalf("round %d: the prefold folded %d of %d stripes with %d reads, want %d", round, pre.n, len(dirty), pre.reads, wantReads)
+		}
+		if got := counter("core.prefold_delta_stripes") - deltaBefore; got != wantDelta {
+			t.Fatalf("round %d: core.prefold_delta_stripes moved %d, want %d", round, got, wantDelta)
+		}
+		deltas += wantDelta
+		shards := make([][]byte, k+m)
+		for i, s := range pre.stripes[:pre.n] {
+			for j := range k {
+				shards[j] = want[(s*k+int64(j))*testChunk : (s*k+int64(j)+1)*testChunk]
+			}
+			for q := range m {
+				shards[k+q] = make([]byte, testChunk)
+			}
+			if err := code.Encode(shards); err != nil {
+				t.Fatal(err)
+			}
+			for q := range m {
+				if !bytes.Equal(pre.parity[i*m+q], shards[k+q]) {
+					t.Fatalf("round %d: stripe %d (trusted %v, delta %v): parity %d differs from the encode of its latest chunks",
+						round, s, trusted[s], pre.delta[i], q)
+				}
+			}
+		}
+
+		hit, stale := counter("core.prefold_stripes"), counter("core.prefold_stale")
+		sh.mu.Lock()
+		sh.lockAcquired(time.Time{})
+		sh.pre = pre
+		err := sh.commit()
+		sh.pre = nil
+		sh.lockReleasing()
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dh, ds := counter("core.prefold_stripes")-hit, counter("core.prefold_stale")-stale; dh != int64(len(dirty)) || ds != 0 {
+			t.Fatalf("round %d: %d entries published and %d stale, want %d and 0", round, dh, ds, len(dirty))
+		}
+		for s := range dirty {
+			trusted[s] = true
+		}
+		if round%50 == 49 {
+			checkClean(round)
+		}
+	}
+	checkClean(rounds)
+	if deltas == 0 || untrusted == 0 {
+		t.Errorf("%d stripes folded by delta, %d untrusted ones with c <= 2 re-encoded; the seed must meet both", deltas, untrusted)
+	}
+	t.Logf("%d stripes folded by delta, %d untrusted ones with c <= 2 re-encoded", deltas, untrusted)
+}
+
 // TestPrefoldCampaign is TestWriteGroupSurvivesAnyMFailures with everything
 // moving: seeded writers hammer one shard with single-chunk updates and
 // whole-stripe overwrites while FoldPressured keeps its fold going — so
@@ -323,6 +484,9 @@ func TestPrefoldCampaign(t *testing.T) {
 	}
 	if sink.Counter("core.fold_ready_stripes").Value() == 0 || sink.Counter("core.fold_ready_stale").Value() == 0 {
 		t.Error("no fold published write-time parity or found it stale: the campaign missed the whole-stripe path")
+	}
+	if sink.Counter("core.prefold_delta_stripes").Value() == 0 {
+		t.Error("no prefold used the delta rule: the campaign missed its parity reads")
 	}
 	// With nobody left to fold them, these stay pending: the pairs below
 	// meet log stripes as well as committed stripes.

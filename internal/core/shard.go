@@ -67,6 +67,10 @@ type shard struct {
 
 	dirty     map[int64]struct{}
 	metaDirty map[int64]struct{} // stripes whose metadata changed since the last checkpoint
+	// trusted holds bit s/nShards for each owned stripe s whose home parity
+	// is the encode of its committed chunks (DESIGN.md §5 invariant 7): the
+	// precondition of the prefold's delta rule. See isTrusted.
+	trusted []uint64
 
 	alloc      []*allocator // per-device, covering this shard's partition
 	logStripes map[int64]*logStripe

@@ -208,13 +208,19 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 // every fold the group committer ran carries one commit-prefold phase, the
 // stripes those phases encoded are exactly the ones the hit and fallback
 // counters account for, and Stats.CommitReadChunks counts the prefold's
-// reads — used or wasted — beside the fold's own, so the SSD read counters
-// stay explainable from the trees. Updates keep landing while the folds
+// reads — used or wasted, k per re-encoded stripe and fewer per delta-folded
+// one — beside the fold's own: nothing but folds reads the SSDs here, so it
+// equals the reads the SSDs served. Updates keep landing while the folds
 // run, so some entries can go stale; the identities hold either way.
 func TestPrefoldSpanReconciliation(t *testing.T) {
 	sink := obs.NewSink(64)
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
-	e := benchEngine(t, Config{Shards: 4, WriteBehind: true, Obs: sink})
+	var ssds []*device.Counting
+	e := benchEngineOver(t, Config{Shards: 4, WriteBehind: true, Obs: sink}, func(d device.Dev) device.Dev {
+		c := device.NewCounting(d)
+		ssds = append(ssds, c)
+		return c
+	})
 	k, m := int64(e.geo.K), int64(e.geo.M())
 	full := make([]byte, e.geo.K*e.ChunkSize())
 	for s := int64(0); s < e.geo.Stripes; s++ {
@@ -272,8 +278,18 @@ func TestPrefoldSpanReconciliation(t *testing.T) {
 	if prefolded != hit+stale || hit == 0 {
 		t.Errorf("sum of commit-prefold N = %d, core.prefold_stripes + core.prefold_stale = %d + %d", prefolded, hit, stale)
 	}
-	if want := k * (folded + stale); stats.CommitReadChunks != want {
-		t.Errorf("Stats.CommitReadChunks = %d, want %d: k per folded stripe (%d) and per wasted prefold (%d)", stats.CommitReadChunks, want, folded, stale)
+	var served int64
+	for _, c := range ssds {
+		served += c.ReadOps()
+	}
+	if stats.CommitReadChunks != served {
+		t.Errorf("Stats.CommitReadChunks = %d, but the SSDs served %d reads, all of them for folds", stats.CommitReadChunks, served)
+	}
+	// A delta-folded stripe reads at most k, so the ceiling is re-encoding
+	// every folded stripe and every wasted prefold entry; how many folds
+	// meet few enough changed chunks depends on when the committer ran.
+	if served > k*(folded+stale) {
+		t.Errorf("%d reads served, want at most k per folded stripe (%d) and per wasted prefold (%d)", served, folded, stale)
 	}
 	if want := m * folded; stats.CommitWriteChunks != want {
 		t.Errorf("Stats.CommitWriteChunks = %d, want %d (m per folded stripe)", stats.CommitWriteChunks, want)

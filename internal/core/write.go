@@ -329,6 +329,7 @@ func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendin
 	sh.stats.DataWriteChunks += int64(k)
 	sh.stats.ParityWriteChunks += int64(m)
 	e.virgin[stripe] = false
+	sh.setTrusted(stripe, true) // the parity just written encodes the home chunks
 	sh.metaDirty[stripe] = struct{}{}
 	sh.stats.FullStripeWrites++
 	e.obs.Emit(obs.Event{Kind: obs.KindFullStripe, T: span.Start(), Dev: -1,

@@ -158,7 +158,9 @@ func (c *Code) putViews(v *[][]byte) {
 // UpdateParity applies an incremental parity update for a single data shard
 // change: given the XOR delta of the old and new contents of data shard
 // dataIdx, it updates all m parity shards in place. This is the small-write
-// (read-modify-write) primitive used by conventional RAID.
+// (read-modify-write) primitive used by conventional RAID. Every argument is
+// checked before any parity shard changes, so an error leaves parity as it
+// was.
 //
 //eplog:hotpath
 func (c *Code) UpdateParity(dataIdx int, delta []byte, parity [][]byte) error {
@@ -168,11 +170,13 @@ func (c *Code) UpdateParity(dataIdx int, delta []byte, parity [][]byte) error {
 	if len(parity) != c.m {
 		return fmt.Errorf("%w: got %d parity shards, want %d", ErrInvalidShardCount, len(parity), c.m)
 	}
-	for j := 0; j < c.m; j++ {
-		if len(parity[j]) != len(delta) {
+	for _, p := range parity {
+		if len(p) != len(delta) {
 			return ErrShardSizeMismatch
 		}
-		gf.MulAddSlice(c.parity[j][dataIdx], delta, parity[j])
+	}
+	for j, p := range parity {
+		gf.MulAddSlice(c.parity[j][dataIdx], delta, p)
 	}
 	return nil
 }

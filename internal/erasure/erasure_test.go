@@ -293,6 +293,16 @@ func TestUpdateParityErrors(t *testing.T) {
 	if err := code.UpdateParity(0, make([]byte, 9), parity); err == nil {
 		t.Error("delta size mismatch accepted")
 	}
+	// A later parity shard of the wrong length must be caught before the
+	// first one is touched: an error leaves parity as it was.
+	delta := bytes.Repeat([]byte{0x5a}, 8)
+	torn := [][]byte{make([]byte, 8), make([]byte, 1)}
+	if err := code.UpdateParity(1, delta, torn); err == nil {
+		t.Error("short second parity shard accepted")
+	}
+	if !bytes.Equal(torn[0], make([]byte, 8)) {
+		t.Errorf("parity[0] = %x after the error, want it unchanged", torn[0])
+	}
 }
 
 // TestReconstructQuick is a property test: random (k, m), random data,
