@@ -103,8 +103,9 @@ func (e *EPLog) stripeRecord(stripe int64) metadata.StripeRecord {
 		lba := e.geo.LBA(stripe, j)
 		latest := e.loadLatest(lba)
 		rec.Latest[j] = metadata.Loc{Dev: int32(latest.Dev), Chunk: latest.Chunk}
-		rec.Prot[j] = e.latestProt[lba]
-		rec.Committed[j] = metadata.Loc{Dev: int32(e.commLoc[lba].Dev), Chunk: e.commLoc[lba].Chunk}
+		comm := e.loadComm(lba)
+		rec.Prot[j] = e.loadProt(lba)
+		rec.Committed[j] = metadata.Loc{Dev: int32(comm.Dev), Chunk: comm.Chunk}
 	}
 	return rec
 }
@@ -185,8 +186,8 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 				return nil, fmt.Errorf("core: stripe %d committed location %d: %w", rec.Stripe, j, err)
 			}
 			e.storeLatest(lba, latest)
-			e.latestProt[lba] = rec.Prot[j]
-			e.commLoc[lba] = comm
+			e.storeProt(lba, rec.Prot[j])
+			e.storeComm(lba, comm)
 		}
 	}
 	maxID := int64(-1)
@@ -242,9 +243,9 @@ func Restore(devs, logDevs []device.Dev, cfg Config, snap *metadata.Snapshot) (*
 		usedPer[d] = make([]bool, devs[d].Chunks())
 	}
 	for lba := int64(0); lba < e.geo.Chunks(); lba++ {
-		latest := e.loadLatest(lba)
+		latest, comm := e.loadLatest(lba), e.loadComm(lba)
 		usedPer[latest.Dev][latest.Chunk] = true
-		usedPer[e.commLoc[lba].Dev][e.commLoc[lba].Chunk] = true
+		usedPer[comm.Dev][comm.Chunk] = true
 	}
 	for _, sh := range e.shards {
 		for _, ls := range sh.logStripes {

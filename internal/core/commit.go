@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 
 	"github.com/eplog/eplog/internal/bufpool"
@@ -168,11 +169,11 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	for _, s := range stripes {
 		for j := 0; j < k; j++ {
 			lba := e.geo.LBA(s, j)
-			if latest := e.loadLatest(lba); e.commLoc[lba] != latest {
-				sh.releaseLoc(e.commLoc[lba])
-				e.commLoc[lba] = latest
+			if latest, comm := e.loadLatest(lba), e.loadComm(lba); comm != latest {
+				sh.releaseLoc(comm)
+				e.storeComm(lba, latest)
 			}
-			e.latestProt[lba] = committed
+			e.storeProt(lba, committed)
 		}
 		sh.setTrusted(s, true) // its parity encodes the chunks just committed
 		sh.metaDirty[s] = struct{}{}
@@ -303,16 +304,16 @@ func (e *EPLog) latestAre(s int64, locs []Loc) bool {
 
 // foldEncode is the read-and-encode half of one stripe's fold: the k latest
 // data chunks into shards[:k], their parity into shards[k:]. With locs and
-// devs nil the shard lock is held and the reads go through readLBA. The
-// prefold holds none: it reads the latest locations it loaded into locs from
-// devs (the table it snapshotted) and stops at any device error. reads is
-// the count issued, even on error.
+// devs nil the shard lock is held and the reads go through readLBA, which
+// decodes a chunk on a failed SSD. The prefold holds none: it reads the
+// latest locations it loaded into locs from devs (the table it snapshotted)
+// and stops at any device error. reads is the count issued, even on error.
 //
 //eplog:hotpath
 func (e *EPLog) foldEncode(sp *device.Span, code *erasure.Code, s int64, shards [][]byte, locs []Loc, devs []device.Dev) (reads int64, err error) {
 	for j := 0; j < e.geo.K; j++ {
 		if locs == nil {
-			err = e.readLBA(sp, e.geo.LBA(s, j), shards[j])
+			_, err = e.readLBA(sp, e.geo.LBA(s, j), shards[j])
 		} else {
 			err = sp.Read(devs[locs[j].Dev], locs[j].Chunk, shards[j])
 		}
@@ -330,12 +331,18 @@ const prefoldCap = 256
 
 // prefold is the group committer's parity table: the read-and-encode half
 // of one shard's fold, run before the committer takes that shard's lock
-// (DESIGN.md §9). Each stripe is folded by whichever rule reads fewer
-// chunks: re-encode reads its k latest chunks; the delta rule, open to a
-// trusted stripe with c changed chunks when m+2c <= k, reads its m home
-// parity chunks and the committed and latest versions of the c. foldStripes
-// publishes entry i if the shard has not committed since the snapshot and
-// the stripe's k latest locations are the ones read — no-overwrite means a
+// (DESIGN.md §9). Each stripe is folded by one of two rules: re-encode
+// reads its k latest chunks; the delta rule, open to a trusted stripe with
+// c changed chunks, reads its m home parity chunks and the committed and
+// latest versions of the c. The rule that reads fewer chunks is tried
+// first (delta when m+2c <= k); if its reads meet a failed SSD the other is
+// tried — the delta rule then even when m+2c > k, since it skips the
+// unchanged chunks re-encode needed — and a stripe both rules need the
+// failed SSD for is left out of the table and folded, degraded, under the
+// lock. The prefold never reconstructs and reads no log device. The table
+// stays compact: entry i is the i-th folded stripe. foldStripes publishes
+// entry i if the shard has not committed since the snapshot and the
+// stripe's k latest locations are the ones read — no-overwrite means a
 // location's bytes change only after a commit releases it — and, for a
 // delta entry, the stripe is still trusted. Allocated once — the served
 // process runs no GC cycle in a benchmark window, so per-commit buffers
@@ -343,13 +350,13 @@ const prefoldCap = 256
 type prefold struct {
 	commits int64         // the shard's stats.Commits at the snapshot
 	devs    *[]device.Dev // the device table at the snapshot: what the reads went to
-	stripes []int64       // the shard's dirty stripes at the snapshot, ascending
-	comm    []Loc         // the k committed locations, per stripe, at the snapshot
-	trusted []bool        // per stripe, its trust bit at the snapshot
-	n       int           // stripes[:n] were read and folded
-	delta   []bool        // per stripe, whether the delta rule folded it
-	locs    []Loc         // the k latest locations, per stripe, loaded after the snapshot
-	parity  [][]byte      // the m parity chunks, per stripe (then the k read buffers)
+	stripes []int64       // the folded stripes, ascending: stripes[:n] (the dirty ones at the snapshot until run compacts it)
+	comm    []Loc         // the k committed locations, per dirty stripe, at the snapshot
+	trusted []bool        // per dirty stripe, its trust bit at the snapshot
+	n       int           // entries folded: stripes[:n]
+	delta   []bool        // per entry, whether the delta rule folded it
+	locs    []Loc         // the k latest locations, per entry, loaded after the snapshot
+	parity  [][]byte      // the m parity chunks, per entry (then the k read buffers)
 	shards  [][]byte      // the read buffers and the m headers of the stripe being encoded
 	reads   int64         // chunk reads issued
 	span    device.Span   // their virtual time
@@ -403,15 +410,22 @@ func (p *prefold) run(sh *shard) {
 	}
 	slices.Sort(p.stripes)
 	for i, s := range p.stripes {
-		lba := e.geo.LBA(s, 0)
-		copy(p.comm[i*k:(i+1)*k], e.commLoc[lba:lba+int64(k)])
+		for j := 0; j < k; j++ {
+			p.comm[i*k+j] = e.loadComm(e.geo.LBA(s, j))
+		}
 		p.trusted[i] = sh.isTrusted(s)
 	}
 	sh.mu.RUnlock()
 	code, err := e.code(k)
+	if err != nil {
+		return
+	}
 	var deltas int64
-	for i := 0; err == nil && i < len(p.stripes); i++ {
-		s, locs, comm := p.stripes[i], p.locs[i*k:(i+1)*k], p.comm[i*k:(i+1)*k]
+	// Dirty stripe i fills entry n <= i, so the entries it overwrites
+	// belong to stripes already folded or left out.
+	for i, s := range p.stripes {
+		n := p.n
+		locs, comm, parity := p.locs[n*k:(n+1)*k], p.comm[i*k:(i+1)*k], p.parity[n*m:(n+1)*m]
 		changed := 0
 		for j := range locs {
 			locs[j] = e.loadLatest(e.geo.LBA(s, j))
@@ -419,23 +433,51 @@ func (p *prefold) run(sh *shard) {
 				changed++
 			}
 		}
+		delta, err := p.foldStripe(e, code, s, locs, comm, parity, p.trusted[i], changed)
+		if errors.Is(err, device.ErrFailed) {
+			continue // both rules need the failed SSD: the stripe folds under the lock
+		}
+		if err != nil {
+			break
+		}
+		p.stripes[n], p.delta[n] = s, delta
+		p.n++
+		if delta {
+			deltas++
+		}
+	}
+	p.stripes = p.stripes[:p.n]
+	e.cPrefoldDelta.Add(deltas)
+}
+
+// foldStripe folds stripe s, with changed of its chunks moved since the
+// snapshot, into parity by the rule that reads fewer chunks — the delta
+// rule when the stripe is trusted and m+2·changed <= k — and, when that
+// rule's reads meet a failed SSD, by the other one, which for the delta
+// rule needs the stripe trusted. It reports whether the delta rule produced
+// the entry; an error is the last rule's.
+//
+//eplog:hotpath
+func (p *prefold) foldStripe(e *EPLog, code *erasure.Code, s int64, locs, comm []Loc, parity [][]byte, trusted bool, changed int) (delta bool, err error) {
+	delta = trusted && e.geo.M()+2*changed <= e.geo.K
+	for tries := 0; ; tries++ {
 		var reads int64
-		parity := p.parity[i*m : (i+1)*m]
-		if p.delta[i] = p.trusted[i] && m+2*changed <= k; p.delta[i] {
+		if delta {
 			reads, err = p.foldDelta(e, code, s, locs, comm, parity)
 		} else {
-			copy(p.shards[k:], parity)
+			copy(p.shards[e.geo.K:], parity)
 			reads, err = e.foldEncode(&p.span, code, s, p.shards, locs, *p.devs)
 		}
 		p.reads += reads
-		if err == nil {
-			p.n++
-			if p.delta[i] {
-				deltas++
-			}
+		if !errors.Is(err, device.ErrFailed) {
+			return delta, err
 		}
+		p.span.ClearErr() // the span records a failed read until cleared
+		if tries == 1 || !trusted {
+			return delta, err
+		}
+		delta = !delta
 	}
-	e.cPrefoldDelta.Add(deltas)
 }
 
 // foldDelta is the prefold's delta rule for stripe s: its m home parity

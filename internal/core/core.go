@@ -48,26 +48,47 @@ const committed = int64(-1)
 // rejects geometries beyond either field's range.
 const locChunkBits = 48
 
+// packLoc and unpackLoc convert between a Loc and its packed word.
+//
+//eplog:hotpath
+func packLoc(l Loc) uint64 { return uint64(l.Dev)<<locChunkBits | uint64(l.Chunk) }
+
+//eplog:hotpath
+func unpackLoc(w uint64) Loc {
+	return Loc{Dev: int(w >> locChunkBits), Chunk: int64(w & (1<<locChunkBits - 1))}
+}
+
 // loadLatest atomically reads the latest-version location of an LBA. Safe
 // without any lock: the word is a single atomic load, and callers that
 // need the location to stay meaningful across a subsequent device read
 // validate the owning shard's seqlock epoch around the pair (see
-// readGroupFast).
+// readGroupFast). loadComm and loadProt are its peers for the committed
+// location and the protector.
 //
 //eplog:hotpath
-func (e *EPLog) loadLatest(lba int64) Loc {
-	w := e.latest[lba].Load()
-	return Loc{Dev: int(w >> locChunkBits), Chunk: int64(w & (1<<locChunkBits - 1))}
-}
+func (e *EPLog) loadLatest(lba int64) Loc { return unpackLoc(e.latest[lba].Load()) }
 
-// storeLatest atomically publishes a new latest-version location. The
+//eplog:hotpath
+func (e *EPLog) loadComm(lba int64) Loc { return unpackLoc(e.commLoc[lba].Load()) }
+
+//eplog:hotpath
+func (e *EPLog) loadProt(lba int64) int64 { return e.latestProt[lba].Load() }
+
+// storeLatest atomically publishes a new latest-version location; storeComm
+// and storeProt publish the committed location and the protector. The
 // owning shard's lock must be held exclusively.
 //
 //eplog:hotpath
 //eplog:seqlock-write
-func (e *EPLog) storeLatest(lba int64, l Loc) {
-	e.latest[lba].Store(uint64(l.Dev)<<locChunkBits | uint64(l.Chunk))
-}
+func (e *EPLog) storeLatest(lba int64, l Loc) { e.latest[lba].Store(packLoc(l)) }
+
+//eplog:hotpath
+//eplog:seqlock-write
+func (e *EPLog) storeComm(lba int64, l Loc) { e.commLoc[lba].Store(packLoc(l)) }
+
+//eplog:hotpath
+//eplog:seqlock-write
+func (e *EPLog) storeProt(lba, prot int64) { e.latestProt[lba].Store(prot) }
 
 // devs returns the current main-array device table; safe without any lock.
 // One load serves a whole group or op, so Rebuild cannot switch tables under it.
@@ -246,15 +267,17 @@ type EPLog struct {
 	// Per-LBA and per-stripe views. The slices are shared, but each entry
 	// is only ever written under its owning shard's lock (the owner of
 	// entry lba is shardOfLBA(lba); of virgin[s], shardOf(s)), so distinct
-	// shards touch disjoint memory. latest is the exception on the read
-	// side: each entry is one packed atomic word (loadLatest/storeLatest)
-	// so the lock-free read fast path can look locations up without any
-	// shard lock, validated by the owning shard's seqlock epoch.
+	// shards touch disjoint memory. The per-LBA words are atomic on the read
+	// side (load*/store*): the lock-free read pass looks up a location, and
+	// decodes a committed chunk on a failed SSD from its data stripe,
+	// without any shard lock, validated by the owning shard's seqlock epoch.
 	//eplog:seqlock
-	latest     []atomic.Uint64 // per-LBA latest version location, packed
-	latestProt []int64         // per-LBA protector: committed or a log stripe id
-	commLoc    []Loc           // per-LBA committed version location
-	virgin     []bool          // per-stripe: never written (direct path eligible)
+	latest []atomic.Uint64 // per-LBA latest version location, packed
+	//eplog:seqlock
+	latestProt []atomic.Int64 // per-LBA protector: committed or a log stripe id
+	//eplog:seqlock
+	commLoc []atomic.Uint64 // per-LBA committed version location, packed
+	virgin  []bool          // per-stripe: never written (direct path eligible)
 
 	// gc is the background group-commit scheduler, started iff
 	// cfg.WriteBehind; Close drains and stops it.
@@ -283,6 +306,10 @@ type EPLog struct {
 	// members (k') per log stripe flushed.
 	mGroupOps      *obs.Histogram
 	mStripeMembers *obs.Histogram
+	// mDegradedReads (core.degraded_reads) counts chunks on a failed SSD
+	// decoded for a read and served to it, once each: by the lock-free pass
+	// once it validates, or by the locked pass. A fold's decodes of the
+	// chunks it reads are not reads served, and are not counted.
 	mDegradedReads *obs.Counter
 	// Read-batching telemetry: batches entered, ops carried, groups served
 	// under shard locks instead of the lock-free pass, and read-path shared
@@ -381,8 +408,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		csize:      csize,
 		cfg:        cfg,
 		latest:     make([]atomic.Uint64, geo.Chunks()),
-		latestProt: make([]int64, geo.Chunks()),
-		commLoc:    make([]Loc, geo.Chunks()),
+		latestProt: make([]atomic.Int64, geo.Chunks()),
+		commLoc:    make([]atomic.Uint64, geo.Chunks()),
 		virgin:     make([]bool, cfg.Stripes),
 		// Created ahead of the shards: their allocators count into it.
 		cUpdateTouched: cfg.Obs.Counter("core.update_chunks_touched"),
@@ -392,8 +419,8 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		s, j := geo.Stripe(lba)
 		home := Loc{Dev: geo.DataDev(s, j), Chunk: geo.HomeChunk(s)}
 		e.storeLatest(lba, home)
-		e.latestProt[lba] = committed
-		e.commLoc[lba] = home
+		e.storeProt(lba, committed)
+		e.storeComm(lba, home)
 	}
 	for i := range e.virgin {
 		e.virgin[i] = true

@@ -160,32 +160,32 @@ func TestPrefoldDiscardedByRebuild(t *testing.T) {
 	pa.checkClean(t)
 }
 
-// TestPrefoldStopsAtFailedSSD: the first ErrFailed ends the prefold — it
-// does not reconstruct — and the fold completes degraded under the lock,
-// which is the only place the log devices are read (DESIGN §5 invariant 3).
-func TestPrefoldStopsAtFailedSSD(t *testing.T) {
-	pa := newPressureArray(t, 4)
+// TestPrefoldFoldsPastFailedSSD: with an SSD failed, the prefold folds each
+// stripe by whichever rule's reads avoid it — trying the cheaper rule first —
+// leaves out a stripe both rules need it for, and never reconstructs: the
+// left-out stripe folds degraded under the lock, which is the only place the
+// log devices are read (DESIGN §5 invariant 3). On the 6-device, k = 4 array
+// the failed SSD 0 holds
+//   - parity of hotStripes[0], one chunk changed: the delta rule is cheaper
+//     (m+2c = 4 reads) but meets SSD 0 at its second parity read, and
+//     re-encode (k = 4 reads) avoids it;
+//   - an unchanged data chunk of hotStripes[1], two changed: re-encode is
+//     cheaper but meets SSD 0 at its second read, and the delta rule
+//     (m+2c = 6 reads) skips the unchanged chunk;
+//   - the changed data chunk of hotStripes[2]: the delta rule meets SSD 0
+//     after its parity, re-encode after three chunks, so it folds under the
+//     lock (k reads there).
+func TestPrefoldFoldsPastFailedSSD(t *testing.T) {
+	pa := primePressureArray(t, 4)
 	e := pa.e
-	k := int64(e.geo.K)
-	// An SSD with no data of the first hot stripe but data of a later one:
-	// the prefold gets `whole` stripes and `part` chunks far.
-	failed, whole, part := -1, int64(0), int64(0)
-	for dev := range pa.devs {
-		at := int64(-1)
-		for i, s := range hotStripes {
-			for j := 0; j < e.geo.K && at < 0; j++ {
-				if e.loadLatest(e.geo.LBA(s, j)).Dev == dev {
-					at = int64(i)*k + int64(j)
-				}
-			}
-		}
-		if at >= k {
-			failed, whole, part = dev, at/k, at%k
-			break
-		}
+	const failed = 0
+	g := e.geo
+	if g.ParityDev(hotStripes[0], 1) != failed || g.DataDev(hotStripes[1], 1) != failed || g.DataDev(hotStripes[2], 3) != failed {
+		t.Fatal("setup: the layout moved")
 	}
-	if failed < 0 {
-		t.Fatal("setup: every SSD holds data of the first hot stripe")
+	updates := []int64{g.LBA(hotStripes[0], 0), g.LBA(hotStripes[1], 0), g.LBA(hotStripes[1], 2), g.LBA(hotStripes[2], 3)}
+	for i := 0; e.shards[pa.hot].fill() < pressureMark; i++ {
+		pa.update(t, updates[i%len(updates)])
 	}
 	logReads := func() int64 { return pa.logs[0].reads.Load() + pa.logs[1].reads.Load() }
 	before, logBefore := e.Stats(), logReads()
@@ -201,15 +201,17 @@ func TestPrefoldStopsAtFailedSSD(t *testing.T) {
 	if got := pa.commits(hotShard); got != 1 {
 		t.Errorf("%d commits of the shard, want 1", got)
 	}
-	if hit, stale := pa.counter("core.prefold_stripes"), pa.counter("core.prefold_stale"); hit != whole || stale != 0 {
-		t.Errorf("core.prefold_stripes = %d, core.prefold_stale = %d, want %d and 0", hit, stale, whole)
+	hit, stale, delta := pa.counter("core.prefold_stripes"), pa.counter("core.prefold_stale"), pa.counter("core.prefold_delta_stripes")
+	if hit != 2 || stale != 0 || delta != 1 {
+		t.Errorf("core.prefold_stripes = %d, core.prefold_stale = %d, core.prefold_delta_stripes = %d, want 2, 0 and 1", hit, stale, delta)
 	}
-	rest := int64(len(hotStripes)) - whole
-	if d := e.Stats().CommitReadChunks - before.CommitReadChunks; d != whole*k+part+rest*k {
-		t.Errorf("the fold read %d chunks, want %d prefolded, %d before the failed one, %d under the lock", d, whole*k, part, rest*k)
+	// Used or wasted, every read the SSDs served counts: 1+4, 1+6 and 2+3 by
+	// the prefold, then k = 4 for hotStripes[2] under the lock.
+	if d := e.Stats().CommitReadChunks - before.CommitReadChunks; d != 5+7+5+4 {
+		t.Errorf("the fold read %d chunks, want %d", d, 5+7+5+4)
 	}
 	if logReads() == logBefore {
-		t.Error("the degraded fold never read the log devices: the failed SSD held pending chunks")
+		t.Error("the degraded fold never read the log devices: the failed SSD held a pending chunk")
 	}
 	fresh := &brokenReadDev{Dev: device.NewMem(testDevChunks, testChunk)}
 	if err := e.Rebuild(failed, fresh); err != nil {

@@ -30,6 +30,15 @@ type pressureArray struct {
 
 func newPressureArray(t *testing.T, shards int) *pressureArray {
 	t.Helper()
+	pa := primePressureArray(t, shards)
+	pa.fillHot(t)
+	return pa
+}
+
+// primePressureArray is newPressureArray with the hot shard left clean, for
+// tests that dirty it their own way.
+func primePressureArray(t *testing.T, shards int) *pressureArray {
+	t.Helper()
 	pa := &pressureArray{sink: obs.NewSink(64), wrote: make(map[int64][]byte), hot: hotShard % shards}
 	pa.e, pa.devs, pa.logs = newHoldArray(t, Config{Shards: shards, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
 	t.Cleanup(func() { pa.e.Close() })
@@ -46,7 +55,6 @@ func newPressureArray(t *testing.T, shards int) *pressureArray {
 		}
 	}
 	pa.hotLBA = e.geo.LBA(hotStripes[0], 0)
-	pa.fillHot(t)
 	return pa
 }
 

@@ -34,11 +34,12 @@ func (e *EPLog) ReadChunks(start float64, lba int64, p []byte) (float64, error) 
 // belong to the shards in set, under one snapshot of those shards. On an
 // engine without RAM buffers it first tries the lock-free pass — a read
 // overlapping no writer never touches a shard lock, so clean reads cannot
-// contend with writers on other stripes of the same shard. Any overlap
-// with a writer, any buffered state, or any device failure redoes the
-// group under the shards' locks. spans is the per-op device-span table
-// parallel to ops; the group touches only its own ops' entries, so
-// concurrent groups share it safely.
+// contend with writers on other stripes of the same shard, and a committed
+// chunk on a failed SSD is decoded inside that pass. Any overlap with a
+// writer, any buffered state, any device error but a failed SSD, or a lost
+// chunk protected by a log stripe redoes the group under the shards' locks.
+// spans is the per-op device-span table parallel to ops; the group touches
+// only its own ops' entries, so concurrent groups share it safely.
 func (e *EPLog) readGroup(set shardSet, ops []ReadOp, idxs []int, spans []device.Span) {
 	if !e.fastReads || !e.readGroupFast(set, ops, idxs, spans) {
 		e.lockSet(set)
@@ -47,7 +48,11 @@ func (e *EPLog) readGroup(set shardSet, ops []ReadOp, idxs []int, spans []device
 			op, sp := &ops[i], &spans[i]
 			sp.Reset(op.Start)
 			for off := 0; off < len(op.Buf) && op.Err == nil; off += e.csize {
-				op.Err = e.readLBA(sp, op.LBA+int64(off/e.csize), op.Buf[off:off+e.csize])
+				var decoded bool
+				decoded, op.Err = e.readLBA(sp, op.LBA+int64(off/e.csize), op.Buf[off:off+e.csize])
+				if decoded && op.Err == nil {
+					e.mDegradedReads.Inc()
+				}
 			}
 			// Partial-failure contract: the span's progress (not start)
 			// comes back with an error, covering the reads already issued.
@@ -78,9 +83,15 @@ func (e *EPLog) readGroup(set shardSet, ops []ReadOp, idxs []int, spans []device
 // what preserves the cross-chunk snapshot the locked pass provides.
 //
 // Only called when e.fastReads: no RAM buffers to consult (their maps
-// cannot be read without the lock). Device errors (including ErrFailed)
-// also fall back, so degraded reads keep their locked reconstruction path.
-// An abandoned pass needs a concurrent writer and leaves no trace; its
+// cannot be read without the lock). A chunk whose SSD has failed and whose
+// protector is its data stripe is decoded in the pass, from k survivors read
+// through the device table the pass loaded (decodeChunk): only exclusive
+// holds change home parity, commLoc and latestProt, and each makes the epoch
+// odd, so the one validation below covers the decode as it covers a plain
+// read (DESIGN.md §7). A chunk protected by a log stripe falls back — the
+// log-stripe map needs the lock — as does any other device error. A decode
+// is counted in core.degraded_reads only once the pass validates. An
+// abandoned pass needs a concurrent writer and leaves no trace; its
 // device-clock advance is the same class of nondeterminism concurrent
 // callers already accept for lock contention.
 //
@@ -103,13 +114,22 @@ func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []de
 		}
 	}
 	devs := e.devs()
+	var decoded int64
 	for _, i := range idxs {
 		op, sp := &ops[i], &spans[i]
 		sp.Reset(op.Start)
 		for off := 0; off < len(op.Buf); off += e.csize {
-			loc := e.loadLatest(op.LBA + int64(off/e.csize))
-			if sp.Read(devs[loc.Dev], loc.Chunk, op.Buf[off:off+e.csize]) != nil {
-				return false
+			lba, out := op.LBA+int64(off/e.csize), op.Buf[off:off+e.csize]
+			loc := e.loadLatest(lba)
+			if err := sp.Read(devs[loc.Dev], loc.Chunk, out); err != nil {
+				if !errors.Is(err, device.ErrFailed) || e.loadProt(lba) != committed {
+					return false
+				}
+				sp.ClearErr()
+				if e.decodeChunk(sp, devs, lba, out) != nil {
+					return false
+				}
+				decoded++
 			}
 		}
 	}
@@ -120,6 +140,9 @@ func (e *EPLog) readGroupFast(set shardSet, ops []ReadOp, idxs []int, spans []de
 		if j == set.n-1 {
 			break
 		}
+	}
+	if decoded > 0 { // a clean pass touches no shared counter
+		e.mDegradedReads.Add(decoded)
 	}
 	for _, i := range idxs {
 		ops[i].End = spans[i].End()
@@ -163,43 +186,44 @@ func (e *EPLog) finishRead(op *ReadOp) {
 		Dev: -1, LBA: op.LBA, N: nChunks})
 }
 
-// readLBA reads the latest contents of one logical chunk. The lock of the
-// shard owning the LBA's stripe must be held (shared suffices).
-func (e *EPLog) readLBA(span *device.Span, lba int64, out []byte) error {
+// readLBA reads the latest contents of one logical chunk, and reports
+// whether its SSD had failed and it was decoded. The lock of the shard
+// owning the LBA's stripe must be held (shared suffices).
+func (e *EPLog) readLBA(span *device.Span, lba int64, out []byte) (decoded bool, err error) {
 	sh := e.shardOfLBA(lba)
 	// Pending writes in memory win.
 	if sh.devBufs != nil {
 		dev := e.loadLatest(lba).Dev
 		if data, ok := sh.devBufs[dev].get(lba); ok {
 			copy(out, data)
-			return nil
+			return false, nil
 		}
 	}
 	if sh.stripeBuf != nil {
 		s, _ := e.geo.Stripe(lba)
 		if data, ok := sh.stripeBuf.peek(s, lba); ok {
 			copy(out, data)
-			return nil
+			return false, nil
 		}
 	}
 
+	devs := e.devs()
 	loc := e.loadLatest(lba)
-	err := span.Read(e.devs()[loc.Dev], loc.Chunk, out)
+	err = span.Read(devs[loc.Dev], loc.Chunk, out)
 	if err == nil {
-		return nil
+		return false, nil
 	}
 	if !errors.Is(err, device.ErrFailed) {
-		return err
+		return false, err
 	}
 	span.ClearErr()
-	return e.degradedRead(span, lba, out)
+	return true, e.degradedRead(span, devs, lba, out)
 }
 
 // degradedRead reconstructs the latest version of an LBA whose device has
-// failed.
-func (e *EPLog) degradedRead(span *device.Span, lba int64, out []byte) error {
-	e.mDegradedReads.Inc()
-	if prot := e.latestProt[lba]; prot != committed {
+// failed, through whichever stripe protects it; the shard lock is held.
+func (e *EPLog) degradedRead(span *device.Span, devs []device.Dev, lba int64, out []byte) error {
+	if prot := e.loadProt(lba); prot != committed {
 		ls, ok := e.shardOfLBA(lba).logStripes[prot]
 		if !ok {
 			return fmt.Errorf("core: protector log stripe %d missing for lba %d", prot, lba)
@@ -212,8 +236,15 @@ func (e *EPLog) degradedRead(span *device.Span, lba int64, out []byte) error {
 		bufpool.Default.Put(shard)
 		return nil
 	}
+	return e.decodeChunk(span, devs, lba, out)
+}
+
+// decodeChunk decodes the committed version of lba from its data stripe
+// into out, reading through devs. The locked read pass calls it with the
+// shard lock held, readGroupFast with none, under its epoch validation.
+func (e *EPLog) decodeChunk(span *device.Span, devs []device.Dev, lba int64, out []byte) error {
 	s, slot := e.geo.Stripe(lba)
-	t, err := e.decodeCommitted(span, s)
+	t, err := e.decodeCommitted(span, devs, s)
 	if err != nil {
 		return err
 	}
@@ -223,7 +254,8 @@ func (e *EPLog) degradedRead(span *device.Span, lba int64, out []byte) error {
 }
 
 // decodeTable is a decode's k+m shard-header table. Pooled, not shard
-// scratch: degraded reads decode under the shared lock, several at once.
+// scratch: degraded reads decode under the shared lock or in the lock-free
+// pass, several at once.
 type decodeTable struct{ shards [][]byte }
 
 var decodePool = sync.Pool{New: func() any { return new(decodeTable) }}
@@ -300,26 +332,32 @@ func (e *EPLog) decodeLogStripe(span *device.Span, ls *logStripe, wantLBA int64)
 }
 
 // decodeCommitted reconstructs the committed contents of every data slot
-// of a stripe from the surviving committed chunks and parity. It returns
-// the full k+m shard table: the data slots [0,k) are all populated with
-// arena buffers, the parity slots hold whatever parity was read (possibly
-// nil). The caller owns the table and every buffer in it, and returns them
-// with put.
-func (e *EPLog) decodeCommitted(span *device.Span, stripe int64) (*decodeTable, error) {
+// of a stripe from its committed chunks and home parity, read through devs
+// in slot order — data, then parity — until k have survived: k reads when
+// no data chunk is lost, and at most k+1 attempts with one SSD failed. It is
+// the one decoder of a data stripe: the locked read pass, the lock-free one
+// and Rebuild all use it. It returns the full k+m shard table: the data
+// slots [0,k) are all populated with arena buffers, the parity slots hold
+// whatever parity was read (possibly nil). The caller owns the table and
+// every buffer in it, and returns them with put.
+func (e *EPLog) decodeCommitted(span *device.Span, devs []device.Dev, stripe int64) (*decodeTable, error) {
 	k, m := e.geo.K, e.geo.M()
 	home := e.geo.HomeChunk(stripe)
 	t := getDecodeTable(k + m)
-	shards, devs := t.shards, e.devs()
+	shards := t.shards
 	err := func() error {
-		for j := 0; j < k; j++ {
-			loc := e.commLoc[e.geo.LBA(stripe, j)]
-			if err := e.readSurvivor(span, shards, j, devs[loc.Dev], loc.Chunk); err != nil {
+		for i, have := 0, 0; i < k+m && have < k; i++ {
+			var loc Loc
+			if i < k {
+				loc = e.loadComm(e.geo.LBA(stripe, i))
+			} else {
+				loc = Loc{Dev: e.geo.ParityDev(stripe, i-k), Chunk: home}
+			}
+			if err := e.readSurvivor(span, shards, i, devs[loc.Dev], loc.Chunk); err != nil {
 				return err
 			}
-		}
-		for i := 0; i < m; i++ {
-			if err := e.readSurvivor(span, shards, k+i, devs[e.geo.ParityDev(stripe, i)], home); err != nil {
-				return err
+			if shards[i] != nil {
+				have++
 			}
 		}
 		code, err := e.code(k)

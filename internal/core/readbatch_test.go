@@ -218,36 +218,76 @@ func TestReadBatchBufferedChunks(t *testing.T) {
 	}
 }
 
-// TestReadBatchDegraded fails a device and checks batched reads fall back
-// to the locked reconstruction path and still return every acknowledged
-// byte.
+// TestReadBatchDegraded fails an SSD and checks batched reads return every
+// acknowledged byte. Committed chunks on the failed SSD are decoded inside
+// the lock-free pass — no shared lock — and counted in core.degraded_reads
+// once each. A chunk on it protected by a log stripe (updated, not yet
+// folded) takes the locked path, which decodes it through that log stripe:
+// decoded from its data stripe, it would come back as its committed bytes.
 func TestReadBatchDegraded(t *testing.T) {
-	ta := newTestArray(t, 5, 4, Config{Shards: 4})
+	sink := obs.NewSink(64)
+	ta := newTestArray(t, 5, 4, Config{Shards: 4, Obs: sink})
 	defer ta.e.Close()
-	data := chunkData(1, int(ta.e.Chunks()))
+	e := ta.e
+	data := chunkData(1, int(e.Chunks()))
 	ta.mustWrite(t, 0, data)
-	if err := ta.e.Commit(); err != nil {
+	if err := e.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	const failed = 1
+	var lost []int64
+	for lba := int64(0); lba < e.Chunks(); lba++ {
+		if e.loadLatest(lba).Dev == failed {
+			lost = append(lost, lba)
+		}
+	}
+	readAll := func(lbas []int64) {
+		t.Helper()
+		ops := make([]ReadOp, len(lbas))
+		for i, lba := range lbas {
+			ops[i] = ReadOp{LBA: lba, Buf: make([]byte, testChunk)}
+		}
+		e.ReadBatch(ops)
+		for _, op := range ops {
+			if op.Err != nil {
+				t.Fatalf("degraded batched read of lba %d: %v", op.LBA, op.Err)
+			}
+			if !bytes.Equal(op.Buf, data[op.LBA*testChunk:(op.LBA+1)*testChunk]) {
+				t.Fatalf("lba %d: degraded reconstruction diverged", op.LBA)
+			}
+		}
+	}
 
-	ta.main[1].Fail()
-	ops := make([]ReadOp, 0, ta.e.Chunks())
-	for lba := int64(0); lba < ta.e.Chunks(); lba++ {
-		ops = append(ops, ReadOp{LBA: lba, Buf: make([]byte, testChunk)})
+	ta.main[failed].Fail()
+	all := make([]int64, e.Chunks())
+	for i := range all {
+		all[i] = int64(i)
 	}
-	base := ta.e.ReadLockAcquisitions()
-	ta.e.ReadBatch(ops)
-	for i := range ops {
-		if ops[i].Err != nil {
-			t.Fatalf("degraded batched read op %d (lba %d): %v", i, ops[i].LBA, ops[i].Err)
-		}
-		if !bytes.Equal(ops[i].Buf, data[ops[i].LBA*testChunk:(ops[i].LBA+1)*testChunk]) {
-			t.Fatalf("op %d (lba %d): degraded reconstruction diverged", i, ops[i].LBA)
-		}
+	base, decoded := e.ReadLockAcquisitions(), sink.Counter("core.degraded_reads").Value()
+	readAll(all)
+	if got := e.ReadLockAcquisitions() - base; got != 0 {
+		t.Errorf("degraded batch of committed chunks took %d shared locks, want the lock-free pass", got)
 	}
-	if got := ta.e.ReadLockAcquisitions() - base; got == 0 {
-		t.Error("degraded batch took no shared locks — reconstruction must use the locked path")
+	if got := sink.Counter("core.degraded_reads").Value() - decoded; got != int64(len(lost)) {
+		t.Errorf("core.degraded_reads rose by %d, want %d (the chunks on SSD %d)", got, len(lost), failed)
 	}
+
+	// Update one chunk on the SSD while it is up, then fail it again: the
+	// chunk's latest version is now protected by a log stripe.
+	ta.main[failed].Repair()
+	upd := lost[0]
+	copy(data[upd*testChunk:], chunkData(2, 1))
+	ta.mustWrite(t, upd, data[upd*testChunk:(upd+1)*testChunk])
+	if e.PendingLogStripes() == 0 {
+		t.Fatal("setup: the update left no pending log stripe")
+	}
+	ta.main[failed].Fail()
+	base = e.ReadLockAcquisitions()
+	readAll([]int64{upd})
+	if got := e.ReadLockAcquisitions() - base; got == 0 {
+		t.Error("a log-protected chunk on the failed SSD was read without the lock")
+	}
+	readAll(all)
 }
 
 // TestReadBatchPerOpErrors checks invalid ops fail individually without
@@ -463,12 +503,14 @@ func TestReadBatchAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		writeBehind bool
+		degraded    bool // SSD 1 fails after the fill: its chunks decode in the lock-free pass
 		step        func(e *EPLog)
 	}{
-		{"ReadBatch/one-group", false, func(e *EPLog) { e.ReadBatch(rops) }},
-		{"ReadBatch/served-64-ops-4-shards", true, func(e *EPLog) { e.ReadBatch(served) }},
-		{"ReadChunks", false, func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
-		{"WriteBatch/one-group", false, func(e *EPLog) { e.WriteBatch(wops) }},
+		{"ReadBatch/one-group", false, false, func(e *EPLog) { e.ReadBatch(rops) }},
+		{"ReadBatch/served-64-ops-4-shards", true, false, func(e *EPLog) { e.ReadBatch(served) }},
+		{"ReadBatch/served-degraded", true, true, func(e *EPLog) { e.ReadBatch(served) }},
+		{"ReadChunks", false, false, func(e *EPLog) { e.ReadChunks(0, rops[0].LBA, rops[0].Buf) }},
+		{"WriteBatch/one-group", false, false, func(e *EPLog) { e.WriteBatch(wops) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := obs.NewSink(256)
@@ -477,6 +519,8 @@ func TestReadBatchAllocFree(t *testing.T) {
 			for i := range devs {
 				devs[i] = device.NewMem(stripes*4, testChunk)
 			}
+			faulty := device.NewFaulty(devs[1])
+			devs[1] = faulty
 			logs := []device.Dev{device.NewMem(stripes*8, testChunk)}
 			// CommitEvery plus a bounded dirty window keep the written
 			// shard's log-stripe freelist recycling.
@@ -487,11 +531,17 @@ func TestReadBatchAllocFree(t *testing.T) {
 			}
 			defer e.Close()
 			fillEngine(t, e, 13)
+			if tc.degraded {
+				faulty.Fail()
+			}
 			for i := 0; i < 64; i++ {
 				tc.step(e)
 			}
 			if avg := steadyAllocs(func() { tc.step(e) }); avg != 0 {
 				t.Errorf("steady state allocates %.2f objects/call, want 0", avg)
+			}
+			if tc.degraded && sink.Counter("core.degraded_reads").Value() == 0 {
+				t.Error("no read decoded: SSD 1 holds none of the served chunks")
 			}
 		})
 	}

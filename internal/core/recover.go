@@ -96,7 +96,7 @@ func (e *EPLog) rebuildStripe(span *device.Span, code *erasure.Code, s int64, de
 	k, m := e.geo.K, e.geo.M()
 	dataSlot, paritySlot := -1, -1
 	for j := 0; j < k; j++ {
-		if e.commLoc[e.geo.LBA(s, j)].Dev == devIdx {
+		if e.loadComm(e.geo.LBA(s, j)).Dev == devIdx {
 			dataSlot = j
 			break
 		}
@@ -110,7 +110,7 @@ func (e *EPLog) rebuildStripe(span *device.Span, code *erasure.Code, s int64, de
 	if dataSlot < 0 && paritySlot < 0 {
 		return 0, nil
 	}
-	t, err := e.decodeCommitted(span, s)
+	t, err := e.decodeCommitted(span, e.devs(), s)
 	if err != nil {
 		return 0, err
 	}
@@ -118,7 +118,7 @@ func (e *EPLog) rebuildStripe(span *device.Span, code *erasure.Code, s int64, de
 	decoded := t.shards
 	var written int64
 	if dataSlot >= 0 {
-		loc := e.commLoc[e.geo.LBA(s, dataSlot)]
+		loc := e.loadComm(e.geo.LBA(s, dataSlot))
 		if err := span.Write(replacement, loc.Chunk, decoded[dataSlot]); err != nil {
 			return 0, err
 		}

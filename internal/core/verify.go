@@ -56,7 +56,7 @@ func (e *EPLog) Verify() (*VerifyReport, error) {
 		report.DataStripes++
 		shards := table[:k+m]
 		for j := 0; j < k; j++ {
-			loc := e.commLoc[e.geo.LBA(s, j)]
+			loc := e.loadComm(e.geo.LBA(s, j))
 			if err := span.Read(devs[loc.Dev], loc.Chunk, shards[j]); err != nil {
 				return nil, fmt.Errorf("core: verify stripe %d slot %d: %w", s, j, err)
 			}

@@ -45,7 +45,7 @@ func TestVerifyDetectsSilentCorruption(t *testing.T) {
 	ta.mustWrite(t, 5, chunkData(4, 1)) // one pending log stripe
 
 	// Corrupt a committed chunk behind EPLog's back.
-	loc := ta.e.commLoc[2]
+	loc := ta.e.loadComm(2)
 	evil := chunkData(5, 1)
 	if err := ta.e.devs()[loc.Dev].WriteChunk(loc.Chunk, evil); err != nil {
 		t.Fatal(err)

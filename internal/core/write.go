@@ -625,7 +625,7 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	// Bookkeeping: new latest versions, dirty stripes.
 	for _, mb := range ls.members {
 		e.storeLatest(mb.lba, mb.loc)
-		e.latestProt[mb.lba] = ls.id
+		e.storeProt(mb.lba, ls.id)
 		s, _ := e.geo.Stripe(mb.lba)
 		sh.dirty[s] = struct{}{}
 		sh.metaDirty[s] = struct{}{}

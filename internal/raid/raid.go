@@ -388,13 +388,24 @@ func (a *Array) ReadChunks(start float64, lba int64, p []byte) (float64, error) 
 	return span.End(), nil
 }
 
-// degradedRead decodes slot j of a stripe from its surviving chunks.
+// degradedRead decodes slot j of a stripe from its surviving chunks: the
+// other data chunks, then parity, until k have survived — k reads with one
+// SSD failed, as EPLog's decoder.
 func (a *Array) degradedRead(span *device.Span, stripe int64, slot int, out []byte) error {
 	k, m := a.geo.K, a.geo.M()
 	home := a.geo.HomeChunk(stripe)
 	shards := make([][]byte, k+m)
 	defer bufpool.Default.PutSlices(shards)
-	readShard := func(i, dev int) error {
+	for i, have := 0, 0; i < k+m && have < k; i++ {
+		if i == slot {
+			continue
+		}
+		var dev int
+		if i < k {
+			dev = a.geo.DataDev(stripe, i)
+		} else {
+			dev = a.geo.ParityDev(stripe, i-k)
+		}
 		buf := bufpool.Default.Get(a.csize)
 		if err := span.Read(a.devs[dev], home, buf); err != nil {
 			bufpool.Default.Put(buf)
@@ -402,23 +413,10 @@ func (a *Array) degradedRead(span *device.Span, stripe int64, slot int, out []by
 				return err
 			}
 			span.ClearErr()
-			return nil
-		}
-		shards[i] = buf
-		return nil
-	}
-	for j := 0; j < k; j++ {
-		if j == slot {
 			continue
 		}
-		if err := readShard(j, a.geo.DataDev(stripe, j)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < m; i++ {
-		if err := readShard(k+i, a.geo.ParityDev(stripe, i)); err != nil {
-			return err
-		}
+		shards[i] = buf
+		have++
 	}
 	if err := a.code.ReconstructData(shards); err != nil {
 		return fmt.Errorf("%w: %v", ErrTooManyFailures, err)
