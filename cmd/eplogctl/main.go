@@ -14,9 +14,8 @@
 //	eplogctl -dir store metrics
 //	eplogctl -dir store spans
 //
-// Every command records this invocation's metrics, trace events, and
-// causal span trees; the global -metrics-out, -trace-out and -spans-out
-// flags dump them on exit. The metrics command scrubs the array and
+// Every command records this invocation's metrics and causal span trees;
+// the global -metrics-out and -spans-out flags dump them on exit. The metrics command scrubs the array and
 // prints the session's metrics in Prometheus text format; the spans
 // command reads one stripe and prints the resulting causal span trees —
 // operation roots with phase children and per-device I/O leaves — as
@@ -46,7 +45,6 @@ func main() {
 // current invocation.
 var obsPaths struct {
 	metrics string
-	trace   string
 	spans   string
 }
 
@@ -54,13 +52,11 @@ func run(args []string) error {
 	global := flag.NewFlagSet("eplogctl", flag.ContinueOnError)
 	dir := global.String("dir", "eplog-store", "directory holding the array's backing files")
 	metricsOut := global.String("metrics-out", "", "write this invocation's metrics snapshot to this JSON file")
-	traceOut := global.String("trace-out", "", "write this invocation's event trace to this JSON Lines file")
 	spansOut := global.String("spans-out", "", "write this invocation's causal span trees to this JSON Lines file")
 	if err := global.Parse(args); err != nil {
 		return err
 	}
 	obsPaths.metrics = *metricsOut
-	obsPaths.trace = *traceOut
 	obsPaths.spans = *spansOut
 	rest := global.Args()
 	if len(rest) == 0 {
@@ -91,7 +87,7 @@ func run(args []string) error {
 	}
 }
 
-// dumpObs writes the session's metrics and trace dumps if requested.
+// dumpObs writes the session's metrics and span dumps if requested.
 func dumpObs(a *eplog.Array) error {
 	if obsPaths.metrics != "" {
 		f, err := os.Create(obsPaths.metrics)
@@ -99,19 +95,6 @@ func dumpObs(a *eplog.Array) error {
 			return err
 		}
 		if err := a.Metrics().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if obsPaths.trace != "" {
-		f, err := os.Create(obsPaths.trace)
-		if err != nil {
-			return err
-		}
-		if err := eplog.WriteTrace(f, a.Trace()); err != nil {
 			f.Close()
 			return err
 		}
@@ -245,10 +228,10 @@ func metaChunks(l layout) int64 {
 }
 
 func cfg(l layout) eplog.Config {
-	// Observability is always on: eplogctl is an operational demo and the
-	// per-invocation cost is negligible at its scale.
-	return eplog.Config{K: l.k, Stripes: l.stripes,
-		TraceEvents: eplog.DefaultTraceEvents, Spans: eplog.DefaultSpanTrees}
+	// Observability is always on (Spans > 0 turns on metrics too):
+	// eplogctl is an operational demo and the per-invocation cost is
+	// negligible at its scale.
+	return eplog.Config{K: l.k, Stripes: l.stripes, Spans: eplog.DefaultSpanTrees}
 }
 
 // openArray opens the array from its newest checkpoint.

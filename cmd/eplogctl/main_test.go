@@ -37,9 +37,9 @@ func TestMetricsAndDumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	mpath := filepath.Join(t.TempDir(), "metrics.json")
-	tpath := filepath.Join(t.TempDir(), "trace.jsonl")
+	spath := filepath.Join(t.TempDir(), "spans.jsonl")
 	steps := [][]string{
-		{"-dir", dir, "-metrics-out", mpath, "-trace-out", tpath, "write", "-lba", "3", "-text", "observed"},
+		{"-dir", dir, "-metrics-out", mpath, "-spans-out", spath, "write", "-lba", "3", "-text", "observed"},
 		{"-dir", dir, "metrics"},
 	}
 	for _, args := range steps {
@@ -57,12 +57,12 @@ func TestMetricsAndDumps(t *testing.T) {
 	if !strings.Contains(string(mb), "dev.main0.write_ops") {
 		t.Error("metrics dump missing per-device counters")
 	}
-	tb, err := os.ReadFile(tpath)
+	sb, err := os.ReadFile(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(tb), `"kind":"write"`) {
-		t.Error("trace dump missing write event")
+	if !strings.Contains(string(sb), `"kind":"write"`) {
+		t.Error("span dump missing write root")
 	}
 }
 

@@ -43,6 +43,7 @@ func TestConcurrentSoak(t *testing.T) {
 		K:           k,
 		Stripes:     stripes,
 		TraceEvents: 256,
+		Spans:       64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestConcurrentSoak(t *testing.T) {
 			_ = a.Stats()
 			_ = a.Metrics()
 			_ = a.PendingLogStripes()
-			_ = a.TraceDropped()
+			_ = a.SpansDropped()
 		}
 	}()
 

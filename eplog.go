@@ -39,11 +39,12 @@ type Config struct {
 	// that many write requests when > 0 and a metadata volume is
 	// attached — the paper's "triggered regularly in the background".
 	CheckpointEvery int
-	// TraceEvents enables observability when > 0: the array keeps a
-	// metrics registry (per-device op counters and latency histograms,
-	// write/read/commit-phase latencies, GC activity) and a trace ring
-	// retaining the most recent TraceEvents structured events. Read them
-	// with Metrics and Trace. Zero disables observability at no cost.
+	// TraceEvents enables the metrics registry when > 0: per-device op
+	// counters and latency histograms, write/read/commit-phase latencies,
+	// GC activity. Read it with Metrics. Its value is otherwise ignored
+	// (it sized the retired event ring; the per-operation record is the
+	// span trees, see Spans). Zero, with Spans zero, disables
+	// observability at no cost.
 	TraceEvents int
 	// Spans enables causal span tracing when > 0: each engine shard keeps
 	// a flight recorder retaining up to Spans recently completed span
@@ -53,13 +54,9 @@ type Config struct {
 	// a memory bound (DESIGN.md §11.1). Read them with Spans or
 	// serve them live with ServeTelemetry. Span recording reuses a
 	// per-shard node pool, so the steady state allocates nothing.
-	// Setting Spans > 0 enables the metrics registry even when
-	// TraceEvents is 0 (the trace ring then uses DefaultTraceEvents).
+	// Every operation is recorded. Setting Spans > 0 enables the metrics
+	// registry even when TraceEvents is 0.
 	Spans int
-	// SpanSampling records one operation root in every SpanSampling when
-	// > 1; values <= 1 record every operation. Commits and rebuilds are
-	// always recorded.
-	SpanSampling int
 	// Deprecated: ignored; kept for benchmark/ until ROADMAP item 3.
 	Workers int
 	// Shards partitions the stripes into that many independent stripe
@@ -119,13 +116,9 @@ func newSink(cfg Config) *obs.Sink {
 	if cfg.TraceEvents <= 0 && cfg.Spans <= 0 {
 		return nil
 	}
-	events := cfg.TraceEvents
-	if events <= 0 {
-		events = DefaultTraceEvents
-	}
-	sink := obs.NewSink(events)
+	sink := obs.NewSink()
 	if cfg.Spans > 0 {
-		sink.EnableSpans(obs.SpanConfig{Trees: cfg.Spans, Sampling: cfg.SpanSampling})
+		sink.EnableSpans(obs.SpanConfig{Trees: cfg.Spans})
 	}
 	return sink
 }

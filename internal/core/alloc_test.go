@@ -160,7 +160,7 @@ func TestUpdateSpaceTouchedBounded(t *testing.T) {
 		}
 		logs[i] = h
 	}
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	e, err := New(devs, logs, Config{K: k, Stripes: stripes, Shards: 4, WriteBehind: true,
 		CommitEvery: 256, DirtyWindowStripes: 128, TrimOnCommit: true, Obs: sink})
 	if err != nil {

@@ -22,8 +22,8 @@ import (
 // caller's stack. classify is the one range check and the one shard router.
 // The executors are writeStep (write.go; driven by writeGroup for a batch
 // group and by writeOp for a group of one) and readGroup (read.go); each op
-// leaves through finishWrite or finishRead, so spans, latency observations,
-// and trace events cannot tell a batched op from a single one.
+// leaves through finishWrite or finishRead, so spans and latency
+// observations cannot tell a batched op from a single one.
 //
 // The write executor's unit is the shard group, not the op: the update
 // chunks of every op in the group form one update set and one updatePath

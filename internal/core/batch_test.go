@@ -195,7 +195,7 @@ func TestWriteBatchSpanningOps(t *testing.T) {
 	}
 
 	const shards, stripes = 4, 64
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
 	e4, e1 := batchEngineObs(t, shards, stripes, sink), batchEngine(t, 1, stripes)
 	e4seq := batchEngine(t, shards, stripes)
@@ -430,8 +430,8 @@ func TestWriteBatchGroupsAllocFree(t *testing.T) {
 	const k, n, stripes, shards = 4, 5, 64, 4
 	var armed atomic.Bool
 	var on, off atomic.Int64
-	sink := obs.NewSink(256)
-	sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
+	sink := obs.NewSink()
+	sink.EnableSpans(obs.SpanConfig{Trees: 16})
 	devs := make([]device.Dev, n)
 	for i := range devs {
 		devs[i] = groupSpyDev{device.NewMem(stripes*4, testChunk), ".TestWriteBatchGroupsAllocFree", &armed, &on, &off}

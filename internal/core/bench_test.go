@@ -102,9 +102,9 @@ func BenchmarkDirectStripeWrite(b *testing.B) {
 // regular test suite, so a regression fails tests rather than only
 // showing up in benchmark output — on the serial engine and on the sharded
 // shape eplogserve runs, both through the one write executor.
-// Observability runs at full tilt — metrics, trace events, and causal
-// spans at the default sampling — so the flight recorder is covered by the
-// same zero-allocation guarantee. The span ring is kept small enough that
+// Observability runs at full tilt — metrics and a causal span tree for
+// every op — so the flight recorder is covered by the same zero-allocation
+// guarantee. The span ring is kept small enough that
 // the warmup loop wraps it, putting the recorder into its recycling steady
 // state before counting. Wherever the background group-commit scheduler
 // runs (write-behind, at either shard count) the pin also covers the
@@ -130,8 +130,8 @@ func TestSteadyStateUpdateAllocFree(t *testing.T) {
 		{"served", 4, true, 2}, // shards=4/write-behind plus the ignored field
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := obs.NewSink(256)
-			sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
+			sink := obs.NewSink()
+			sink.EnableSpans(obs.SpanConfig{Trees: 16})
 			cfg := Config{CommitEvery: 8, Obs: sink, Shards: tc.shards, Workers: tc.workers, WriteBehind: tc.writeBehind}
 			if tc.writeBehind {
 				// Bound the dirty window so the log-stripe freelist

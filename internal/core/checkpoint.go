@@ -6,7 +6,6 @@ import (
 
 	"github.com/eplog/eplog/internal/device"
 	"github.com/eplog/eplog/internal/metadata"
-	"github.com/eplog/eplog/internal/obs"
 )
 
 // Snapshot captures the complete metadata state as a full-checkpoint
@@ -37,8 +36,6 @@ func (e *EPLog) Snapshot() *metadata.Snapshot {
 	for _, sh := range e.shards {
 		clear(sh.metaDirty)
 	}
-	e.obs.Emit(obs.Event{Kind: obs.KindCheckpoint, Dev: -1,
-		N: int64(len(s.StripeRecs)), Aux: 1})
 	return s
 }
 
@@ -63,8 +60,6 @@ func (e *EPLog) DirtyDelta() *metadata.Delta {
 	for _, sh := range e.shards {
 		clear(sh.metaDirty)
 	}
-	e.obs.Emit(obs.Event{Kind: obs.KindCheckpoint, Dev: -1,
-		N: int64(len(d.StripeRecs)), Aux: 0})
 	return d
 }
 

@@ -120,7 +120,6 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 		pf.Close(max(pre.span.End(), spanStart))
 		span.Reset(max(flushSpan.End(), pre.span.End()))
 	}
-	parityBefore := sh.stats.ParityWriteChunks
 
 	// Deterministic stripe order keeps runs reproducible. The order slice
 	// is shard scratch (commits cannot nest).
@@ -194,7 +193,6 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	sh.stats.Commits++
 
 	end, foldStart, flushEnd := span.End(), span.Start(), flushSpan.End()
-	parityDelta := sh.stats.ParityWriteChunks - parityBefore
 	// Anchor the phase latencies to when the commit could actually begin:
 	// untimed internal commits (start 0) inherit the device-clock backlog
 	// in their spans, which would otherwise swamp the histograms.
@@ -203,11 +201,6 @@ func (sh *shard) commitAt(start float64) (float64, error) {
 	e.mCommitFlushLat.Observe(max(flushEnd-obsStart, 0))
 	e.mCommitFoldLat.Observe(max(end-max(foldStart, obsStart), 0))
 	e.mCommitLat.Observe(max(end-obsStart, 0))
-	// N is the parity chunks folded by this commit, so that summing N over
-	// parity-commit events plus Aux over full-stripe events reconciles with
-	// Stats.ParityWriteChunks.
-	e.obs.Emit(obs.Event{Kind: obs.KindCommit, T: obsStart, Dur: max(end-obsStart, 0), Dev: -1,
-		N: parityDelta, Aux: int64(len(stripes))})
 	opEnd = end
 	return end, nil
 }

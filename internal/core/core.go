@@ -131,8 +131,8 @@ type Config struct {
 	// shards' allocator partitions, preserving the global utilization cap.
 	CommitGuardChunks int64
 	// Obs, when non-nil, receives metrics (latency histograms, counters)
-	// and structured trace events from the write, read, commit, checkpoint
-	// and recovery paths. Nil disables observability at no cost.
+	// and, when its spans are enabled, the causal span trees of writes,
+	// reads, commits and rebuilds. Nil disables observability at no cost.
 	Obs *obs.Sink
 	// Deprecated: ignored; kept for benchmark/ until ROADMAP item 3.
 	Workers int
@@ -293,7 +293,6 @@ type EPLog struct {
 	// locked pass — the read-side counterpart (ReadLockAcquisitions).
 	readLockAcqs atomic.Int64
 
-	obs             *obs.Sink
 	mWriteLat       *obs.Histogram
 	mReadLat        *obs.Histogram
 	mCommitLat      *obs.Histogram
@@ -466,7 +465,6 @@ func New(devs, logDevs []device.Dev, cfg Config) (*EPLog, error) {
 		e.gc = newGroupCommitter(e)
 	}
 	// The handles below are nil-safe no-ops when cfg.Obs is nil.
-	e.obs = cfg.Obs
 	e.mWriteLat = cfg.Obs.Histogram("core.write_latency")
 	e.mReadLat = cfg.Obs.Histogram("core.read_latency")
 	e.mCommitLat = cfg.Obs.Histogram("core.commit_latency")

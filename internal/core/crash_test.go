@@ -263,7 +263,7 @@ func crashBackgroundFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	cfg.Obs = sink
 	e2, err := Restore(inner, logs, cfg, snap)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestPrefoldDeltaAfterFailedCommit(t *testing.T) {
 		devs[i] = crash[i]
 	}
 	logs := []device.Dev{device.NewMem(testLogChunks, testChunk), device.NewMem(testLogChunks, testChunk)}
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	e, err := New(devs, logs, Config{K: k, Stripes: testStripes, WriteBehind: true, Obs: sink})
 	if err != nil {
 		t.Fatal(err)

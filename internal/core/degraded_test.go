@@ -133,7 +133,7 @@ func TestMultiVersionDegradedRead(t *testing.T) {
 // failed SSD — one pending in a log stripe, one committed — leaves it as it
 // was; reading a lost chunk then adds one.
 func TestDegradedFoldCountsNoReads(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	ta := newTestArray(t, 5, 4, Config{Obs: sink})
 	e := ta.e
 	data := chunkData(7, int(e.Chunks()))
@@ -200,7 +200,7 @@ func versionChunk(lba int64, v uint64) []byte {
 // the epoch move, count nothing, and redo the read under the lock.
 func TestDegradedReadsRaceFolds(t *testing.T) {
 	const writers, readers, batches, failed = 3, 2, 150, 4
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	e, main, _ := newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: 8, Obs: sink})
 	t.Cleanup(func() { e.Close() })
 	k, chunks := e.geo.K, e.Chunks()

@@ -16,7 +16,7 @@ import (
 // readyArray is groupArray with a sink: 6 SSDs, k = 4, filled and committed.
 func readyArray(t *testing.T, shards int) (*testArray, []byte, *obs.Sink) {
 	t.Helper()
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	ta, want := groupArray(t, Config{Shards: shards, WriteBehind: true, Obs: sink})
 	return ta, want, sink
 }

@@ -73,7 +73,7 @@ func mustSucceed(t *testing.T, ops []BatchOp) {
 // is WriteChunks.
 func TestWriteGroupElasticStripe(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		sink := obs.NewSink(64)
+		sink := obs.NewSink()
 		ta, want := groupArray(t, Config{Shards: shards, Obs: sink})
 		e := ta.e
 		n, m := int64(e.geo.N), int64(e.geo.M())
@@ -321,7 +321,7 @@ func TestWriteGroupFailureContract(t *testing.T) {
 // inline-commit engine runs the CommitEvery commits after the flush; and a
 // group that crosses the log-region mark enqueues one pressure fold.
 func TestWriteGroupOrderingContract(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	sink.EnableSpans(obs.SpanConfig{Trees: 64})
 	e := newLatencyArray(t, 6, 4, Config{CommitEvery: 2, Obs: sink})
 	if _, err := e.WriteChunks(0, 0, chunkData(1, int(e.Chunks()))); err != nil {
@@ -372,7 +372,7 @@ func TestWriteGroupOrderingContract(t *testing.T) {
 	// Log-region pressure: a group that takes shard 0 from under the mark
 	// to over it enqueues the shard once, and the fold that follows is
 	// attributed to pressure.
-	psink := obs.NewSink(64)
+	psink := obs.NewSink()
 	devs := make([]device.Dev, 6)
 	for i := range devs {
 		devs[i] = device.NewMem(testDevChunks, testChunk)

@@ -240,7 +240,7 @@ func TestPrefoldDelta(t *testing.T) {
 		stripes = 64
 		rounds  = 400
 	)
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	cfg := Config{K: k, Stripes: stripes, Shards: 4, WriteBehind: true, Obs: sink}
 	devs, logs := make([]device.Dev, n), make([]device.Dev, m)
 	for i := range devs {
@@ -393,7 +393,7 @@ func TestPrefoldDelta(t *testing.T) {
 // Run with -race.
 func TestPrefoldCampaign(t *testing.T) {
 	const writers, batches = 3, 150
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	e, main, logs := newHoldArray(t, Config{Shards: 4, WriteBehind: true, DirtyWindowStripes: 8, CommitEvery: 16, Obs: sink})
 	want := chunkData(1, int(e.Chunks()))
 	if _, err := e.WriteChunks(0, 0, want); err != nil {

@@ -39,7 +39,7 @@ func newPressureArray(t *testing.T, shards int) *pressureArray {
 // tests that dirty it their own way.
 func primePressureArray(t *testing.T, shards int) *pressureArray {
 	t.Helper()
-	pa := &pressureArray{sink: obs.NewSink(64), wrote: make(map[int64][]byte), hot: hotShard % shards}
+	pa := &pressureArray{sink: obs.NewSink(), wrote: make(map[int64][]byte), hot: hotShard % shards}
 	pa.e, pa.devs, pa.logs = newHoldArray(t, Config{Shards: shards, WriteBehind: true, DirtyWindowStripes: pressureWindow, Obs: pa.sink})
 	t.Cleanup(func() { pa.e.Close() })
 	e := pa.e

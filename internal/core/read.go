@@ -174,7 +174,7 @@ func (e *EPLog) unlockSet(set shardSet) {
 }
 
 // finishRead is the read completion envelope of one successful op: latency
-// observation, SpanRead root, trace event.
+// observation and SpanRead root.
 func (e *EPLog) finishRead(op *ReadOp) {
 	nChunks := int64(len(op.Buf) / e.csize)
 	e.bumpVnow(op.End)
@@ -182,8 +182,6 @@ func (e *EPLog) finishRead(op *ReadOp) {
 	rsh := e.shardOfLBA(op.LBA)
 	root := rsh.rec.Start(obs.SpanRead, rsh.idx, op.Start, op.LBA, nChunks)
 	rsh.rec.Finish(root, op.End)
-	e.obs.Emit(obs.Event{Kind: obs.KindRead, T: op.Start, Dur: op.End - op.Start,
-		Dev: -1, LBA: op.LBA, N: nChunks})
 }
 
 // readLBA reads the latest contents of one logical chunk, and reports

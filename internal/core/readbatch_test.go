@@ -225,7 +225,7 @@ func TestReadBatchBufferedChunks(t *testing.T) {
 // folded) takes the locked path, which decodes it through that log stripe:
 // decoded from its data stripe, it would come back as its committed bytes.
 func TestReadBatchDegraded(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	ta := newTestArray(t, 5, 4, Config{Shards: 4, Obs: sink})
 	defer ta.e.Close()
 	e := ta.e
@@ -513,8 +513,8 @@ func TestReadBatchAllocFree(t *testing.T) {
 		{"WriteBatch/one-group", false, false, func(e *EPLog) { e.WriteBatch(wops) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := obs.NewSink(256)
-			sink.EnableSpans(obs.SpanConfig{Trees: 16, Sampling: obs.DefaultSpanSampling})
+			sink := obs.NewSink()
+			sink.EnableSpans(obs.SpanConfig{Trees: 16})
 			devs := make([]device.Dev, n)
 			for i := range devs {
 				devs[i] = device.NewMem(stripes*4, testChunk)

@@ -85,7 +85,7 @@ func (e *EPLog) Rebuild(devIdx int, replacement device.Dev) error {
 	devs := slices.Clone(e.devs())
 	devs[devIdx] = replacement
 	e.devTab.Store(&devs)
-	e.obs.Emit(obs.Event{Kind: obs.KindRebuild, Dur: span.End(), Dev: devIdx, N: written})
+	op.SetN(written)
 	return nil
 }
 
@@ -162,7 +162,5 @@ func (e *EPLog) RecoverLogDevice(dim int, replacement device.Dev) error {
 		}
 	}
 	e.logDevs[dim] = device.NewLocked(replacement)
-	// Aux=1 distinguishes log-device recovery from main-array rebuilds.
-	e.obs.Emit(obs.Event{Kind: obs.KindRebuild, Dev: dim, Aux: 1})
 	return nil
 }

@@ -265,7 +265,7 @@ func TestGroupCommitterDrainsOnStop(t *testing.T) {
 // background fold drains the shard).
 func TestDirtyWindowBackpressure(t *testing.T) {
 	const w = 2
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	e, _ := newShutdownArray(t, Config{WriteBehind: true, DirtyWindowStripes: w, Obs: sink})
 	defer e.Close()
 	full := chunkData(1, e.geo.K)

@@ -19,11 +19,11 @@ func walkSpans(spans []obs.SpanSnapshot, f func(obs.SpanSnapshot)) {
 // TestSpanMetricsReconciliation cross-checks the causal span trees against
 // the engine's counters and latency histograms over a deterministic serial
 // workload: every root, phase, and I/O leaf the flight recorder retains
-// must account for exactly the activity the flat metrics report. Sampling
-// is 1 and the ring is larger than the workload, so nothing is evicted and
-// the two views describe the same operations.
+// must account for exactly the activity the flat metrics report. The ring
+// is larger than the workload, so nothing is evicted and the two views
+// describe the same operations.
 func TestSpanMetricsReconciliation(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
 	e := benchEngine(t, Config{CommitEvery: 8, Obs: sink})
 	chunk := e.ChunkSize()
@@ -213,7 +213,7 @@ func TestSpanMetricsReconciliation(t *testing.T) {
 // equals the reads the SSDs served. Updates keep landing while the folds
 // run, so some entries can go stale; the identities hold either way.
 func TestPrefoldSpanReconciliation(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	sink.EnableSpans(obs.SpanConfig{Trees: 4096})
 	var ssds []*device.Counting
 	e := benchEngineOver(t, Config{Shards: 4, WriteBehind: true, Obs: sink}, func(d device.Dev) device.Dev {
@@ -305,7 +305,7 @@ func TestPrefoldSpanReconciliation(t *testing.T) {
 // 239 → 265 MiB, past its 10 % bound.
 func TestFoldLeavesOnlyOnSerialEngine(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		sink := obs.NewSink(64)
+		sink := obs.NewSink()
 		sink.EnableSpans(obs.SpanConfig{Trees: 256})
 		e := benchEngine(t, Config{Obs: sink, Shards: shards})
 		t.Cleanup(func() { e.Close() })
@@ -355,10 +355,11 @@ func TestFoldLeavesOnlyOnSerialEngine(t *testing.T) {
 }
 
 // TestRebuildSpanCoversReplacementWrites: the writes that restore a failed
-// device go through the rebuild's span like its reads, so the root span and
-// the rebuild event time them and the serial engine records each as a leaf.
+// device go through the rebuild's span like its reads, so the root span
+// times them, carries their count as N, and the serial engine records each
+// as a leaf.
 func TestRebuildSpanCoversReplacementWrites(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	sink.EnableSpans(obs.SpanConfig{Trees: 64})
 	ta := newTestArray(t, 6, 4, Config{Shards: 1, Obs: sink})
 	t.Cleanup(func() { ta.e.Close() })
@@ -374,30 +375,30 @@ func TestRebuildSpanCoversReplacementWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := sink.Events()
-	ev := events[len(events)-1]
-	if ev.Kind != obs.KindRebuild {
-		t.Fatalf("last event is %v, want the rebuild", ev.Kind)
+	var roots []obs.SpanSnapshot
+	for _, root := range sink.Spans() {
+		if root.Kind == "rebuild" {
+			roots = append(roots, root)
+		}
 	}
-	if ev.N <= testStripes {
-		t.Fatalf("rebuild restored %d chunks; want more than the %d committed ones, i.e. pending versions too", ev.N, testStripes)
+	if len(roots) != 1 {
+		t.Fatalf("got %d rebuild roots, want 1", len(roots))
+	}
+	root := roots[0]
+	if root.N <= testStripes {
+		t.Fatalf("rebuild root N = %d; want more than the %d committed chunks, i.e. pending versions too", root.N, testStripes)
 	}
 	// The replacement serves one write at a time.
-	if floor := float64(ev.N) * writeTime; ev.Dur < floor*(1-1e-9) {
-		t.Errorf("rebuild event Dur = %g, want >= %g (%d replacement writes of %g s)", ev.Dur, floor, ev.N, writeTime)
+	if floor := float64(root.N) * writeTime; root.Dur < floor*(1-1e-9) {
+		t.Errorf("rebuild root Dur = %g, want >= %g (%d replacement writes of %g s)", root.Dur, floor, root.N, writeTime)
 	}
 	var leaves int64
-	for _, root := range sink.Spans() {
-		if root.Kind != "rebuild" {
-			continue
-		}
-		for _, c := range root.Children {
-			if c.Kind == "io-write" {
-				leaves++
-			}
+	for _, c := range root.Children {
+		if c.Kind == "io-write" {
+			leaves++
 		}
 	}
-	if leaves != ev.N {
-		t.Errorf("rebuild root has %d io-write leaves, want %d (one per restored chunk)", leaves, ev.N)
+	if leaves != root.N {
+		t.Errorf("rebuild root has %d io-write leaves, want N = %d (one per restored chunk)", leaves, root.N)
 	}
 }

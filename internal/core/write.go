@@ -191,7 +191,7 @@ func (sh *shard) writeStep(ops []BatchOp, idxs []int, ws []inflightWrite) {
 }
 
 // finishWrite is the write completion envelope: it reports the outcome
-// through op and publishes the op's span tree, latency, and trace event.
+// through op and publishes the op's span tree and latency.
 // Partial-failure contract: once device work has been issued, a failed op
 // returns the span's progress rather than its start, so a caller replaying
 // from the returned time does not double-count virtual time (or stats) for
@@ -208,8 +208,6 @@ func (e *EPLog) finishWrite(op *BatchOp, w *inflightWrite) {
 	}
 	e.bumpVnow(op.End)
 	e.mWriteLat.Observe(op.End - op.Start)
-	e.obs.Emit(obs.Event{Kind: obs.KindWrite, T: op.Start, Dur: op.End - op.Start, Dev: -1,
-		LBA: op.LBA, N: int64(len(op.Data) / e.csize)})
 }
 
 // writeStripes routes the stripes of the request [lba, lba+nChunks) that
@@ -332,8 +330,6 @@ func (sh *shard) directStripeWrite(span *device.Span, stripe int64, seg []pendin
 	sh.setTrusted(stripe, true) // the parity just written encodes the home chunks
 	sh.metaDirty[stripe] = struct{}{}
 	sh.stats.FullStripeWrites++
-	e.obs.Emit(obs.Event{Kind: obs.KindFullStripe, T: span.Start(), Dev: -1,
-		LBA: e.geo.LBA(stripe, 0), N: int64(k), Aux: int64(m)})
 	return nil
 }
 
@@ -358,8 +354,6 @@ func (sh *shard) bufferNewWrite(span *device.Span, stripe int64, seg []pendingCh
 			break
 		}
 		evicted := sh.stripeBuf.take(oldest)
-		e.obs.Emit(obs.Event{Kind: obs.KindBufferEvict, T: span.Start(), Dev: -1,
-			LBA: e.geo.LBA(oldest, 0), N: int64(len(evicted))})
 		err := sh.updatePath(span, evicted)
 		putPendingData(evicted)
 		if err != nil {
@@ -619,8 +613,6 @@ func (sh *shard) flushGroup(span *device.Span, group []pendingChunk) error {
 	sh.stats.LogStripes++
 	sh.stats.LogStripeMembers += int64(len(ls.members))
 	e.mStripeMembers.Observe(float64(kPrime))
-	e.obs.Emit(obs.Event{Kind: obs.KindLogAppend, T: span.Start(), Dev: -1,
-		LBA: ls.logPos, N: int64(kPrime), Aux: int64(m)})
 
 	// Bookkeeping: new latest versions, dirty stripes.
 	for _, mb := range ls.members {

@@ -190,7 +190,7 @@ func TestCounting(t *testing.T) {
 }
 
 func TestTraced(t *testing.T) {
-	sink := obs.NewSink(16)
+	sink := obs.NewSink()
 	d := NewTraced(WithLatency(NewMem(8, 16), 0.25, 1.0), "t0", sink)
 	if d.Name() != "t0" {
 		t.Fatalf("Name = %q, want t0", d.Name())

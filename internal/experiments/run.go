@@ -114,11 +114,11 @@ type RunConfig struct {
 	IncludeReads bool
 
 	// Obs attaches an observability sink: devices are wrapped with
-	// per-device metrics, the SSD/HDD simulators emit their own events,
-	// and EPLog runs record write/read/commit latencies and trace events.
-	// The sink's ring must be sized for the whole run (preconditioning
-	// included) if the trace is to reconcile against the counters. Nil
-	// disables observability.
+	// per-device metrics, the SSD/HDD simulators keep their own counters,
+	// and EPLog runs record write/read/commit latencies and, when the
+	// sink has spans enabled, span trees. The span recorders must be
+	// sized for the whole run (preconditioning included) if the trees are
+	// to reconcile against the counters. Nil disables observability.
 	Obs *obs.Sink
 }
 
@@ -153,7 +153,7 @@ type RunResult struct {
 	KIOPS float64
 	// EPLogStats is the engine's full counter set (EPLog runs only). It
 	// covers the whole array lifetime including preconditioning, matching
-	// the trace events' coverage.
+	// the span trees' coverage.
 	EPLogStats core.Stats
 	// Metrics is a snapshot of the observability registry taken after the
 	// replay (runs with Obs set only).
@@ -267,7 +267,7 @@ func build(cfg RunConfig) (*arrayBundle, int64, error) {
 		logs[i] = c
 	}
 
-	// Observability: the simulators emit their own events, and every
+	// Observability: the simulators keep their own counters, and every
 	// device gets per-device op/byte/latency metrics.
 	if cfg.Obs != nil {
 		for i, d := range b.ssds {

@@ -1,21 +1,21 @@
 // Package obs is EPLog's dependency-free observability layer: a metrics
 // registry (counters, gauges, fixed-bucket latency histograms with
-// p50/p95/p99/max) plus a structured event-trace ring buffer of typed
-// events covering the stack's interesting transitions (writes, reads,
-// log appends, parity-commit phases, checkpoints, rebuilds, SSD GC runs,
-// buffer evictions).
+// p50/p95/p99/max) plus per-shard recorders of causal span trees (span.go),
+// the one per-operation record.
 //
 // Everything is built on the standard library and is safe for concurrent
 // use. Latencies are virtual seconds, matching the device simulators'
 // virtual-time accounting. All handle types (*Counter, *Gauge, *Histogram,
-// *Sink, *Ring) are nil-safe: methods on a nil receiver are no-ops, so
-// instrumented code needs no "is observability enabled?" branches.
+// *Sink, *SpanRecorder, *Span) are nil-safe: methods on a nil receiver are
+// no-ops, so instrumented code needs no "is observability enabled?"
+// branches. Counters, gauges and histograms take no lock on update.
 package obs
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -46,10 +46,11 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down.
+// Gauge is a metric that can go up and down: one float64 held as its bits
+// in an atomic word, so Set is a store and Add a CAS loop (Histogram's
+// idiom); no update takes a lock.
 type Gauge struct {
-	mu sync.Mutex
-	v  float64
+	v atomic.Uint64 // float64 bits
 }
 
 // Set replaces the gauge value. No-op on a nil receiver.
@@ -57,9 +58,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
+	g.v.Store(math.Float64bits(v))
 }
 
 // Add increments the gauge by v. No-op on a nil receiver.
@@ -67,9 +66,12 @@ func (g *Gauge) Add(v float64) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	g.v += v
-	g.mu.Unlock()
+	for {
+		old := g.v.Load()
+		if g.v.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // Value returns the current gauge value; zero on a nil receiver.
@@ -77,9 +79,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
+	return math.Float64frombits(g.v.Load())
 }
 
 // Registry is a named collection of metrics. Metric handles are created on

@@ -36,10 +36,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	r.Histogram("x", nil).Observe(1)
 	s.Counter("x").Add(2)
 	s.Histogram("x").Observe(3)
-	s.Emit(Event{Kind: KindWrite})
-	if s.Events() != nil || s.Dropped() != 0 {
-		t.Error("nil sink returned events")
-	}
+	s.Gauge("x").Add(1)
 	snap := s.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Error("nil sink snapshot not empty")
@@ -52,10 +49,10 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram not a no-op")
 	}
-	var ring *Ring
-	ring.Append(Event{})
-	if ring.Len() != 0 || ring.Total() != 0 {
-		t.Error("nil ring not a no-op")
+	var g *Gauge
+	g.Add(1)
+	if g.Value() != 0 {
+		t.Error("nil gauge not a no-op")
 	}
 }
 
@@ -147,64 +144,6 @@ func TestHistogramSnapshotPrecomputedQuantiles(t *testing.T) {
 	}
 }
 
-func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Append(Event{Kind: KindWrite, LBA: int64(i)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
-	}
-	if r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("total = %d dropped = %d, want 10 and 6", r.Total(), r.Dropped())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		wantSeq := uint64(6 + i)
-		if ev.Seq != wantSeq || ev.LBA != int64(wantSeq) {
-			t.Errorf("event %d: seq=%d lba=%d, want %d", i, ev.Seq, ev.LBA, wantSeq)
-		}
-	}
-
-	// Exactly-full ring (total == cap) is chronological without rotation.
-	r2 := NewRing(3)
-	for i := 0; i < 3; i++ {
-		r2.Append(Event{LBA: int64(i)})
-	}
-	for i, ev := range r2.Events() {
-		if ev.Seq != uint64(i) {
-			t.Errorf("exact-fill event %d has seq %d", i, ev.Seq)
-		}
-	}
-	if r2.Dropped() != 0 {
-		t.Error("exact fill reported drops")
-	}
-}
-
-func TestRingConcurrentAppend(t *testing.T) {
-	r := NewRing(128)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Append(Event{Kind: KindGCRun})
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Total() != 4000 {
-		t.Errorf("total = %d, want 4000", r.Total())
-	}
-	evs := r.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("events not in sequence order at %d", i)
-		}
-	}
-}
-
 // TestHistogramConcurrentObserve: Observe takes no lock, so four observers
 // at once must lose no count, no part of the sum (powers of two add
 // exactly in any order) and not the maximum, while a reader snapshots.
@@ -232,6 +171,35 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	for _, b := range s.Buckets {
 		if b.Count != 1000 {
 			t.Errorf("bucket le=%v holds %d, want 1000", b.UpperBound, b.Count)
+		}
+	}
+}
+
+// TestGaugeConcurrentAdd: a gauge update takes no lock, so four adders at
+// once must lose no increment (small integers add exactly in float64),
+// and Set/Value must round-trip a value exactly.
+func TestGaugeConcurrentAdd(t *testing.T) {
+	var g Gauge
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				g.Add(1)
+				g.Add(-0.5)
+				_ = g.Value()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.Value(); got != 2000 {
+		t.Errorf("gauge after 4000 (+1, -0.5) pairs = %v, want 2000", got)
+	}
+	for _, v := range []float64{0, -3.25, 1e-9, math.MaxFloat64} {
+		g.Set(v)
+		if got := g.Value(); got != v {
+			t.Errorf("Set(%v) then Value = %v", v, got)
 		}
 	}
 }
@@ -264,7 +232,7 @@ func TestSnapshotIsValueCopy(t *testing.T) {
 }
 
 func TestWriteJSONAndPrometheus(t *testing.T) {
-	s := NewSink(16)
+	s := NewSink()
 	s.Counter("core.writes").Add(3)
 	s.Gauge("pending").Set(1.5)
 	s.Histogram("core.write_latency").Observe(0.002)
@@ -298,30 +266,5 @@ func TestWriteJSONAndPrometheus(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestEventJSONL(t *testing.T) {
-	events := []Event{
-		{Seq: 0, Kind: KindCommit, T: 1.5, Dur: 0.25, Dev: -1, N: 12, Aux: 6},
-		{Seq: 1, Kind: KindGCRun, Dev: 3, N: 40},
-	}
-	var b bytes.Buffer
-	if err := WriteJSONL(&b, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec["kind"] != "parity-commit" {
-		t.Errorf("kind = %v, want parity-commit", rec["kind"])
-	}
-	if rec["n"] != float64(12) {
-		t.Errorf("n = %v, want 12", rec["n"])
 	}
 }

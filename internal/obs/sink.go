@@ -2,14 +2,13 @@ package obs
 
 import "sync"
 
-// Sink bundles a metrics registry, an event-trace ring, and (when
-// enabled) a set of causal span recorders: the single handle instrumented
+// Sink bundles a metrics registry and (when enabled) a set of causal span
+// recorders, one per engine shard: the single handle instrumented
 // components take. A nil *Sink disables observability at zero cost —
 // every method is nil-safe and the metric handles it hands out are
 // themselves nil-safe no-ops.
 type Sink struct {
-	reg  *Registry
-	ring *Ring
+	reg *Registry
 
 	spanMu   sync.Mutex
 	spanCfg  SpanConfig
@@ -17,10 +16,14 @@ type Sink struct {
 	spanRecs []*SpanRecorder // index = engine shard
 }
 
-// NewSink returns a sink with a fresh registry and a ring holding up to
-// traceCap events (<= 0 selects DefaultRingEvents).
-func NewSink(traceCap int) *Sink {
-	return &Sink{reg: NewRegistry(), ring: NewRing(traceCap)}
+// DefaultRingEvents is accepted and ignored: it sized the retired event
+// ring, and benchmark/ still passes it to NewSink.
+const DefaultRingEvents = 4096
+
+// NewSink returns a sink with a fresh registry. Any argument is accepted
+// and ignored (it sized the retired event ring).
+func NewSink(_ ...int) *Sink {
+	return &Sink{reg: NewRegistry()}
 }
 
 // Counter returns the named counter handle; nil (a no-op handle) on a nil
@@ -48,14 +51,6 @@ func (s *Sink) Histogram(name string) *Histogram {
 	return s.reg.Histogram(name, nil)
 }
 
-// Emit appends a trace event. No-op on a nil sink.
-func (s *Sink) Emit(ev Event) {
-	if s == nil {
-		return
-	}
-	s.ring.Append(ev)
-}
-
 // Snapshot returns a value copy of the metrics registry.
 func (s *Sink) Snapshot() Snapshot {
 	if s == nil {
@@ -66,22 +61,6 @@ func (s *Sink) Snapshot() Snapshot {
 		}
 	}
 	return s.reg.Snapshot()
-}
-
-// Events returns the retained trace events in emission order.
-func (s *Sink) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return s.ring.Events()
-}
-
-// Dropped returns how many trace events were evicted by ring wraparound.
-func (s *Sink) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.ring.Dropped()
 }
 
 // EnableSpans turns on causal span recording with the given config.

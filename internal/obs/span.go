@@ -49,7 +49,8 @@ const (
 	// SpanRead is one user read request (root).
 	SpanRead
 	// SpanCommit is one per-shard parity commit (root; Cause names the
-	// trigger: manual, every, guard, space, pressure, N = stripes folded).
+	// trigger: manual, every, guard, space, pressure; the stripes folded
+	// are the N of its SpanCommitFold child).
 	SpanCommit
 	// SpanRebuild is a device rebuild (root; LBA = device index, N =
 	// chunks reconstructed).
@@ -192,31 +193,28 @@ func (s *Span) SetCause(cause string) {
 	s.cause = cause
 }
 
+// SetN replaces the span's count, for a root whose count is known only at
+// its end (a rebuild's chunks reconstructed). Nil-safe.
+func (s *Span) SetN(n int64) {
+	if s == nil {
+		return
+	}
+	s.n = n
+}
+
 // DefaultSpanTrees is the default per-recorder ring capacity.
 const DefaultSpanTrees = 256
-
-// DefaultSpanSampling records every operation. Pooling makes full
-// recording allocation-free in steady state; raise the sampling divisor
-// only when the recorder lock itself shows up in profiles.
-const DefaultSpanSampling = 1
 
 // SpanConfig parameterizes span recording.
 type SpanConfig struct {
 	// Trees is the per-recorder bounded ring capacity, in completed span
-	// trees (<= 0 selects DefaultSpanTrees).
+	// trees (<= 0 selects DefaultSpanTrees). Every operation is recorded.
 	Trees int
-	// Sampling records one operation in Sampling (<= 1 records every
-	// operation). Sampling is per root: a recorded operation keeps its
-	// full tree, a skipped one records nothing.
-	Sampling int
 }
 
 func (c SpanConfig) withDefaults() SpanConfig {
 	if c.Trees <= 0 {
 		c.Trees = DefaultSpanTrees
-	}
-	if c.Sampling <= 1 {
-		c.Sampling = DefaultSpanSampling
 	}
 	return c
 }
@@ -227,7 +225,6 @@ func (c SpanConfig) withDefaults() SpanConfig {
 type SpanRecorder struct {
 	mu   sync.Mutex
 	cfg  SpanConfig
-	skip int     // ops until the next sampled root
 	free []*Span // recycled nodes
 	// ring holds the most recent completed roots: a circular buffer of
 	// cfg.Trees entries, oldest at head once full.
@@ -263,22 +260,11 @@ func (r *SpanRecorder) recycleLocked(s *Span) {
 	r.free = append(r.free, s)
 }
 
-// Start begins a root span for one operation, honoring the sampling
-// divisor. It returns nil — a no-op tree — when the operation is not
-// sampled or the recorder is nil.
+// Start begins a root span for one operation. It returns nil — a no-op
+// tree — when the recorder is nil.
 func (r *SpanRecorder) Start(kind SpanKind, shard int, start float64, lba, n int64) *Span {
 	if r == nil {
 		return nil
-	}
-	if r.cfg.Sampling > 1 {
-		r.mu.Lock()
-		r.skip--
-		if r.skip > 0 {
-			r.mu.Unlock()
-			return nil
-		}
-		r.skip = r.cfg.Sampling
-		r.mu.Unlock()
 	}
 	s := r.get()
 	s.id = spanIDs.Add(1)

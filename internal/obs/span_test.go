@@ -61,20 +61,6 @@ func TestSpanRecorderRingEvictionAndPooling(t *testing.T) {
 	}
 }
 
-func TestSpanRecorderSampling(t *testing.T) {
-	r := newSpanRecorder(SpanConfig{Trees: 64, Sampling: 3})
-	var recorded int
-	for i := 0; i < 9; i++ {
-		if s := r.Start(SpanWrite, 0, 0, 0, 1); s != nil {
-			recorded++
-			r.Finish(s, 1)
-		}
-	}
-	if recorded != 3 {
-		t.Errorf("sampling 1-in-3 recorded %d of 9 roots, want 3", recorded)
-	}
-}
-
 func TestSpanRecorderDrop(t *testing.T) {
 	r := newSpanRecorder(SpanConfig{Trees: 4})
 	s := buildTree(r, 0)
@@ -170,7 +156,7 @@ func TestSinkSpans(t *testing.T) {
 	if nilSink.SpanRecorder(0) != nil || nilSink.Spans() != nil || nilSink.SpansEnabled() {
 		t.Error("nil sink span accessors not zero-valued")
 	}
-	s := NewSink(16)
+	s := NewSink()
 	if s.SpanRecorder(0) != nil {
 		t.Error("sink without EnableSpans handed out a recorder")
 	}

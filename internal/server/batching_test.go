@@ -15,7 +15,7 @@ import (
 // and in order, and the whole backlog must ship as a single vectored
 // write.
 func TestVectoredWriterCoalesces(t *testing.T) {
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	s := &Server{opts: Options{WritevMax: 8}.withDefaults()}
 	s.cWritev = sink.Counter("net.writev_calls")
 	s.cFramesOut = sink.Counter("net.frames_out")

@@ -17,7 +17,7 @@ import (
 // stubServer serves a stub engine at full pressure with HighWater 0.8.
 func stubServer(t *testing.T, eng *stubEngine) (*Server, *Client, *obs.Sink) {
 	t.Helper()
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	s, err := Listen("127.0.0.1:0", eng, Options{HighWater: 0.8, Sink: sink, CloseStore: true})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestCloseDrainsBlockedBatch(t *testing.T) {
 // and none is manual — and every acknowledged write reads back.
 func TestSkewedStreamFoldsInBackground(t *testing.T) {
 	const k, n, stripes, shards = 4, 6, 64, 4
-	sink := obs.NewSink(64)
+	sink := obs.NewSink()
 	devs := make([]device.Dev, n)
 	for i := range devs {
 		devs[i] = device.NewMem(stripes*8, testChunk)

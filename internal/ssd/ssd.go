@@ -135,9 +135,7 @@ type Device struct {
 	chanFree []float64 // per-channel next-idle virtual times
 	stats    Stats
 
-	obsSink *obs.Sink // nil unless SetObserver was called
-	obsDev  int
-	mGCRuns *obs.Counter
+	mGCRuns *obs.Counter // nil-safe unless SetObserver was called
 	mMoved  *obs.Counter
 	mErases *obs.Counter
 	mWear   *obs.Counter
@@ -196,13 +194,9 @@ func New(params Params) (*Device, error) {
 func (d *Device) Params() Params { return d.params }
 
 // SetObserver attaches an observability sink to the device as array member
-// dev. Garbage-collection and wear-leveling runs then emit trace events
-// (Dev identifies the SSD; GC runs triggered by a host write appear in the
-// trace immediately before that write's event) and maintain the
+// dev: garbage-collection and wear-leveling runs then maintain the
 // ssd.<dev>.* counters. A nil sink detaches.
 func (d *Device) SetObserver(sink *obs.Sink, dev int) {
-	d.obsSink = sink
-	d.obsDev = dev
 	prefix := "ssd." + strconv.Itoa(dev) + "."
 	d.mGCRuns = sink.Counter(prefix + "gc_runs")
 	d.mMoved = sink.Counter(prefix + "pages_moved")
@@ -469,8 +463,6 @@ func (d *Device) collectOne() (float64, error) {
 	d.stats.GCInvocations++
 	d.mGCRuns.Inc()
 	d.mMoved.Add(moved)
-	d.obsSink.Emit(obs.Event{Kind: obs.KindGCRun, Dur: cost, Dev: d.obsDev,
-		LBA: int64(victim), N: moved, Aux: 1})
 	return cost, nil
 }
 
@@ -555,14 +547,12 @@ func (d *Device) wearLevel() (float64, error) {
 	if !d.gcFits(minB) {
 		return 0, nil // no room to migrate right now
 	}
-	moved, cost, err := d.migrate(minB)
+	_, cost, err := d.migrate(minB)
 	if err != nil {
 		return cost, err
 	}
 	d.stats.WearLevelMoves++
 	d.mWear.Inc()
-	d.obsSink.Emit(obs.Event{Kind: obs.KindWearLevel, Dur: cost, Dev: d.obsDev,
-		LBA: int64(minB), N: moved, Aux: 1})
 	return cost, nil
 }
 

@@ -14,37 +14,21 @@ import (
 // WriteJSON and WritePrometheus serialize a snapshot.
 type MetricsSnapshot = obs.Snapshot
 
-// TraceEvent is one structured event from the array's trace ring: writes,
-// reads, log appends, parity commits, checkpoints, rebuilds, SSD GC runs,
-// and buffer evictions, each stamped with virtual time and duration.
-type TraceEvent = obs.Event
-
-// DefaultTraceEvents is the default trace ring capacity.
+// DefaultTraceEvents is accepted and ignored as a size: it sized the
+// retired event ring, and a Config.TraceEvents of it still turns on the
+// metrics registry.
 const DefaultTraceEvents = obs.DefaultRingEvents
 
 // DefaultSpanTrees is a reasonable Config.Spans value: enough retained
 // trees per shard to cover recent history without unbounded memory.
 const DefaultSpanTrees = obs.DefaultSpanTrees
 
-// WriteTrace writes events as JSON Lines, one event per line.
-func WriteTrace(w io.Writer, events []TraceEvent) error {
-	return obs.WriteJSONL(w, events)
-}
-
 // Metrics returns a snapshot of the array's metrics registry. It is empty
-// unless Config.TraceEvents enabled observability. Metrics, Trace, and
-// TraceDropped are safe to call while other goroutines use the array: the
-// sink's counters are atomic and its histograms, registry, and trace ring
-// carry their own locks, so a snapshot is a consistent value copy.
+// unless Config.TraceEvents or Config.Spans enabled observability. It is
+// safe to call while other goroutines use the array: counters, gauges and
+// histograms update atomically and the registry's map carries its own
+// lock, so a snapshot is a value copy.
 func (a *Array) Metrics() MetricsSnapshot { return a.sink.Snapshot() }
-
-// Trace returns the retained trace events in chronological order. When
-// more than Config.TraceEvents events were emitted, the oldest were
-// dropped; TraceDropped reports how many.
-func (a *Array) Trace() []TraceEvent { return a.sink.Events() }
-
-// TraceDropped reports how many events fell out of the trace ring.
-func (a *Array) TraceDropped() uint64 { return a.sink.Dropped() }
 
 // SpanTree is one completed causal span tree from the flight recorder: an
 // operation root (write, read, commit, rebuild) with nested phase spans

@@ -9,10 +9,10 @@ import (
 )
 
 // TestArrayObservability covers the public observability surface: an array
-// created with TraceEvents > 0 exposes per-device metrics and a trace, and
-// both export formats render.
+// created with TraceEvents > 0 and Spans > 0 exposes per-device metrics and
+// span trees, and every export format renders.
 func TestArrayObservability(t *testing.T) {
-	a, _, _ := newArray(t, eplog.Config{TraceEvents: eplog.DefaultTraceEvents})
+	a, _, _ := newArray(t, eplog.Config{TraceEvents: eplog.DefaultTraceEvents, Spans: eplog.DefaultSpanTrees})
 	data := make([]byte, 4*chunk)
 	if err := a.Write(0, data); err != nil {
 		t.Fatal(err)
@@ -30,12 +30,12 @@ func TestArrayObservability(t *testing.T) {
 	if m.Histograms["core.commit_latency"].Count == 0 {
 		t.Error("commit latency not observed")
 	}
-	events := a.Trace()
-	if len(events) == 0 {
-		t.Fatal("trace is empty")
+	spans := a.Spans()
+	if len(spans) == 0 {
+		t.Fatal("no span trees recorded")
 	}
-	if a.TraceDropped() != 0 {
-		t.Errorf("TraceDropped = %d, want 0", a.TraceDropped())
+	if a.SpansDropped() != 0 {
+		t.Errorf("SpansDropped = %d, want 0", a.SpansDropped())
 	}
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -52,11 +52,13 @@ func TestArrayObservability(t *testing.T) {
 		t.Error("Prometheus exposition missing write latency histogram")
 	}
 	buf.Reset()
-	if err := eplog.WriteTrace(&buf, events); err != nil {
+	if err := eplog.WriteSpans(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"kind":"parity-commit"`) {
-		t.Error("trace JSONL missing parity-commit event")
+	for _, kind := range []string{"write", "commit", "commit-fold"} {
+		if !strings.Contains(buf.String(), `"kind":"`+kind+`"`) {
+			t.Errorf("span JSONL missing a %s span", kind)
+		}
 	}
 }
 
@@ -65,7 +67,7 @@ func TestArrayObservability(t *testing.T) {
 // snapshot across further array activity must not change it, and mutating
 // a retained snapshot must not leak back into the array.
 func TestSnapshotsAreValueCopies(t *testing.T) {
-	a, _, _ := newArray(t, eplog.Config{TraceEvents: eplog.DefaultTraceEvents})
+	a, _, _ := newArray(t, eplog.Config{TraceEvents: eplog.DefaultTraceEvents, Spans: eplog.DefaultSpanTrees})
 	data := make([]byte, 4*chunk)
 	if err := a.Write(0, data); err != nil {
 		t.Fatal(err)
@@ -118,14 +120,14 @@ func TestSnapshotsAreValueCopies(t *testing.T) {
 		t.Error("snapshot deletion leaked into the registry")
 	}
 
-	// The trace slice is likewise a copy.
-	tr := a.Trace()
+	// The span trees are likewise copies.
+	tr := a.Spans()
 	if len(tr) == 0 {
-		t.Fatal("empty trace")
+		t.Fatal("no span trees")
 	}
 	kind := tr[0].Kind
-	tr[0].Kind = 0
-	if got := a.Trace()[0].Kind; got != kind {
-		t.Errorf("trace mutation leaked: kind %v -> %v", kind, got)
+	tr[0].Kind = ""
+	if got := a.Spans()[0].Kind; got != kind {
+		t.Errorf("span mutation leaked: kind %q -> %q", kind, got)
 	}
 }
